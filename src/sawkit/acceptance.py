@@ -130,7 +130,7 @@ def criterion_3() -> tuple[bool, str]:
 
 
 def _acceptance_rate(n1: int, n2: int, k: int, girth: int, draws: int, seed: int) -> tuple[float, int]:
-    table = build_table(_Z, Point(0, 0), Point(n1, n2), girth, k)
+    table = build_table(_Z, Point(0, 0), Point(n1, n2), girth, k, compact=True)
     rng = RngStream(seed)
     length = n1 + n2 + 2 * k
     attempts = 0
@@ -545,14 +545,9 @@ def run_calibration(draws: int = CALIBRATION_DRAWS) -> dict:
     """
     out = {}
     for name, n1, n2, k, girth, seed in CALIBRATION_INSTANCES:
-        table = build_table(_Z, Point(0, 0), Point(n1, n2), girth, k, compact=True)
-        rng = RngStream(seed)
-        length = n1 + n2 + 2 * k
-        attempts = 0
-        for _ in range(draws):
-            attempts += sample_saw(table, rng, length, max_attempts=100_000).attempts
+        rate, attempts = _acceptance_rate(n1, n2, k, girth, draws, seed)
         out[name] = {
             "n1": n1, "n2": n2, "k": k, "l": girth, "seed": seed,
-            "draws": draws, "attempts": attempts, "rate": round(draws / attempts, 4),
+            "draws": draws, "attempts": attempts, "rate": round(rate, 4),
         }
     return out

@@ -4,7 +4,9 @@ The dual diamond A_k lives at half-integer coordinates; everything here
 stores dual vertices in doubled coordinates (odd, odd) so arithmetic stays
 integral.  The primal diamond A_k' is the points with |x|+|y| <= k; each
 primal edge crosses exactly one interior dual edge, which is what turns a
-boundary-to-boundary path into a contiguous 2-partition and back.
+boundary-to-boundary path into a contiguous 2-partition and back.  A
+partition is stored as one bitmask over the sorted dual vertices
+(``_Diamond``), shared with the Glauber chain.
 """
 
 from __future__ import annotations
@@ -93,76 +95,8 @@ def anchor_vertex(k: int) -> tuple[int, int]:
     return min(dual_vertices(k))
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Contiguous 2-partition of the dual diamond; class 1 holds the anchor."""
-
-    k: int
-    class1: frozenset
-    class2: frozenset
-    boundary_sizes: tuple[int, int]
-
-
-def _connected(verts: frozenset) -> bool:
-    if not verts:
-        return False
-    start = next(iter(verts))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in _dual_neighbors(v):
-            if u in verts and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(verts)
-
-
-def _boundary_size(cls: frozenset) -> int:
-    total = 0
-    for v in cls:
-        for u in _dual_neighbors(v):
-            if u not in cls:
-                total += 1
-    return total
-
-
-def make_partition(k: int, class1_vertices) -> Partition:
-    """Validated partition from one class's vertex set (doubled coordinates)."""
-    verts = dual_vertices(k)
-    c1 = frozenset(tuple(v) for v in class1_vertices)
-    if not c1 <= verts:
-        raise ValueError("class vertices must lie in the dual diamond")
-    c2 = verts - c1
-    if not c1 or not c2:
-        raise ValueError("both classes must be nonempty")
-    if not _connected(c1) or not _connected(c2):
-        raise ValueError("both classes must be connected")
-    if anchor_vertex(k) not in c1:
-        c1, c2 = c2, c1
-    return Partition(k, c1, c2, (_boundary_size(c1), _boundary_size(c2)))
-
-
-def edge_boundary_size(p: Partition, class_id: int) -> int:
-    """Dual edges from the given class (1 or 2) to everything else."""
-    if class_id not in (1, 2):
-        raise ValueError("class_id must be 1 or 2")
-    return p.boundary_sizes[class_id - 1]
-
-
-def _crossed_dual_edge(p: Point, q: Point) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The dual edge crossed by primal edge p-q (doubled coordinates)."""
-    if q < p:
-        p, q = q, p
-    if q == (p[0] + 1, p[1]):
-        return ((2 * p[0] + 1, 2 * p[1] - 1), (2 * p[0] + 1, 2 * p[1] + 1))
-    if q == (p[0], p[1] + 1):
-        return ((2 * p[0] - 1, 2 * p[1] + 1), (2 * p[0] + 1, 2 * p[1] + 1))
-    raise ValueError(f"{p} and {q} are not lattice neighbors")
-
-
 def _dual_edge_to_primal(u: tuple[int, int], v: tuple[int, int]) -> tuple[Point, Point]:
-    """The primal edge crossing dual edge u-v."""
+    """The primal edge crossing dual edge u-v, smaller endpoint first."""
     if v < u:
         u, v = v, u
     a, b = u
@@ -171,6 +105,162 @@ def _dual_edge_to_primal(u: tuple[int, int], v: tuple[int, int]) -> tuple[Point,
     if v == (a, b + 2):
         return (Point((a - 1) // 2, (b + 1) // 2), Point((a + 1) // 2, (b + 1) // 2))
     raise ValueError(f"{u} and {v} are not dual neighbors")
+
+
+class _Diamond:
+    """Per-order bitmask geometry of the dual diamond.
+
+    Bit i of a mask stands for ``verts[i]``, the dual vertices in sorted
+    order.  The dual edges (i, i + s) are grouped by their index offset s,
+    so one shift of a mask finds every cut edge of a group; each group maps
+    i to the primal edge crossing (i, i + s), and ``primal_to_dual`` maps
+    that primal edge back to (i, i + s).
+    """
+
+    _cache: dict[int, "_Diamond"] = {}
+
+    def __init__(self, k: int):
+        self.k = k
+        self.verts = sorted(dual_vertices(k))
+        self.index = {v: i for i, v in enumerate(self.verts)}
+        self.n = len(self.verts)
+        self.all_mask = (1 << self.n) - 1
+        self.anchor_bit = 1 << self.index[anchor_vertex(k)]
+        self.nbr_masks = []
+        self.outside_deg = []
+        self.primal_to_dual = {}
+        by_offset: dict[int, dict[int, tuple[Point, Point]]] = {}
+        for i, v in enumerate(self.verts):
+            mask = 0
+            for u in _dual_neighbors(v):
+                j = self.index.get(u)
+                if j is None:
+                    continue
+                mask |= 1 << j
+                if i < j:
+                    edge = _dual_edge_to_primal(v, u)
+                    self.primal_to_dual[edge] = (i, j)
+                    by_offset.setdefault(j - i, {})[i] = edge
+            self.nbr_masks.append(mask)
+            self.outside_deg.append(4 - mask.bit_count())
+        self.edge_groups = [(s, sum(1 << i for i in edges), edges) for s, edges in sorted(by_offset.items())]
+        # outer_masks[t]: the vertices with more than t edges leaving the diamond
+        self.outer_masks = [
+            sum(1 << i for i, od in enumerate(self.outside_deg) if od > t) for t in range(max(self.outside_deg))
+        ]
+
+    @classmethod
+    def get(cls, k: int) -> "_Diamond":
+        d = cls._cache.get(k)
+        if d is None:
+            d = cls._cache[k] = _Diamond(k)
+        return d
+
+    def component(self, seed: int, within: int, nbr_masks: list[int] | None = None) -> int:
+        """Bits of ``within`` reachable from the seed bits along ``nbr_masks``."""
+        if nbr_masks is None:
+            nbr_masks = self.nbr_masks
+        comp = frontier = seed
+        while frontier:
+            grow = 0
+            f = frontier
+            while f:
+                b = f & -f
+                grow |= nbr_masks[b.bit_length() - 1]
+                f ^= b
+            frontier = grow & within & ~comp
+            comp |= frontier
+        return comp
+
+    def connected(self, mask: int) -> bool:
+        return mask != 0 and self.component(mask & -mask, mask) == mask
+
+    def boundary_size(self, mask: int) -> int:
+        """Dual edges from the class to everything else, outer edges included."""
+        cut = sum(((mask ^ (mask >> s)) & low).bit_count() for s, low, _ in self.edge_groups)
+        return cut + sum((mask & outer).bit_count() for outer in self.outer_masks)
+
+    def mask_of(self, verts) -> int:
+        mask = 0
+        for v in verts:
+            mask |= 1 << self.index[tuple(v)]
+        return mask
+
+    def verts_of(self, mask: int) -> list[tuple[int, int]]:
+        """The vertices of a mask, sorted."""
+        return [v for i, v in enumerate(self.verts) if mask >> i & 1]
+
+    def canonical(self, mask: int) -> int:
+        """The class of the labelling that holds the anchor vertex."""
+        return mask if mask & self.anchor_bit else self.all_mask ^ mask
+
+    def partition(self, mask: int) -> "Partition":
+        mask = self.canonical(mask)
+        return Partition(self.k, mask, (self.boundary_size(mask), self.boundary_size(self.all_mask ^ mask)))
+
+    def cut_edges(self, mask: int) -> list[tuple[Point, Point]]:
+        """Primal edges crossing the dual edges between the class and the rest."""
+        out = []
+        for s, low, edges in self.edge_groups:
+            x = (mask ^ (mask >> s)) & low
+            while x:
+                b = x & -x
+                out.append(edges[b.bit_length() - 1])
+                x ^= b
+        return out
+
+    def cut_endpoints(self, mask: int) -> tuple[Point, Point]:
+        """Endpoints of the boundary path: odd-degree points of the cut edges."""
+        odd: set[Point] = set()
+        for edge in self.cut_edges(mask):
+            odd.symmetric_difference_update(edge)
+        if len(odd) != 2:
+            raise ValueError("cut does not have exactly two endpoints")
+        a, b = sorted(odd)
+        return a, b
+
+
+@dataclass(frozen=True)
+class Partition:
+    """Contiguous 2-partition of the dual diamond; class 1 holds the anchor.
+
+    ``mask`` is class 1 as a ``_Diamond`` bitmask; the classes themselves
+    are read back as frozensets of doubled-coordinate dual vertices.
+    """
+
+    k: int
+    mask: int
+    boundary_sizes: tuple[int, int]
+
+    @property
+    def class1(self) -> frozenset:
+        return frozenset(_Diamond.get(self.k).verts_of(self.mask))
+
+    @property
+    def class2(self) -> frozenset:
+        d = _Diamond.get(self.k)
+        return frozenset(d.verts_of(d.all_mask ^ self.mask))
+
+
+def make_partition(k: int, class1_vertices) -> Partition:
+    """Validated partition from one class's vertex set (doubled coordinates)."""
+    d = _Diamond.get(k)
+    try:
+        mask = d.mask_of(class1_vertices)
+    except KeyError:
+        raise ValueError("class vertices must lie in the dual diamond") from None
+    if mask == 0 or mask == d.all_mask:
+        raise ValueError("both classes must be nonempty")
+    if not d.connected(mask) or not d.connected(d.all_mask ^ mask):
+        raise ValueError("both classes must be connected")
+    return d.partition(mask)
+
+
+def edge_boundary_size(p: Partition, class_id: int) -> int:
+    """Dual edges from the given class (1 or 2) to everything else."""
+    if class_id not in (1, 2):
+        raise ValueError("class_id must be 1 or 2")
+    return p.boundary_sizes[class_id - 1]
 
 
 def path_to_partition(k: int, walk: Walk) -> Partition:
@@ -183,39 +273,25 @@ def path_to_partition(k: int, walk: Walk) -> Partition:
     pts = walk.points()
     if len(pts) < 2:
         raise ValueError("walk must have at least one edge")
-    region = aztec_region(k)
-    if any(p not in region for p in pts):
+    d = _Diamond.get(k)
+    if any(abs(x) + abs(y) > k for x, y in pts):
         raise ValueError("walk leaves the diamond")
-    if not walk.is_self_avoiding():
+    if len(set(pts)) != len(pts):
         raise ValueError("walk must be self-avoiding")
     for endpoint in (pts[0], pts[-1]):
         if abs(endpoint.x) + abs(endpoint.y) != k:
             raise ValueError(f"endpoint {endpoint} not on the diamond boundary")
-    cut = {frozenset(_crossed_dual_edge(p, q)) for p, q in zip(pts, pts[1:])}
-    verts = dual_vertices(k)
-    comps = []
-    unseen = set(verts)
-    while unseen:
-        v0 = unseen.pop()
-        comp = {v0}
-        stack = [v0]
-        while stack:
-            v = stack.pop()
-            for u in _dual_neighbors(v):
-                if u in unseen and frozenset((v, u)) not in cut:
-                    unseen.discard(u)
-                    comp.add(u)
-                    stack.append(u)
-        comps.append(comp)
-        if len(comps) > 2:
-            raise ValueError("walk does not induce a 2-partition")
-    if len(comps) != 2:
+    nbr_masks = d.nbr_masks.copy()
+    to_dual = d.primal_to_dual
+    for p, q in zip(pts, pts[1:]):
+        i, j = to_dual[(p, q) if p < q else (q, p)]
+        nbr_masks[i] &= ~(1 << j)
+        nbr_masks[j] &= ~(1 << i)
+    c1 = d.component(d.anchor_bit, d.all_mask, nbr_masks)
+    rest = d.all_mask ^ c1
+    if not rest or d.component(rest & -rest, rest, nbr_masks) != rest:
         raise ValueError("walk does not induce a 2-partition")
-    c1 = frozenset(comps[0])
-    c2 = frozenset(comps[1])
-    if anchor_vertex(k) not in c1:
-        c1, c2 = c2, c1
-    return Partition(k, c1, c2, (_boundary_size(c1), _boundary_size(c2)))
+    return d.partition(c1)
 
 
 def partition_to_path(p: Partition) -> Walk:
@@ -225,11 +301,7 @@ def partition_to_path(p: Partition) -> Walk:
     them; those edges must form a single simple path, else the partition is
     not path-representable and a ValueError is raised.
     """
-    edges = []
-    for v in p.class1:
-        for u in _dual_neighbors(v):
-            if u in p.class2:
-                edges.append(_dual_edge_to_primal(v, u))
+    edges = _Diamond.get(p.k).cut_edges(p.mask)
     if not edges:
         raise ValueError("no between-class edges")
     adj: dict[Point, list[Point]] = {}
@@ -251,13 +323,6 @@ def partition_to_path(p: Partition) -> Walk:
     if len(pts) != len(edges) + 1:
         raise ValueError("between-class edges do not form a single path")
     return walk_through(pts)
-
-
-def partition_endpoints(p: Partition) -> tuple[Point, Point]:
-    """Endpoints of the partition's boundary path (sorted)."""
-    walk = partition_to_path(p)
-    a, b = walk.start, walk.end
-    return (a, b) if a <= b else (b, a)
 
 
 @dataclass(frozen=True)

@@ -16,14 +16,12 @@ import os
 import sys
 
 from . import __version__
-from .aztec import AztecRegion, OmegaParams, partition_family, partition_to_path, sample_partition
+from .aztec import CACHE_ENV, AztecRegion, OmegaParams, partition_family, partition_to_path, sample_partition
 from .counting import DEFAULT_MEMORY_CAP, ResourceLimitError, build_table
 from .lattice import BoxRegion, FullLattice, LatticeBox, Point, Walk
 from .render import render_partition_svg, render_walk_svg
 from .sampling import RngStream, SamplingBudgetError, sample_saw
 from .paths import base_path, bump
-
-CACHE_ENV = "SAWKIT_CACHE_DIR"
 
 
 class _Parser(argparse.ArgumentParser):

@@ -15,109 +15,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import oracle
-from .aztec import OmegaParams, Partition, anchor_vertex, dual_vertices, _dual_neighbors, _dual_edge_to_primal
+from .aztec import OmegaParams, Partition, _Diamond
 from .lattice import Point
 from .sampling import RngStream
-
-
-class _Diamond:
-    """Per-order bitmask geometry of the dual diamond."""
-
-    _cache: dict[int, "_Diamond"] = {}
-
-    def __init__(self, k: int):
-        self.k = k
-        self.verts = sorted(dual_vertices(k))
-        self.index = {v: i for i, v in enumerate(self.verts)}
-        self.n = len(self.verts)
-        self.all_mask = (1 << self.n) - 1
-        self.anchor_bit = 1 << self.index[anchor_vertex(k)]
-        nbrs = []
-        nbr_masks = []
-        outside_deg = []
-        for v in self.verts:
-            row = []
-            mask = 0
-            od = 0
-            for u in _dual_neighbors(v):
-                j = self.index.get(u)
-                if j is None:
-                    od += 1
-                else:
-                    row.append(j)
-                    mask |= 1 << j
-            nbrs.append(tuple(row))
-            nbr_masks.append(mask)
-            outside_deg.append(od)
-        self.nbrs = nbrs
-        self.nbr_masks = nbr_masks
-        self.outside_deg = outside_deg
-        # dual edges (i < j) with the primal edge each one crosses
-        edges = []
-        for i, v in enumerate(self.verts):
-            for j in self.nbrs[i]:
-                if i < j:
-                    edges.append((i, j, _dual_edge_to_primal(v, self.verts[j])))
-        self.edges = edges
-
-    @classmethod
-    def get(cls, k: int) -> "_Diamond":
-        d = cls._cache.get(k)
-        if d is None:
-            d = cls._cache[k] = _Diamond(k)
-        return d
-
-    def connected(self, mask: int) -> bool:
-        if mask == 0:
-            return False
-        comp = frontier = mask & -mask
-        nbr_masks = self.nbr_masks
-        while frontier:
-            grow = 0
-            f = frontier
-            while f:
-                b = f & -f
-                grow |= nbr_masks[b.bit_length() - 1]
-                f ^= b
-            frontier = grow & mask & ~comp
-            comp |= frontier
-        return comp == mask
-
-    def boundary_size(self, mask: int) -> int:
-        total = 0
-        m = mask
-        inv = ~mask
-        while m:
-            b = m & -m
-            i = b.bit_length() - 1
-            total += self.outside_deg[i] + (self.nbr_masks[i] & inv).bit_count()
-            m ^= b
-        return total
-
-    def mask_of(self, verts) -> int:
-        mask = 0
-        for v in verts:
-            mask |= 1 << self.index[tuple(v)]
-        return mask
-
-    def partition_of(self, mask: int) -> Partition:
-        if not mask & self.anchor_bit:
-            mask = self.all_mask ^ mask
-        c1 = frozenset(self.verts[i] for i in range(self.n) if mask >> i & 1)
-        c2 = frozenset(self.verts[i] for i in range(self.n) if not mask >> i & 1)
-        return Partition(self.k, c1, c2, (self.boundary_size(mask), self.boundary_size(self.all_mask ^ mask)))
-
-    def cut_endpoints(self, mask: int) -> tuple[Point, Point]:
-        """Endpoints of the boundary path: odd-degree points of the cut edges."""
-        deg: dict[Point, int] = {}
-        for i, j, (pa, pb) in self.edges:
-            if (mask >> i & 1) != (mask >> j & 1):
-                deg[pa] = deg.get(pa, 0) + 1
-                deg[pb] = deg.get(pb, 0) + 1
-        ends = sorted(p for p, d in deg.items() if d % 2 == 1)
-        if len(ends) != 2:
-            raise ValueError("cut does not have exactly two endpoints")
-        return ends[0], ends[1]
 
 
 def _flip_valid(d: _Diamond, budget: int, mask: int, b_in: int, b_out: int, v: int) -> tuple[int, int] | None:
@@ -145,6 +45,25 @@ def _flip_valid(d: _Diamond, budget: int, mask: int, b_in: int, b_out: int, v: i
     return new_b_leave, new_b_join
 
 
+def _flip(d: _Diamond, budget: int, mask: int, b_mask: int, b_comp: int, v: int) -> tuple[int, int] | None:
+    """New (b_mask, b_comp) after flipping vertex v of mask, or None when invalid.
+
+    b_mask is the boundary of the class ``mask``, b_comp of its complement.
+    """
+    if mask >> v & 1:
+        return _flip_valid(d, budget, mask, b_mask, b_comp, v)
+    res = _flip_valid(d, budget, mask, b_comp, b_mask, v)
+    return None if res is None else (res[1], res[0])
+
+
+def _flips(d: _Diamond, budget: int, p: Partition):
+    """Canonical masks of the partitions one valid flip away from p, one per vertex."""
+    b1, b2 = p.boundary_sizes
+    for v in range(d.n):
+        if _flip(d, budget, p.mask, b1, b2, v) is not None:
+            yield d.canonical(p.mask ^ (1 << v))
+
+
 @dataclass
 class ChainState:
     """Mutable Glauber chain state; the current partition is always in Omega."""
@@ -161,7 +80,10 @@ class ChainState:
 
     @property
     def partition(self) -> Partition:
-        return self.diamond.partition_of(self.mask)
+        d = self.diamond
+        if self.mask & d.anchor_bit:
+            return Partition(d.k, self.mask, (self.b_mask, self.b_comp))
+        return Partition(d.k, d.all_mask ^ self.mask, (self.b_comp, self.b_mask))
 
     def endpoints(self) -> tuple[Point, Point]:
         return self.diamond.cut_endpoints(self.mask)
@@ -171,12 +93,11 @@ def make_chain(k: int, params: OmegaParams, start: Partition, rng: RngStream) ->
     d = _Diamond.get(k)
     if max(start.boundary_sizes) > params.budget(k):
         raise ValueError("start partition outside Omega")
-    mask = d.mask_of(start.class1)
     return ChainState(
         diamond=d,
         params=params,
         budget=params.budget(k),
-        mask=mask,
+        mask=start.mask,
         b_mask=start.boundary_sizes[0],
         b_comp=start.boundary_sizes[1],
         rng=rng,
@@ -188,29 +109,23 @@ def glauber_step(state: ChainState) -> bool:
     d = state.diamond
     v = state.rng.uniform_int(d.n)
     state.step += 1
-    bit = 1 << v
-    in_mask = bool(state.mask & bit)
-    b_in = state.b_mask if in_mask else state.b_comp
-    b_out = state.b_comp if in_mask else state.b_mask
-    res = _flip_valid(d, state.budget, state.mask, b_in, b_out, v)
+    res = _flip(d, state.budget, state.mask, state.b_mask, state.b_comp, v)
     if res is None:
         return False
-    new_b_leave, new_b_join = res
-    state.mask ^= bit
-    if in_mask:
-        state.b_mask, state.b_comp = new_b_leave, new_b_join
-    else:
-        state.b_comp, state.b_mask = new_b_leave, new_b_join
+    state.mask ^= 1 << v
+    state.b_mask, state.b_comp = res
     state.moves += 1
     return True
 
 
+def _ordered(endpoints: tuple[Point, Point]) -> bool:
+    a, b = endpoints
+    return (a.x - b.x) * (a.y - b.y) >= 0
+
+
 def ordered_endpoints(p: Partition) -> bool:
     """The slow cut S: both endpoint coordinates weakly ordered the same way."""
-    from .aztec import partition_endpoints
-
-    a, b = partition_endpoints(p)
-    return (a.x - b.x) * (a.y - b.y) >= 0
+    return _ordered(_Diamond.get(p.k).cut_endpoints(p.mask))
 
 
 def enumerate_omega(k: int, params: OmegaParams, budget: int | None = None, cap: int = 4) -> list[Partition]:
@@ -242,12 +157,7 @@ def conductance_of_cut(omega: list[Partition], params: OmegaParams, cut) -> CutR
     k = omega[0].k
     d = _Diamond.get(k)
     budget = params.budget(k)
-    masks = {}
-    for p in omega:
-        m = d.mask_of(p.class1)
-        if not m & d.anchor_bit:
-            m = d.all_mask ^ m
-        masks[m] = p
+    masks = {p.mask: p for p in omega}
     in_cut = {m: bool(cut(p)) for m, p in masks.items()}
     s_masks = [m for m, f in in_cut.items() if f]
     if 2 * len(s_masks) > len(masks):
@@ -257,16 +167,7 @@ def conductance_of_cut(omega: list[Partition], params: OmegaParams, cut) -> CutR
         raise ValueError("cut selects an empty set (or everything)")
     crossings = 0
     for m in s_masks:
-        p = masks[m]
-        b1, b2 = p.boundary_sizes
-        for v in range(d.n):
-            b_in = b1 if m >> v & 1 else b2
-            b_out = b2 if m >> v & 1 else b1
-            if _flip_valid(d, budget, m, b_in, b_out, v) is None:
-                continue
-            m2 = m ^ (1 << v)
-            if not m2 & d.anchor_bit:
-                m2 = d.all_mask ^ m2
+        for m2 in _flips(d, budget, masks[m]):
             if m2 not in masks:
                 raise AssertionError("valid flip left the enumerated state space")
             if not in_cut[m2]:
@@ -316,17 +217,13 @@ def run_chain(
         a, b = state.endpoints()
         return (state.step, (tuple(a), tuple(b)), cur_in_s, (state.b_mask, state.b_comp))
 
-    def in_s_now() -> bool:
-        a, b = state.endpoints()
-        return (a.x - b.x) * (a.y - b.y) >= 0
-
-    cur_in_s = in_s_now()
+    cur_in_s = _ordered(state.endpoints())
     trace = ChainTrace(k=k, steps=steps, crossings=0, moves=0)
     trace.records.append(snapshot())
     for i in range(1, steps + 1):
         moved = glauber_step(state)
         if moved:
-            new_in_s = in_s_now()
+            new_in_s = _ordered(state.endpoints())
             if new_in_s != cur_in_s:
                 trace.crossings += 1
             cur_in_s = new_in_s
@@ -344,27 +241,12 @@ def transition_counts(omega: list[Partition], params: OmegaParams) -> tuple[list
     k = omega[0].k
     d = _Diamond.get(k)
     budget = params.budget(k)
-    canon = []
-    for p in omega:
-        m = d.mask_of(p.class1)
-        if not m & d.anchor_bit:
-            m = d.all_mask ^ m
-        canon.append(m)
-    idx = {m: i for i, m in enumerate(canon)}
-    n = len(canon)
+    idx = {p.mask: i for i, p in enumerate(omega)}
+    n = len(omega)
     mat = [[0] * n for _ in range(n)]
-    for i, m in enumerate(canon):
-        p = omega[i]
-        b1, b2 = p.boundary_sizes
+    for i, p in enumerate(omega):
         out = 0
-        for v in range(d.n):
-            b_in = b1 if m >> v & 1 else b2
-            b_out = b2 if m >> v & 1 else b1
-            if _flip_valid(d, budget, m, b_in, b_out, v) is None:
-                continue
-            m2 = m ^ (1 << v)
-            if not m2 & d.anchor_bit:
-                m2 = d.all_mask ^ m2
+        for m2 in _flips(d, budget, p):
             mat[i][idx[m2]] += 1
             out += 1
         mat[i][i] = d.n - out

@@ -207,8 +207,8 @@ def _partitions_by_paths(k: int, budget: int):
                         part = aztec.path_to_partition(k, walk)
                     except ValueError:
                         continue
-                    if max(part.boundary_sizes) <= budget and part.class1 not in seen:
-                        seen.add(part.class1)
+                    if max(part.boundary_sizes) <= budget and part.mask not in seen:
+                        seen.add(part.mask)
                         items.append(part)
     return items
 

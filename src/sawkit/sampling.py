@@ -120,23 +120,6 @@ def sample_saw(
     )
 
 
-def sample_saw_batch(
-    table: CountTable,
-    rng: RngStream,
-    length: int,
-    count: int,
-    max_attempts: int = 1000,
-) -> tuple[list[Walk], int]:
-    """`count` uniform SAWs and the total number of proposal draws used."""
-    walks = []
-    attempts = 0
-    for _ in range(count):
-        report = sample_saw(table, rng, length, max_attempts)
-        attempts += report.attempts
-        walks.append(report.walk)
-    return walks, attempts
-
-
 @dataclass(frozen=True)
 class FamilyEntry:
     """One (start, target, length) cell of an indexed table family."""
