@@ -22,7 +22,7 @@ from .sampling import FamilyEntry, RngStream, SampleReport, SamplingBudgetError,
 
 CACHE_ENV = "SAWKIT_CACHE_DIR"
 _CACHE_MAGIC = "sawkit-aztec-table"
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2  # 2: dense slab layers (flat cell lists)
 
 
 class AztecRegion(Region):
@@ -425,12 +425,16 @@ def _cache_path(cache_dir: str, k: int, girth: int, budget: int, target: Point) 
 
 
 def _load_cached_table(path: str, region: AztecRegion, target: Point, girth: int, lengths) -> CountTable | None:
+    """The cached table at path; None (a miss) for a missing, unreadable,
+    stale or malformed file."""
     try:
         with open(path, "rb") as fh:
             payload = pickle.load(fh)
     except (OSError, pickle.PickleError, EOFError):
         return None
-    header = payload.get("header", {})
+    if not (isinstance(payload, dict) and isinstance(payload.get("header"), dict) and "layers" in payload):
+        return None
+    header = payload["header"]
     if (
         header.get("magic") != _CACHE_MAGIC
         or header.get("version") != _CACHE_VERSION
@@ -440,8 +444,10 @@ def _load_cached_table(path: str, region: AztecRegion, target: Point, girth: int
         or tuple(header.get("endpoint", ())) != tuple(target)
     ):
         return None
-    table = CountTable(region, target, girth, lengths, layers=payload["layers"])
-    return table
+    try:
+        return CountTable(region, target, girth, lengths, layers=payload["layers"])
+    except (TypeError, ValueError):
+        return None
 
 
 def _store_cached_table(path: str, table: CountTable, budget: int) -> None:

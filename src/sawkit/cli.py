@@ -348,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     ss.add_argument("--k", type=int, required=True)
     ss.add_argument("--l", type=int, required=True)
     ss.add_argument("--format", choices=("udlr", "json", "svg"), default="udlr")
-    ss.add_argument("--compact", action="store_true", help="freeze DP layers to save memory")
+    ss.add_argument("--compact", action="store_true",
+                    help="store each finished DP layer as fixed-width bytes: less memory, slower sampling")
     _add_common_sampling(ss)
     ss.set_defaults(run=_cmd_sample_saw)
 

@@ -6,15 +6,23 @@ canonically encoded; stepping onto any window point is forbidden, which on
 the bipartite lattice forbids exactly the cycles of length <= 2l.
 
 The table is filled iteratively by remaining-steps layer (layer t reads
-only layer t-1), with states pruned to those reachable within the length
-budget.  Counts are exact Python integers; an absent key in a completed
-layer means a computed zero.
+only layer t-1).  Layer t is one dense slab of exact Python integers: a
+row for every point that can sit t steps from the target within the length
+budget, a column for every window a covered length needs at t, and one
+zero row and one zero column that every miss is sent to (a step off the
+region, a colliding step, a point or window the layer does not hold).  A
+layer update is four gathers of the previous slab and three adds.
+
+Cells whose window leaves the region, or in origin mode is not a prefix of
+a walk from the origin, are computed as well.  No valid state reads them:
+a successor window's points are the old window's points plus the new one.
+``completion_count`` rejects such states before its lookup.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
-from bisect import bisect_left
 
 from .lattice import LatticeBox, Point, Region, manhattan
 
@@ -23,6 +31,14 @@ _DX = (0, 1, 0, -1)
 _DY = (1, 0, -1, 0)
 
 DEFAULT_MEMORY_CAP = 2 * 1024**3
+# Pointer bytes per cell of one layer update: the previous slab, an index
+# array, a gather, the running sum and the new padded slab, 8 bytes each.
+_SLAB_BYTES = 40
+# Bytes per region point of the geometry (its Point, pid-dict entry, neighbour
+# tuple and distances; about 300 measured) and per layer of the plan besides
+# its row map (two numpy arrays and a list header).
+_POINT_BYTES = 400
+_LAYER_BYTES = 512
 
 
 class ResourceLimitError(RuntimeError):
@@ -115,48 +131,63 @@ def window_automaton(girth: int) -> WindowAutomaton:
     return auto
 
 
-class _FrozenLayer:
-    """Compact read-only layer: sorted keys + length-prefixed count bytes."""
+class _Frozen:
+    """A finished layer's slab as fixed-width little-endian bytes (compact mode)."""
 
-    __slots__ = ("_keys", "_offs", "_blob")
+    __slots__ = ("_n", "_width", "_blob")
 
-    def __init__(self, entries: dict[int, int]):
-        items = sorted(entries.items())
-        self._keys = array("q", [k for k, _ in items])
-        offs = array("q", [0] * (len(items) + 1))
-        chunks = []
-        pos = 0
-        for i, (_, v) in enumerate(items):
-            b = v.to_bytes((v.bit_length() + 7) // 8, "little")
-            chunks.append(b)
-            pos += len(b)
-            offs[i + 1] = pos
-        self._offs = offs
-        self._blob = b"".join(chunks)
+    def __init__(self, slab):
+        width = (slab.max().bit_length() + 7) // 8
+        self._n = slab.size
+        self._width = width
+        # one row at a time, so only a row's worth of bytes pieces is alive
+        self._blob = b"".join(
+            [b"".join([v.to_bytes(width, "little") for v in row]) for row in slab.tolist()]
+        )
 
-    def get(self, key: int, default: int = 0) -> int:
-        keys = self._keys
-        i = bisect_left(keys, key)
-        if i == len(keys) or keys[i] != key:
-            return default
-        return int.from_bytes(self._blob[self._offs[i] : self._offs[i + 1]], "little")
+    def __getitem__(self, i: int) -> int:
+        w = self._width
+        return int.from_bytes(self._blob[i * w : i * w + w], "little")
 
-    def items(self):
-        for i, k in enumerate(self._keys):
-            yield k, int.from_bytes(self._blob[self._offs[i] : self._offs[i + 1]], "little")
+    def __iter__(self):
+        for i in range(self._n):
+            yield self[i]
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return self._n
+
+
+def _count_bits(t: int) -> int:
+    """Bits of 4 * 3**t, above any count at layer t (at most 4 * 3**(t-1) walks)."""
+    return (4 * 3**t).bit_length()
+
+
+def _round16(size: int) -> int:
+    """Bytes the small-object allocator hands out for a request of that size."""
+    return -(-size // 16) * 16
+
+
+def _int_bytes(bits: int) -> int:
+    """Heap bytes of one Python int of that many bits."""
+    digits = -(-bits // sys.int_info.bits_per_digit)
+    return _round16(sys.getsizeof(1) + sys.int_info.sizeof_digit * (digits - 1))
+
+
+def _bytes_size(width: int) -> int:
+    """Heap bytes of one bytes object of that length."""
+    return _round16(sys.getsizeof(b"") + width)
 
 
 class CountTable:
     """Layered exact counts of girth-restricted continuations toward a target.
 
     In origin mode (``origin`` given) the table covers walks origin->target
-    of each length in ``lengths``; growing-window states near the start are
-    anchored at the origin.  In all-sources mode (``origin=None``, used for
-    the Aztec sampler) the table answers counts from any start point in the
-    region for every covered length.
+    of each length in ``lengths``; its layers hold only the points a walk
+    from the origin can reach within the length budget.  In all-sources mode
+    (``origin=None``, used for the Aztec sampler) the table answers counts
+    from any start point in the region for every covered length.  Both
+    modes share one build: layer t is a dense slab over ``_active[t]`` x
+    ``_columns[t]`` (see the module docstring).
     """
 
     def __init__(
@@ -199,14 +230,15 @@ class CountTable:
                 box = region.bounding_box()
         self.box = box
 
-        est_bytes = box.size() * 2 * 16**girth * 24
-        if est_bytes > memory_cap:
-            raise ResourceLimitError(
-                f"estimated table size {est_bytes/1e9:.1f} GB exceeds memory cap "
-                f"{memory_cap/1e9:.1f} GB (girth l={girth}, box {box.size()} points)"
-            )
-
         self._build_geometry()
+        self._plan_layers()
+        est_bytes = self._estimate_bytes(compact and layers is None)
+        if est_bytes > memory_cap:
+            cells = sum(self._cells(t) for t in range(self.max_length + 1))
+            raise ResourceLimitError(
+                f"estimated table size {est_bytes/1e9:.2f} GB exceeds memory cap "
+                f"{memory_cap/1e9:.2f} GB (girth l={girth}, {cells} cells)"
+            )
         if layers is None:
             self._build_layers(compact)
         else:
@@ -220,14 +252,12 @@ class CountTable:
         if not pts:
             raise ValueError("restricted region is empty")
         self._pts = pts
-        self._pid = {p: i for i, p in enumerate(pts)}
-        if self.target not in self._pid:
+        self._pid = pid = {p: i for i, p in enumerate(pts)}
+        if self.target not in pid:
             raise ValueError("target outside the restriction box")
-        if self.origin is not None and self.origin not in self._pid:
+        if self.origin is not None and self.origin not in pid:
             raise ValueError("origin outside the restriction box")
-        self._target_pid = self._pid[self.target]
-        nw = len(self.auto.windows)
-        self._nw = nw
+        self._target_pid = pid[self.target]
         tx, ty = self.target
         self._dist_target = array("l", [abs(p[0] - tx) + abs(p[1] - ty) for p in pts])
         if self.origin is not None:
@@ -235,133 +265,125 @@ class CountTable:
             self._dist_origin = array("l", [abs(p[0] - ox) + abs(p[1] - oy) for p in pts])
         else:
             self._dist_origin = None
-        pid = self._pid
-        nbr_base = []
-        for (x, y) in pts:
-            row = []
-            for d in range(4):
-                q = pid.get((x + _DX[d], y + _DY[d]))
-                row.append(-1 if q is None else q * nw)
-            nbr_base.append(tuple(row))
-        self._nbr_base = nbr_base
-        # window validity: deep points admit every window
-        r = self.auto.max_moves
-        ball = [(dx, dy) for dx in range(-r, r + 1) for dy in range(-r, r + 1) if abs(dx) + abs(dy) <= r]
-        self._deep = [all((x + dx, y + dy) in pid for dx, dy in ball) for (x, y) in pts]
-        self._vw_cache: dict[tuple[int, int], tuple[int, ...]] = {}
+        # neighbour pid per direction; len(pts) stands for a step off the region
+        n = len(pts)
+        self._nbr = [tuple(pid.get((x + _DX[d], y + _DY[d]), n) for d in range(4)) for (x, y) in pts]
 
-    def _windows_at(self, p: int, m: int) -> tuple[int, ...]:
-        """Window ids of length m whose points all lie in the restricted region."""
-        if self._deep[p]:
-            return self.auto.by_length[m]
-        key = (p, m)
-        got = self._vw_cache.get(key)
-        if got is None:
-            x, y = self._pts[p]
-            pid = self._pid
-            offsets = self.auto.offsets
-            got = tuple(
-                w
-                for w in self.auto.by_length[m]
-                if all((x + dx, y + dy) in pid for dx, dy in offsets[w])
-            )
-            self._vw_cache[key] = got
-        return got
+    def _plan_layers(self) -> None:
+        """Rows, columns and index maps of every layer.
+
+        Layer t has a row for each point that can sit t steps from the
+        target within the budget (and, in origin mode, be reached from the
+        origin in the rest), and a column for each window a covered length
+        needs at t: every full window while t <= max_length - 2l, and every
+        window of length m < 2l with t + m a covered length.  The last row
+        and the last column are zero.  ``_rows[t][pid]`` is the flat offset
+        of pid's row (the zero row for a point the layer does not hold, and
+        for the off-region index len(pts)); ``_cols[t][wid]`` is wid's
+        column (the zero column for a window the layer does not hold, and
+        for the colliding-step index len(windows)).
+        """
+        import numpy as np  # loaded by the first table, not by every sawkit import
+
+        auto = self.auto
+        full_m = auto.max_moves
+        max_len = self.max_length
+        n, nw = len(self._pts), len(auto.windows)
+        d_t = np.asarray(self._dist_target)
+        d_o = None if self._dist_origin is None else np.asarray(self._dist_origin)
+        self._active, self._columns, self._rows, self._cols = [], [], [], []
+        col_maps = {}  # window lengths -> (column wids, wid -> column)
+        for t in range(max_len + 1):
+            ok = (d_t <= t) & ((t - d_t) % 2 == 0)
+            if d_o is not None:
+                ok &= d_o <= max_len - t
+            rows = np.flatnonzero(ok)
+            ms = tuple(m for m in range(full_m) if t + m in self._length_set)
+            if t <= max_len - full_m:
+                ms += (full_m,)
+            if ms not in col_maps:
+                cols = np.concatenate([np.asarray(auto.by_length[m], dtype=np.intp) for m in ms])
+                col_of = [len(cols)] * (nw + 1)
+                for j, w in enumerate(cols.tolist()):
+                    col_of[w] = j
+                col_maps[ms] = cols, col_of
+            cols, col_of = col_maps[ms]
+            stride = len(cols) + 1
+            row_of = [len(rows) * stride] * (n + 1)
+            for i, p in enumerate(rows.tolist()):
+                row_of[p] = i * stride
+            self._active.append(rows)
+            self._columns.append(cols)
+            self._rows.append(row_of)
+            self._cols.append(col_of)
+
+    def _cells(self, t: int) -> int:
+        return (len(self._active[t]) + 1) * (len(self._columns[t]) + 1)
+
+    def _estimate_bytes(self, compact: bool) -> int:
+        """Upper bound on the heap bytes of the build.
+
+        Each stored cell costs a list pointer plus an int of at most
+        ``_count_bits(t)`` bits, or in compact mode that int's fixed-width
+        bytes.  Each point adds its geometry and each layer its row map.
+        On top comes the largest working set of one layer update: the numpy
+        slabs and index arrays, and in compact mode also the ints of the
+        previous and the new layer, the new layer's nested list and one row
+        of bytes pieces.
+        """
+        n = len(self._pts)
+        total = _POINT_BYTES * n
+        work = prev_cells = 0
+        for t in range(self.max_length + 1):
+            cells = self._cells(t)
+            bits = _count_bits(t)
+            ints = _int_bytes(bits)
+            width = (bits + 7) // 8
+            total += _LAYER_BYTES + 8 * (n + 1) + _int_bytes(64) * len(self._active[t])
+            span = max(cells, prev_cells)
+            if compact:
+                total += cells * width
+                row = (len(self._columns[t]) + 1) * (8 + _bytes_size(width))
+                work = max(work, span * (_SLAB_BYTES + 2 * ints + 8) + row)
+            else:
+                total += cells * (8 + ints)
+                work = max(work, span * _SLAB_BYTES)
+            prev_cells = cells
+        return total + work
 
     # -- build ---------------------------------------------------------------
 
-    def _active_points(self) -> list[list[int]]:
-        """active[t] = pids that can sit t steps from the target within budget."""
-        max_len = self.max_length
-        active: list[list[int]] = [[] for _ in range(max_len + 1)]
-        d_t = self._dist_target
-        d_o = self._dist_origin
-        for p in range(len(self._pts)):
-            hi = max_len if d_o is None else max_len - d_o[p]
-            for t in range(d_t[p], hi + 1, 2):
-                active[t].append(p)
-        return active
-
-    def _origin_prefixes(self, m: int) -> list[tuple[int, int]]:
-        """(pid, wid) of every m-step self-avoiding prefix from the origin."""
-        cache = self._prefix_cache
-        if m in cache:
-            return cache[m]
-        if m == 0:
-            out = [(self._pid[self.origin], self.auto.empty_id)]
-        else:
-            out = []
-            for p, wid in self._origin_prefixes(m - 1):
-                nb = self._nbr_base[p]
-                for d, wid2 in self.auto.trans[wid]:
-                    nbase = nb[d]
-                    if nbase >= 0:
-                        out.append((nbase // self._nw, wid2))
-        cache[m] = out
-        return out
-
     def _build_layers(self, compact: bool) -> None:
-        auto = self.auto
-        nw = self._nw
-        max_len = self.max_length
-        full_m = auto.max_moves
-        trans = auto.trans
-        nbr_base = self._nbr_base
-        target_pid = self._target_pid
-        self._prefix_cache: dict[int, list[tuple[int, int]]] = {}
-        active = self._active_points()
-        length_set = set(self.lengths)
+        import numpy as np
 
-        layers: list = [None] * (max_len + 1)
-        self._layers = layers
-        prev: dict[int, int] = {}
-
-        def base_get(key: int, default: int = 0) -> int:
-            return 1 if key // nw == target_pid else 0
-
-        for t in range(1, max_len + 1):
-            prev_get = base_get if t == 1 else prev.get
-            cur: dict[int, int] = {}
-            if t <= max_len - full_m:
-                for p in active[t]:
-                    nb = nbr_base[p]
-                    base = p * nw
-                    for wid in self._windows_at(p, full_m):
-                        tot = 0
-                        for d, wid2 in trans[wid]:
-                            nbase = nb[d]
-                            if nbase >= 0:
-                                tot += prev_get(nbase + wid2, 0)
-                        if tot:
-                            cur[base + wid] = tot
-            short_ms = sorted({L - t for L in length_set if 0 <= L - t < full_m})
-            for m in short_ms:
-                if self.origin is not None:
-                    states = self._origin_prefixes(m)
-                else:
-                    states = [(p, wid) for p in active[t] for wid in self._windows_at(p, m)]
-                for p, wid in states:
-                    nb = nbr_base[p]
-                    tot = 0
-                    for d, wid2 in trans[wid]:
-                        nbase = nb[d]
-                        if nbase >= 0:
-                            tot += prev_get(nbase + wid2, 0)
-                    if tot:
-                        cur[p * nw + wid] = tot
-            layers[t] = cur
-            if compact and t >= 2:
-                layers[t - 1] = _FrozenLayer(layers[t - 1])
-            prev = cur
-        if compact and max_len >= 1:
-            layers[max_len] = _FrozenLayer(layers[max_len])
+        nw = len(self.auto.windows)
+        nbr = np.array(self._nbr, dtype=np.intp)
+        succ = np.array(self.auto.step_map, dtype=np.intp)
+        succ[succ < 0] = nw
+        self._vals = []
+        prev = prev_row = prev_col = None
+        for t in range(self.max_length + 1):
+            rows, cols = self._active[t], self._columns[t]
+            nr, nc = len(rows), len(cols)
+            cur = np.zeros((nr + 1, nc + 1), dtype=object)
+            if t == 0:
+                cur[:nr, :nc] = 1  # the target's row: the empty walk has arrived
+            else:
+                acc = None
+                for d in range(4):
+                    idx = prev_row[nbr[rows, d]][:, None] + prev_col[succ[cols, d]][None, :]
+                    g = prev[idx]
+                    acc = g if acc is None else np.add(acc, g, out=acc)
+                cur[:nr, :nc] = acc
+            prev = cur.ravel()
+            prev_row = np.asarray(self._rows[t], dtype=np.intp)
+            prev_col = np.asarray(self._cols[t], dtype=np.intp)
+            self._vals.append(_Frozen(cur) if compact else prev.tolist())
 
     # -- queries ---------------------------------------------------------------
 
-    def _layer_get(self, t: int, key: int) -> int:
-        if t == 0:
-            return 1 if key // self._nw == self._target_pid else 0
-        return self._layers[t].get(key, 0)
+    def _cell(self, t: int, p: int, wid: int) -> int:
+        return self._vals[t][self._rows[t][p] + self._cols[t][wid]]
 
     def counts(self) -> dict[int, int]:
         """Walk count for every covered length (origin mode)."""
@@ -384,17 +406,17 @@ class CountTable:
         start = Point(*start)
         if length not in self._length_set:
             raise ValueError(f"length {length} not covered (lengths {self.lengths})")
-        p = self._pid.get(start)
-        if p is None:
+        if start not in self.region:
             return 0
         if length == 0:
-            return 1 if p == self._target_pid else 0
-        d = self._dist_target[p]
+            return 1 if start == self.target else 0
+        d = manhattan(start, self.target)
         if d > length or (d - length) % 2:
             return 0
-        if self.origin is not None and start != self.origin:
+        p = self._pid.get(start)
+        if p is None or (self.origin is not None and start != self.origin):
             raise TableDomainError("origin-mode table only counts walks from its origin")
-        return self._layer_get(length, p * self._nw + self.auto.empty_id)
+        return self._cell(length, p, self.auto.empty_id)
 
     def completion_count(self, point: Point, window_moves: str, t: int) -> int:
         """Admissible t-step continuations from (point, window) to the target.
@@ -433,7 +455,7 @@ class CountTable:
                 sx, sy = self.auto.offsets[wid][-1]
                 if (x + sx, y + sy) != self.origin:
                     raise TableDomainError("short window must be a walk prefix from the origin")
-        return self._layer_get(t, p * self._nw + wid)
+        return self._cell(t, p, wid)
 
     # -- sampler support -------------------------------------------------------
 
@@ -449,34 +471,31 @@ class CountTable:
 
     def step_options(self, pid: int, wid: int, t: int) -> list[tuple[str, int, int, int]]:
         """(move, next_pid, next_wid, count) for each admissible next step."""
-        nb = self._nbr_base[pid]
-        nw = self._nw
+        rows, cols, vals = self._rows[t - 1], self._cols[t - 1], self._vals[t - 1]
+        nb = self._nbr[pid]
         out = []
         for d, wid2 in self.auto.trans[wid]:
-            nbase = nb[d]
-            if nbase >= 0:
-                c = self._layer_get(t - 1, nbase + wid2)
-                if c:
-                    out.append((MOVE_CHARS[d], nbase // nw, wid2, c))
+            q = nb[d]
+            c = vals[rows[q] + cols[wid2]]
+            if c:
+                out.append((MOVE_CHARS[d], q, wid2, c))
         return out
 
     # -- persistence -----------------------------------------------------------
 
-    def export_layers(self) -> list[dict[int, int] | None]:
-        out: list[dict[int, int] | None] = []
-        for layer in self._layers:
-            if layer is None:
-                out.append(None)
-            elif isinstance(layer, _FrozenLayer):
-                out.append(dict(layer.items()))
-            else:
-                out.append(layer)
-        return out
+    def export_layers(self) -> list:
+        """Every layer's flat cells (row-major, zero row and column last)."""
+        return list(self._vals)
 
     def import_layers(self, layers) -> None:
         if len(layers) != self.max_length + 1:
             raise ValueError("layer count mismatch")
-        self._layers = [None if x is None else dict(x) for x in layers]
+        vals = []
+        for t, layer in enumerate(layers):
+            if len(layer) != self._cells(t):
+                raise ValueError(f"layer {t} has {len(layer)} cells, expected {self._cells(t)}")
+            vals.append(list(layer))
+        self._vals = vals
 
 
 def build_table(

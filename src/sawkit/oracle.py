@@ -191,6 +191,39 @@ def _partitions_by_subsets(k: int, budget: int):
     return items
 
 
+def _saws_to_targets(region: Region, start: Point, targets, max_len: int) -> list[Walk]:
+    """Every self-avoiding walk from start of 1..max_len steps that ends on a target.
+
+    One DFS serves all targets and lengths: a walk is reported whenever it
+    stands on a target, and it is pruned only when no target is within the
+    steps it has left.
+    """
+    targets = {(t[0], t[1]) for t in targets}
+    if not targets:
+        return []
+    near = {(p[0], p[1]): min(abs(p[0] - tx) + abs(p[1] - ty) for tx, ty in targets) for p in region.points()}
+    out: list[Walk] = []
+    moves: list[str] = []
+    visited = {(start[0], start[1])}
+
+    def rec(p: tuple[int, int]) -> None:
+        if moves and p in targets:
+            out.append(Walk(Point(*start), "".join(moves)))
+        if near[p] > max_len - len(moves):
+            return
+        for m, dx, dy in _MOVES:
+            q = (p[0] + dx, p[1] + dy)
+            if q in near and q not in visited:
+                visited.add(q)
+                moves.append(m)
+                rec(q)
+                visited.remove(q)
+                moves.pop()
+
+    rec((start[0], start[1]))
+    return out
+
+
 def _partitions_by_paths(k: int, budget: int):
     from . import aztec
 
@@ -200,16 +233,14 @@ def _partitions_by_paths(k: int, budget: int):
     seen = set()
     items = []
     for i, s in enumerate(bpts):
-        for t in bpts[i + 1 :]:
-            for length in range(abs(s[0] - t[0]) + abs(s[1] - t[1]), max_len + 1, 2):
-                for walk in enumerate_saws(region, s, t, length, cap=max_len).items:
-                    try:
-                        part = aztec.path_to_partition(k, walk)
-                    except ValueError:
-                        continue
-                    if max(part.boundary_sizes) <= budget and part.mask not in seen:
-                        seen.add(part.mask)
-                        items.append(part)
+        for walk in _saws_to_targets(region, s, bpts[i + 1 :], max_len):
+            try:
+                part = aztec.path_to_partition(k, walk)
+            except ValueError:
+                continue
+            if max(part.boundary_sizes) <= budget and part.mask not in seen:
+                seen.add(part.mask)
+                items.append(part)
     return items
 
 

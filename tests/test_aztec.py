@@ -1,10 +1,13 @@
 import math
+import pickle
 from collections import Counter
 
 import pytest
 
 from sawkit.aztec import (
     OmegaParams,
+    _cache_path,
+    _load_cached_table,
     anchor_vertex,
     aztec_region,
     boundary_vertices,
@@ -171,6 +174,32 @@ def test_table_cache_round_trip(tmp_path):
     assert files and all(f.suffix == ".pkl" for f in files)
     fam2 = partition_family(2, params, girth=2, cache_dir=str(tmp_path))
     assert [(e.label, e.length, e.count) for e in fam1] == [(e.label, e.length, e.count) for e in fam2]
+
+
+@pytest.mark.parametrize("plant", ["non-dict", "version-1"])
+def test_table_cache_foreign_file_is_a_miss(tmp_path, plant):
+    params = OmegaParams(2, 0.5)
+    want = [(e.label, e.length, e.count) for e in partition_family(2, params, girth=2)]
+    partition_family(2, params, girth=2, cache_dir=str(tmp_path))
+    files = sorted(tmp_path.iterdir())
+    for f in files:
+        if plant == "non-dict":
+            f.write_bytes(pickle.dumps([1, 2]))
+        else:  # the dict-layer format: a header of version 1, layers as {key: count}
+            payload = pickle.loads(f.read_bytes())
+            payload["header"]["version"] = 1
+            payload["layers"] = [None] + [{0: 1}] * (len(payload["layers"]) - 1)
+            f.write_bytes(pickle.dumps(payload))
+    region = aztec_region(2)
+    lengths = tuple(range(2, 2 * 2 + params.slack(2) + 1, 2))
+    for target in boundary_vertices(2):
+        path = _cache_path(str(tmp_path), 2, 2, params.budget(2), target)
+        assert _load_cached_table(path, region, target, 2, lengths) is None
+    got = partition_family(2, params, girth=2, cache_dir=str(tmp_path))
+    assert [(e.label, e.length, e.count) for e in got] == want
+    assert sorted(tmp_path.iterdir()) == files  # the misses were rebuilt and stored again
+    for f in files:
+        assert pickle.loads(f.read_bytes())["header"]["version"] != 1
 
 
 def test_boundary_vertices_sorted_count():

@@ -5,9 +5,14 @@ second route to the same counts (different traversal order from the
 layered build), exercised on small instances.
 """
 
+import tracemalloc
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sawkit.counting import (
+    MOVE_CHARS,
     CountTable,
     ResourceLimitError,
     TableDomainError,
@@ -15,7 +20,7 @@ from sawkit.counting import (
     build_table,
     window_automaton,
 )
-from sawkit.lattice import BoxRegion, FullLattice, LatticeBox, Point
+from sawkit.lattice import BoxRegion, FullLattice, LatticeBox, Point, PointSetRegion
 from sawkit.oracle import enumerate_low_girth_walks, enumerate_saws
 
 Z = FullLattice()
@@ -63,10 +68,30 @@ def test_memory_cap():
         build_table(Z, (0, 0), (150, 150), 5, 10)
 
 
-def _reference_counts(region, origin, target, girth, length):
-    """Recursive memoized DP, top-down (a different traversal order)."""
+@pytest.mark.parametrize("compact,target,k", [(False, (10, 8), 3), (True, (20, 20), 4)])
+def test_memory_estimate_bounds_tracemalloc_peak(compact, target, k):
+    # the girth-2 window automaton and numpy are loaded once per process, outside the measurement
+    build_table(Z, (0, 0), (1, 1), 2, 0)
+    tracemalloc.start()
+    try:
+        table = build_table(Z, (0, 0), target, 2, k, compact=compact)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    est = table._estimate_bytes(compact)
+    assert peak <= est <= 2 * peak
+    with pytest.raises(ResourceLimitError):
+        build_table(Z, (0, 0), target, 2, k, compact=compact, memory_cap=est - 1)
+
+
+def _reference_counts(region, origin, target, girth, length, memo=None, history=None):
+    """Recursive memoized DP, top-down (a different traversal order).
+
+    Counts the continuations of ``history`` (the points walked so far, the
+    last one current; default just the origin) by ``length`` more steps.
+    """
     window = 2 * girth + 1
-    memo = {}
+    memo = {} if memo is None else memo
 
     def rec(pts, t):
         if t == 0:
@@ -86,7 +111,9 @@ def _reference_counts(region, origin, target, girth, length):
         memo[key] = total
         return total
 
-    return rec(((origin[0], origin[1]),), length)
+    if history is None:
+        history = ((origin[0], origin[1]),)
+    return rec(tuple(history), length)
 
 
 @pytest.mark.parametrize("n1,n2,k,girth", [(1, 0, 2, 1), (1, 1, 2, 2), (2, 1, 1, 1), (2, 2, 1, 3), (0, 3, 1, 2)])
@@ -167,9 +194,79 @@ def test_compact_layers_agree():
 
 
 def test_export_import_layers():
-    table = build_table(Z, (0, 0), (2, 2), 2, 1)
-    clone = CountTable(
-        table.region, table.target, table.girth, table.lengths,
-        origin=table.origin, layers=table.export_layers(),
-    )
-    assert clone.counts() == table.counts()
+    for compact in (False, True):
+        table = build_table(Z, (0, 0), (2, 2), 2, 1, compact=compact)
+        clone = CountTable(
+            table.region, table.target, table.girth, table.lengths,
+            origin=table.origin, layers=table.export_layers(),
+        )
+        assert clone.counts() == table.counts()
+    short = table.export_layers()
+    short[1] = list(short[1])[:-1]
+    with pytest.raises(ValueError, match="cells"):
+        CountTable(table.region, table.target, table.girth, table.lengths, origin=table.origin, layers=short)
+
+
+@st.composite
+def _dp_instances(draw):
+    """A small box or holed point-set region, girth 1..3, one of the two table modes."""
+    w, h = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    box_pts = [(x, y) for x in range(w + 1) for y in range(h + 1)]
+    if draw(st.booleans()):
+        region = BoxRegion(LatticeBox(Point(0, 0), Point(w, h)))
+        pts = box_pts
+    else:
+        keep = draw(st.lists(st.booleans(), min_size=len(box_pts), max_size=len(box_pts)))
+        pts = [p for p, k in zip(box_pts, keep) if k]
+        assume(len(pts) >= 2)
+        region = PointSetRegion(pts)
+    girth = draw(st.integers(1, 3))
+    target = Point(*draw(st.sampled_from(pts)))
+    if draw(st.booleans()):
+        origin = Point(*draw(st.sampled_from(pts)))
+        d = abs(origin.x - target.x) + abs(origin.y - target.y)
+        lengths = [d + 2 * j for j in range(draw(st.integers(0, 2)) + 1)]
+    else:
+        origin = None
+        lengths = draw(st.lists(st.integers(0, 7), min_size=1, max_size=3))
+    return region, pts, girth, target, origin, lengths
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_dp_instances())
+def test_dp_matches_oracle_on_small_regions(inst):
+    """Every count the table answers equals a brute-force or top-down count.
+
+    The slab layers also compute cells no valid state reads (windows leaving
+    the region, short windows not from the origin); this checks that no
+    answered state is affected by them.
+    """
+    region, pts, girth, target, origin, lengths = inst
+    table = CountTable(region, target, girth, lengths, origin=origin)
+    for start in pts:
+        for length in table.lengths:
+            want = enumerate_low_girth_walks(region, Point(*start), target, length, girth).count
+            try:
+                got = table.count_from(start, length)
+            except TableDomainError:
+                assert origin is not None and start != origin
+                continue
+            assert got == want
+    auto = table.auto
+    memo = {}
+    answered = 0
+    for x, y in pts:
+        for wid, w in enumerate(auto.windows):
+            history = [(x + dx, y + dy) for dx, dy in reversed(auto.offsets[wid])]
+            if not all(p in region for p in history):
+                continue
+            moves = "".join(MOVE_CHARS[d] for d in w)
+            for t in range(table.max_length + 1):
+                try:
+                    got = table.completion_count((x, y), moves, t)
+                except ValueError:  # TableDomainError, or a point or window outside the box
+                    continue
+                want = _reference_counts(region, None, target, girth, t, memo, history)
+                assert got == want, (x, y, moves, t)
+                answered += 1
+    assert answered

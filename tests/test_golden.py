@@ -6,6 +6,8 @@ that keeps the exact counts and the random-number use must reproduce them.
 
 from pathlib import Path
 
+import pytest
+
 from sawkit.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -28,3 +30,17 @@ def test_glauber_run_golden(tmp_path, capsys):
     assert rc == 0
     assert capsys.readouterr().out == (DATA / "glauber_k4_seed3_stdout.txt").read_text()
     assert trace.read_bytes() == (DATA / "glauber_k4_seed3_trace.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("extra", [[], ["--compact"]], ids=["plain", "compact"])
+def test_sample_saw_golden(tmp_path, capsys, extra):
+    out = tmp_path / "out"
+    rc = main(["sample", "saw", "--n1", "10", "--n2", "8", "--k", "3", "--l", "2",
+               "--seed", "5", "--count", "20", "--out", str(out)] + extra)
+    assert rc == 0
+    capsys.readouterr()
+    golden = DATA / ("saw_n10_8_k3_l2_seed5" + ("_compact" if extra else ""))
+    names = sorted(p.name for p in golden.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == names
+    for name in names:
+        assert (out / name).read_bytes() == (golden / name).read_bytes()
