@@ -7,7 +7,7 @@ the whole suite is deterministic.  The two large calibration instances
 ``run_calibration`` in the packaged artifact ``src/sawkit/data/calibration.json``;
 criterion 4 checks that it records exactly those instances and that their
 rates are at least 0.5.  The run is seeded and exact, so it reproduces
-the file byte for byte (it takes about 30 s and 1.0 GB peak RSS on a
+the file byte for byte (it takes about 40 s and 0.9 GB peak RSS on a
 2-vCPU machine).  Regenerate it with::
 
     sawkit verify --calibration --write-calibration src/sawkit/data/calibration.json
@@ -130,7 +130,7 @@ def criterion_3() -> tuple[bool, str]:
 
 
 def _acceptance_rate(n1: int, n2: int, k: int, girth: int, draws: int, seed: int) -> tuple[float, int]:
-    table = build_table(_Z, Point(0, 0), Point(n1, n2), girth, k, compact=True)
+    table = build_table(_Z, Point(0, 0), Point(n1, n2), girth, k)
     rng = RngStream(seed)
     length = n1 + n2 + 2 * k
     attempts = 0

@@ -349,7 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     ss.add_argument("--l", type=int, required=True)
     ss.add_argument("--format", choices=("udlr", "json", "svg"), default="udlr")
     ss.add_argument("--compact", action="store_true",
-                    help="store each finished DP layer as fixed-width bytes: less memory, slower sampling")
+                    help="always store finished DP layers as fixed-width bytes (less memory, slower "
+                         "sampling); without it they are stored so only when plain storage would "
+                         "exceed --memory-cap")
     _add_common_sampling(ss)
     ss.set_defaults(run=_cmd_sample_saw)
 

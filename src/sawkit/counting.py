@@ -186,8 +186,14 @@ class CountTable:
     from the origin can reach within the length budget.  In all-sources mode
     (``origin=None``, used for the Aztec sampler) the table answers counts
     from any start point in the region for every covered length.  Both
-    modes share one build: layer t is a dense slab over ``_active[t]`` x
-    ``_columns[t]`` (see the module docstring).
+    modes share one build: layer t is a dense slab over its rows x
+    ``_columns[t]`` (see the module docstring and ``_size_layers``).
+
+    Finished layers are stored as flat lists of ints, or with
+    ``compact=True`` as fixed-width bytes (smaller, slower to read).  A
+    table whose plain storage would exceed ``memory_cap`` is stored
+    compactly without being asked; only one that does not fit either way
+    raises ResourceLimitError, before anything per point is allocated.
     """
 
     def __init__(
@@ -230,116 +236,126 @@ class CountTable:
                 box = region.bounding_box()
         self.box = box
 
-        self._build_geometry()
-        self._plan_layers()
-        est_bytes = self._estimate_bytes(compact and layers is None)
+        self._size_layers()
+        if layers is not None:
+            compact = any(isinstance(layer, _Frozen) for layer in layers)
+        elif not compact and self._estimate_bytes(False) > memory_cap:
+            compact = True  # plain storage does not fit; fixed-width bytes may
+        est_bytes = self._estimate_bytes(compact)
         if est_bytes > memory_cap:
             cells = sum(self._cells(t) for t in range(self.max_length + 1))
             raise ResourceLimitError(
                 f"estimated table size {est_bytes/1e9:.2f} GB exceeds memory cap "
                 f"{memory_cap/1e9:.2f} GB (girth l={girth}, {cells} cells)"
             )
+        self._build_geometry()
+        active = self._plan_rows()
         if layers is None:
-            self._build_layers(compact)
+            self._build_layers(active, compact)
         else:
             self.import_layers(layers)
 
-    # -- geometry ------------------------------------------------------------
+    # -- layer plan ----------------------------------------------------------
 
-    def _build_geometry(self) -> None:
-        region, box = self.region, self.box
-        pts = [p for p in box.points() if p in region]
-        if not pts:
-            raise ValueError("restricted region is empty")
-        self._pts = pts
-        self._pid = pid = {p: i for i, p in enumerate(pts)}
-        if self.target not in pid:
-            raise ValueError("target outside the restriction box")
-        if self.origin is not None and self.origin not in pid:
-            raise ValueError("origin outside the restriction box")
-        self._target_pid = pid[self.target]
-        tx, ty = self.target
-        self._dist_target = array("l", [abs(p[0] - tx) + abs(p[1] - ty) for p in pts])
-        if self.origin is not None:
-            ox, oy = self.origin
-            self._dist_origin = array("l", [abs(p[0] - ox) + abs(p[1] - oy) for p in pts])
-        else:
-            self._dist_origin = None
-        # neighbour pid per direction; len(pts) stands for a step off the region
-        n = len(pts)
-        self._nbr = [tuple(pid.get((x + _DX[d], y + _DY[d]), n) for d in range(4)) for (x, y) in pts]
+    def _size_layers(self) -> None:
+        """Rows and columns of every layer, from one pass over the box.
 
-    def _plan_layers(self) -> None:
-        """Rows, columns and index maps of every layer.
-
-        Layer t has a row for each point that can sit t steps from the
-        target within the budget (and, in origin mode, be reached from the
-        origin in the rest), and a column for each window a covered length
-        needs at t: every full window while t <= max_length - 2l, and every
-        window of length m < 2l with t + m a covered length.  The last row
-        and the last column are zero.  ``_rows[t][pid]`` is the flat offset
-        of pid's row (the zero row for a point the layer does not hold, and
-        for the off-region index len(pts)); ``_cols[t][wid]`` is wid's
-        column (the zero column for a window the layer does not hold, and
-        for the colliding-step index len(windows)).
+        Nothing per point is stored here, so the memory cap is checked
+        before the geometry exists.  Points are numbered by (parity,
+        distance d to the target) (see ``_build_geometry``).  Layer t has
+        a row for each point that can sit t steps from the target within
+        the budget: d <= t of t's parity and, in origin mode, at most
+        max_length - t steps from the origin.  By the triangle inequality
+        these rows lie in one run of pids, ``_band[t]``: the points of t's
+        parity with t - slack <= d <= max_length + D - t in origin mode
+        (D the origin-target distance, slack = max_length - D) and d <= t
+        in all-sources mode.  Layer t has a column for each window a
+        covered length needs at t: every full window while t <=
+        max_length - 2l, and every window of length m < 2l with t + m a
+        covered length.  ``_cols[t][wid]`` is wid's column; a window the
+        layer does not hold, and the colliding-step index len(windows),
+        go to the last column, which is zero, as is the last row.
         """
-        import numpy as np  # loaded by the first table, not by every sawkit import
-
-        auto = self.auto
-        full_m = auto.max_moves
-        max_len = self.max_length
-        n, nw = len(self._pts), len(auto.windows)
-        d_t = np.asarray(self._dist_target)
-        d_o = None if self._dist_origin is None else np.asarray(self._dist_origin)
-        self._active, self._columns, self._rows, self._cols = [], [], [], []
+        box, region, auto = self.box, self.region, self.auto
+        max_len, full_m = self.max_length, auto.max_moves
+        if self.target not in box:
+            raise ValueError("target outside the restriction box")
+        if self.origin is not None and self.origin not in box:
+            raise ValueError("origin outside the restriction box")
+        tx, ty = self.target
+        ox, oy = self.origin if self.origin is not None else self.target
+        per_parity = [0, 0]
+        per_d = [0] * (max_len + 1)  # points at each target distance
+        # each point is a row of layers d, d + 2, ..., last; +1 at d, -1 after last
+        delta = [0] * (max_len + 3)
+        for x, y in box.points():
+            if (x, y) not in region:
+                continue
+            d = abs(x - tx) + abs(y - ty)
+            per_parity[d & 1] += 1
+            if d > max_len:
+                continue
+            per_d[d] += 1
+            last = max_len if self.origin is None else max_len - abs(x - ox) - abs(y - oy)
+            if last >= d:
+                delta[d] += 1
+                delta[last - (last - d) % 2 + 2] -= 1
+        self._npts = sum(per_parity)
+        if not self._npts:
+            raise ValueError("restricted region is empty")
+        first = [0] * (max_len + 1)  # first pid at each target distance
+        run = [0, per_parity[0]]
+        for d in range(max_len + 1):
+            first[d] = run[d & 1]
+            run[d & 1] += per_d[d]
+        dist = manhattan(self.origin, self.target) if self.origin is not None else 0
+        nw = len(auto.windows)
         col_maps = {}  # window lengths -> (column wids, wid -> column)
+        self._nrows, self._band, self._columns, self._cols = [], [], [], []
         for t in range(max_len + 1):
-            ok = (d_t <= t) & ((t - d_t) % 2 == 0)
-            if d_o is not None:
-                ok &= d_o <= max_len - t
-            rows = np.flatnonzero(ok)
+            self._nrows.append(delta[t] + (self._nrows[t - 2] if t >= 2 else 0))
+            lo, hi = (0, t) if self.origin is None else (t - max_len + dist, max_len + dist - t)
+            lo = max(lo, t % 2)
+            lo += (lo - t) % 2
+            hi = min(hi, t)
+            hi -= (t - hi) % 2
+            self._band.append((first[lo], first[hi] + per_d[hi]) if lo <= hi else (0, 0))
             ms = tuple(m for m in range(full_m) if t + m in self._length_set)
             if t <= max_len - full_m:
                 ms += (full_m,)
             if ms not in col_maps:
-                cols = np.concatenate([np.asarray(auto.by_length[m], dtype=np.intp) for m in ms])
+                cols = tuple(w for m in ms for w in auto.by_length[m])
                 col_of = [len(cols)] * (nw + 1)
-                for j, w in enumerate(cols.tolist()):
+                for j, w in enumerate(cols):
                     col_of[w] = j
                 col_maps[ms] = cols, col_of
             cols, col_of = col_maps[ms]
-            stride = len(cols) + 1
-            row_of = [len(rows) * stride] * (n + 1)
-            for i, p in enumerate(rows.tolist()):
-                row_of[p] = i * stride
-            self._active.append(rows)
             self._columns.append(cols)
-            self._rows.append(row_of)
             self._cols.append(col_of)
 
     def _cells(self, t: int) -> int:
-        return (len(self._active[t]) + 1) * (len(self._columns[t]) + 1)
+        return (self._nrows[t] + 1) * (len(self._columns[t]) + 1)
 
     def _estimate_bytes(self, compact: bool) -> int:
         """Upper bound on the heap bytes of the build.
 
         Each stored cell costs a list pointer plus an int of at most
         ``_count_bits(t)`` bits, or in compact mode that int's fixed-width
-        bytes.  Each point adds its geometry and each layer its row map.
-        On top comes the largest working set of one layer update: the numpy
-        slabs and index arrays, and in compact mode also the ints of the
-        previous and the new layer, the new layer's nested list and one row
-        of bytes pieces.
+        bytes.  Each point adds its geometry and each layer its row map
+        over the band.  On top comes the largest working set of one layer
+        update: the numpy slabs and index arrays, and in compact mode also
+        the ints of the previous and the new layer, the new layer's nested
+        list and one row of bytes pieces.
         """
-        n = len(self._pts)
-        total = _POINT_BYTES * n
+        total = _POINT_BYTES * self._npts
         work = prev_cells = 0
         for t in range(self.max_length + 1):
             cells = self._cells(t)
             bits = _count_bits(t)
             ints = _int_bytes(bits)
             width = (bits + 7) // 8
-            total += _LAYER_BYTES + 8 * (n + 1) + _int_bytes(64) * len(self._active[t])
+            lo, hi = self._band[t]
+            total += _LAYER_BYTES + 8 * (hi - lo + 1) + (8 + _int_bytes(64)) * self._nrows[t]
             span = max(cells, prev_cells)
             if compact:
                 total += cells * width
@@ -351,9 +367,56 @@ class CountTable:
             prev_cells = cells
         return total + work
 
+    # -- geometry ------------------------------------------------------------
+
+    def _build_geometry(self) -> None:
+        region, box = self.region, self.box
+        tx, ty = self.target
+
+        def parity_distance(p: Point) -> tuple[int, int]:
+            d = abs(p[0] - tx) + abs(p[1] - ty)
+            return d & 1, d
+
+        pts = sorted((p for p in box.points() if p in region), key=parity_distance)
+        self._pts = pts
+        self._pid = pid = {p: i for i, p in enumerate(pts)}
+        self._target_pid = pid[self.target]
+        self._dist_target = array("l", [abs(p[0] - tx) + abs(p[1] - ty) for p in pts])
+        if self.origin is not None:
+            ox, oy = self.origin
+            self._dist_origin = array("l", [abs(p[0] - ox) + abs(p[1] - oy) for p in pts])
+        else:
+            self._dist_origin = None
+        # neighbour pid per direction; len(pts) stands for a step off the region
+        n = len(pts)
+        self._nbr = [tuple(pid.get((x + _DX[d], y + _DY[d]), n) for d in range(4)) for (x, y) in pts]
+
+    def _plan_rows(self) -> list:
+        """Each layer's row pids, and its row map ``_rows[t]``.
+
+        ``_rows[t][pid - lo]`` is the flat offset of pid's row for a pid in
+        the band [lo, hi) of layer t; its last entry, and the entry of a
+        band point the layer does not hold, is the zero row's offset.
+        """
+        import numpy as np  # loaded by the first table, not by every sawkit import
+
+        d_o = None if self._dist_origin is None else np.asarray(self._dist_origin)
+        active, self._rows = [], []
+        for t in range(self.max_length + 1):
+            lo, hi = self._band[t]
+            rows = np.arange(lo, hi)
+            if d_o is not None:
+                rows = rows[d_o[lo:hi] <= self.max_length - t]
+            stride = len(self._columns[t]) + 1
+            row_of = np.full(hi - lo + 1, len(rows) * stride, dtype=np.intp)
+            row_of[rows - lo] = np.arange(len(rows)) * stride
+            active.append(rows)
+            self._rows.append(row_of.tolist())
+        return active
+
     # -- build ---------------------------------------------------------------
 
-    def _build_layers(self, compact: bool) -> None:
+    def _build_layers(self, active: list, compact: bool) -> None:
         import numpy as np
 
         nw = len(self.auto.windows)
@@ -361,9 +424,9 @@ class CountTable:
         succ = np.array(self.auto.step_map, dtype=np.intp)
         succ[succ < 0] = nw
         self._vals = []
-        prev = prev_row = prev_col = None
+        prev = prev_lo = prev_row = prev_col = None
         for t in range(self.max_length + 1):
-            rows, cols = self._active[t], self._columns[t]
+            rows, cols = active[t], np.asarray(self._columns[t], dtype=np.intp)
             nr, nc = len(rows), len(cols)
             cur = np.zeros((nr + 1, nc + 1), dtype=object)
             if t == 0:
@@ -371,11 +434,14 @@ class CountTable:
             else:
                 acc = None
                 for d in range(4):
-                    idx = prev_row[nbr[rows, d]][:, None] + prev_col[succ[cols, d]][None, :]
+                    r = nbr[rows, d] - prev_lo
+                    r[(r < 0) | (r >= len(prev_row))] = -1  # outside the band: the zero row
+                    idx = prev_row[r][:, None] + prev_col[succ[cols, d]][None, :]
                     g = prev[idx]
                     acc = g if acc is None else np.add(acc, g, out=acc)
                 cur[:nr, :nc] = acc
             prev = cur.ravel()
+            prev_lo = self._band[t][0]
             prev_row = np.asarray(self._rows[t], dtype=np.intp)
             prev_col = np.asarray(self._cols[t], dtype=np.intp)
             self._vals.append(_Frozen(cur) if compact else prev.tolist())
@@ -383,7 +449,8 @@ class CountTable:
     # -- queries ---------------------------------------------------------------
 
     def _cell(self, t: int, p: int, wid: int) -> int:
-        return self._vals[t][self._rows[t][p] + self._cols[t][wid]]
+        rows, i = self._rows[t], p - self._band[t][0]
+        return self._vals[t][(rows[i] if 0 <= i < len(rows) else rows[-1]) + self._cols[t][wid]]
 
     def counts(self) -> dict[int, int]:
         """Walk count for every covered length (origin mode)."""
@@ -472,13 +539,15 @@ class CountTable:
     def step_options(self, pid: int, wid: int, t: int) -> list[tuple[str, int, int, int]]:
         """(move, next_pid, next_wid, count) for each admissible next step."""
         rows, cols, vals = self._rows[t - 1], self._cols[t - 1], self._vals[t - 1]
+        lo, nr = self._band[t - 1][0], len(rows)
         nb = self._nbr[pid]
         out = []
         for d, wid2 in self.auto.trans[wid]:
             q = nb[d]
-            c = vals[rows[q] + cols[wid2]]
-            if c:
-                out.append((MOVE_CHARS[d], q, wid2, c))
+            if 0 <= q - lo < nr:  # a point outside the band has count 0
+                c = vals[rows[q - lo] + cols[wid2]]
+                if c:
+                    out.append((MOVE_CHARS[d], q, wid2, c))
         return out
 
     # -- persistence -----------------------------------------------------------
@@ -494,7 +563,7 @@ class CountTable:
         for t, layer in enumerate(layers):
             if len(layer) != self._cells(t):
                 raise ValueError(f"layer {t} has {len(layer)} cells, expected {self._cells(t)}")
-            vals.append(list(layer))
+            vals.append(layer if isinstance(layer, _Frozen) else list(layer))
         self._vals = vals
 
 

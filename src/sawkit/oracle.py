@@ -41,28 +41,43 @@ def _check_cap(length: int, cap: int) -> None:
 def _walk_dfs(
     region: Region,
     start: Point,
-    end: Point,
-    length: int,
+    ends,
+    lengths,
     admit: Callable[[list[Point], tuple[int, int]], bool],
 ) -> list[str]:
-    """Shared DFS core; ``admit(pts, candidate)`` filters each extension."""
+    """Shared DFS core: every walk from start whose length is in ``lengths``
+    and that stops on a point of ``ends``, as move strings in DFS order.
+
+    ``admit(pts, candidate)`` filters each extension.  A branch is pruned
+    only when no end is within the steps it has left.
+    """
     full = isinstance(region, FullLattice)
     contains = region.__contains__
-    ex, ey = end
+    ends = [(e[0], e[1]) for e in ends]
+    end_set = set(ends)
+    lengths = frozenset(lengths)
+    # every step flips the parity of x + y: drop the lengths no end can close
+    sx, sy = start
+    lengths = frozenset(n for n in lengths if any((sx + sy + n - ex - ey) % 2 == 0 for ex, ey in ends))
+    if not lengths:
+        return []
+    max_len = max(lengths)
+    near: dict[tuple[int, int], int] = {}  # distance to the nearest end
     out: list[str] = []
     moves: list[str] = []
-    pts: list[tuple[int, int]] = [(start[0], start[1])]
+    pts: list[tuple[int, int]] = [(sx, sy)]
 
     def rec() -> None:
-        x, y = pts[-1]
-        rem = length - len(moves)
-        if rem == 0:
-            if x == ex and y == ey:
-                out.append("".join(moves))
+        p = pts[-1]
+        n = len(moves)
+        if n in lengths and p in end_set:
+            out.append("".join(moves))
+        gap = near.get(p)
+        if gap is None:
+            gap = near[p] = min(abs(p[0] - ex) + abs(p[1] - ey) for ex, ey in ends)
+        if n == max_len or gap > max_len - n:
             return
-        gap = abs(x - ex) + abs(y - ey) - rem
-        if gap > 0 or gap % 2:
-            return
+        x, y = p
         for m, dx, dy in _MOVES:
             np_ = (x + dx, y + dy)
             if not full and not contains(np_):
@@ -79,12 +94,16 @@ def _walk_dfs(
     return out
 
 
+def _self_avoiding(pts: list[tuple[int, int]], np_: tuple[int, int]) -> bool:
+    return np_ not in pts
+
+
 def enumerate_walks(
     region: Region, start: Point, end: Point, length: int, cap: int = DEFAULT_WALK_CAP
 ) -> EnumerationResult:
     """All length-`length` walks start -> end inside the region (revisits allowed)."""
     _check_cap(length, cap)
-    moves = _walk_dfs(region, start, end, length, lambda pts, np_: True)
+    moves = _walk_dfs(region, start, [end], [length], lambda pts, np_: True)
     return EnumerationResult(
         {"kind": "walks", "start": tuple(start), "end": tuple(end), "length": length},
         [Walk(Point(*start), m) for m in moves],
@@ -96,11 +115,7 @@ def enumerate_saws(
 ) -> EnumerationResult:
     """All self-avoiding walks start -> end of exactly the given length."""
     _check_cap(length, cap)
-
-    def admit(pts: list[tuple[int, int]], np_: tuple[int, int]) -> bool:
-        return np_ not in pts
-
-    moves = _walk_dfs(region, start, end, length, admit)
+    moves = _walk_dfs(region, start, [end], [length], _self_avoiding)
     return EnumerationResult(
         {"kind": "saw", "start": tuple(start), "end": tuple(end), "length": length},
         [Walk(Point(*start), m) for m in moves],
@@ -130,7 +145,7 @@ def enumerate_low_girth_walks(
                 return False
         return True
 
-    moves = _walk_dfs(region, start, end, length, admit)
+    moves = _walk_dfs(region, start, [end], [length], admit)
     return EnumerationResult(
         {
             "kind": "low-girth",
@@ -191,39 +206,6 @@ def _partitions_by_subsets(k: int, budget: int):
     return items
 
 
-def _saws_to_targets(region: Region, start: Point, targets, max_len: int) -> list[Walk]:
-    """Every self-avoiding walk from start of 1..max_len steps that ends on a target.
-
-    One DFS serves all targets and lengths: a walk is reported whenever it
-    stands on a target, and it is pruned only when no target is within the
-    steps it has left.
-    """
-    targets = {(t[0], t[1]) for t in targets}
-    if not targets:
-        return []
-    near = {(p[0], p[1]): min(abs(p[0] - tx) + abs(p[1] - ty) for tx, ty in targets) for p in region.points()}
-    out: list[Walk] = []
-    moves: list[str] = []
-    visited = {(start[0], start[1])}
-
-    def rec(p: tuple[int, int]) -> None:
-        if moves and p in targets:
-            out.append(Walk(Point(*start), "".join(moves)))
-        if near[p] > max_len - len(moves):
-            return
-        for m, dx, dy in _MOVES:
-            q = (p[0] + dx, p[1] + dy)
-            if q in near and q not in visited:
-                visited.add(q)
-                moves.append(m)
-                rec(q)
-                visited.remove(q)
-                moves.pop()
-
-    rec((start[0], start[1]))
-    return out
-
-
 def _partitions_by_paths(k: int, budget: int):
     from . import aztec
 
@@ -233,9 +215,10 @@ def _partitions_by_paths(k: int, budget: int):
     seen = set()
     items = []
     for i, s in enumerate(bpts):
-        for walk in _saws_to_targets(region, s, bpts[i + 1 :], max_len):
+        # one DFS per source reports every later target at every length
+        for moves in _walk_dfs(region, s, bpts[i + 1 :], range(1, max_len + 1), _self_avoiding):
             try:
-                part = aztec.path_to_partition(k, walk)
+                part = aztec.path_to_partition(k, Walk(Point(*s), moves))
             except ValueError:
                 continue
             if max(part.boundary_sizes) <= budget and part.mask not in seen:

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from sawkit.cli import main
+from sawkit.counting import CountTable
 
 
 def test_count_walks(capsys):
@@ -42,6 +43,17 @@ def test_memory_cap_exits_2(capsys):
     rc = main(["sample", "saw", "--n1", "150", "--n2", "150", "--k", "10", "--l", "5",
                "--seed", "1", "--count", "1"])
     assert rc == 2
+
+
+def test_memory_cap_exits_2_before_geometry(capsys, monkeypatch):
+    def no_geometry(self):
+        raise AssertionError("geometry built before the memory cap check")
+
+    monkeypatch.setattr(CountTable, "_build_geometry", no_geometry)
+    rc = main(["sample", "saw", "--n1", "1000", "--n2", "1000", "--k", "10", "--l", "2",
+               "--seed", "1", "--count", "1"])
+    assert rc == 2
+    assert "exceeds memory cap" in capsys.readouterr().err
 
 
 def test_budget_exhaustion_exits_3():

@@ -16,6 +16,7 @@ from sawkit.counting import (
     CountTable,
     ResourceLimitError,
     TableDomainError,
+    _Frozen,
     build_all_sources_table,
     build_table,
     window_automaton,
@@ -79,9 +80,32 @@ def test_memory_estimate_bounds_tracemalloc_peak(compact, target, k):
     finally:
         tracemalloc.stop()
     est = table._estimate_bytes(compact)
-    assert peak <= est <= 2 * peak
+    assert peak <= est
+    # Over-estimate, not a bound: measured 1.2-1.6x on these tables with
+    # CPython 3 and numpy 1.x/2.x; the per-point, per-layer and per-cell
+    # working-set constants are set by hand, so the ratio may drift with them.
+    assert est <= 2.5 * peak
     with pytest.raises(ResourceLimitError):
-        build_table(Z, (0, 0), target, 2, k, compact=compact, memory_cap=est - 1)
+        build_table(Z, (0, 0), target, 2, k, compact=True, memory_cap=table._estimate_bytes(True) - 1)
+
+
+def test_plain_storage_over_the_cap_switches_to_compact():
+    plain = build_table(Z, (0, 0), (10, 8), 2, 3)
+    cap = plain._estimate_bytes(False) - 1
+    assert plain._estimate_bytes(True) <= cap
+    table = build_table(Z, (0, 0), (10, 8), 2, 3, memory_cap=cap)
+    assert all(isinstance(layer, _Frozen) for layer in table.export_layers())
+    assert table.counts() == plain.counts()
+
+
+def test_memory_cap_checked_before_geometry(monkeypatch):
+    # a 1001 x 1001 box has ~1M points and 2,021 layers: refused from counts alone
+    def no_geometry(self):
+        raise AssertionError("geometry built before the memory cap check")
+
+    monkeypatch.setattr(CountTable, "_build_geometry", no_geometry)
+    with pytest.raises(ResourceLimitError):
+        build_table(Z, (0, 0), (1000, 1000), 2, 10)
 
 
 def _reference_counts(region, origin, target, girth, length, memo=None, history=None):
