@@ -11,18 +11,17 @@ partition is stored as one bitmask over the sorted dual vertices
 
 from __future__ import annotations
 
+import json
 import os
-import pickle
 from dataclasses import dataclass
 from math import floor
 
-from .counting import DEFAULT_MEMORY_CAP, CountTable
+from .counting import DEFAULT_MEMORY_CAP, CountTable, _Frozen
 from .lattice import LatticeBox, Point, Region, Walk, boundary_points_in_box, manhattan, walk_through
 from .sampling import FamilyEntry, RngStream, SampleReport, SamplingBudgetError, make_family, sample_length_then_walk
 
-CACHE_ENV = "SAWKIT_CACHE_DIR"
 _CACHE_MAGIC = "sawkit-aztec-table"
-_CACHE_VERSION = 2  # 2: dense slab layers (flat cell lists)
+_CACHE_VERSION = 3  # 3: a JSON header line, then each layer's fixed-width bytes
 
 
 class AztecRegion(Region):
@@ -256,13 +255,6 @@ def make_partition(k: int, class1_vertices) -> Partition:
     return d.partition(mask)
 
 
-def edge_boundary_size(p: Partition, class_id: int) -> int:
-    """Dual edges from the given class (1 or 2) to everything else."""
-    if class_id not in (1, 2):
-        raise ValueError("class_id must be 1 or 2")
-    return p.boundary_sizes[class_id - 1]
-
-
 def path_to_partition(k: int, walk: Walk) -> Partition:
     """Partition induced by cutting every dual edge the walk crosses.
 
@@ -421,51 +413,59 @@ def staircase_partition(k: int) -> Partition:
 
 
 def _cache_path(cache_dir: str, k: int, girth: int, budget: int, target: Point) -> str:
-    return os.path.join(cache_dir, f"aztec-k{k}-l{girth}-b{budget}-t{target.x}_{target.y}.pkl")
+    return os.path.join(cache_dir, f"aztec-k{k}-l{girth}-b{budget}-t{target.x}_{target.y}.layers")
 
 
-def _load_cached_table(path: str, region: AztecRegion, target: Point, girth: int, lengths) -> CountTable | None:
+def _cache_header(k: int, girth: int, lengths, target: Point) -> dict:
+    return {
+        "magic": _CACHE_MAGIC,
+        "version": _CACHE_VERSION,
+        "k": k,
+        "girth": girth,
+        "lengths": list(lengths),
+        "endpoint": list(target),
+    }
+
+
+def _load_cached_table(
+    path: str, region: AztecRegion, target: Point, girth: int, lengths, memory_cap: int = DEFAULT_MEMORY_CAP
+) -> CountTable | None:
     """The cached table at path; None (a miss) for a missing, unreadable,
-    stale or malformed file."""
+    stale or malformed file.
+
+    The file is one JSON header line, whose ``layers`` entry gives each
+    layer's [width, cells], followed by the layers' bytes and nothing else.
+    """
     try:
         with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-    except (OSError, pickle.PickleError, EOFError):
-        return None
-    if not (isinstance(payload, dict) and isinstance(payload.get("header"), dict) and "layers" in payload):
-        return None
-    header = payload["header"]
-    if (
-        header.get("magic") != _CACHE_MAGIC
-        or header.get("version") != _CACHE_VERSION
-        or header.get("k") != region.k
-        or header.get("girth") != girth
-        or tuple(header.get("lengths", ())) != tuple(lengths)
-        or tuple(header.get("endpoint", ())) != tuple(target)
-    ):
+            header = json.loads(fh.readline())
+            shapes = header.pop("layers", None) if isinstance(header, dict) else None
+            if header != _cache_header(region.k, girth, lengths, target) or not isinstance(shapes, list):
+                return None
+            if not all(
+                isinstance(s, list) and len(s) == 2 and all(type(v) is int and v >= 0 for v in s) for s in shapes
+            ):
+                return None
+            if os.fstat(fh.fileno()).st_size - fh.tell() != sum(w * n for w, n in shapes):
+                return None  # a short blob or trailing bytes
+            layers = [_Frozen(n, w, fh.read(w * n)) for w, n in shapes]
+    except (OSError, ValueError, RecursionError):  # RecursionError: a deeply nested header
         return None
     try:
-        return CountTable(region, target, girth, lengths, layers=payload["layers"])
-    except (TypeError, ValueError):
+        return CountTable(region, target, girth, lengths, memory_cap=memory_cap, layers=layers)
+    except ValueError:
         return None
 
 
-def _store_cached_table(path: str, table: CountTable, budget: int) -> None:
-    payload = {
-        "header": {
-            "magic": _CACHE_MAGIC,
-            "version": _CACHE_VERSION,
-            "k": table.region.k,
-            "girth": table.girth,
-            "budget": budget,
-            "lengths": table.lengths,
-            "endpoint": tuple(table.target),
-        },
-        "layers": table.export_layers(),
-    }
+def _store_cached_table(path: str, table: CountTable) -> None:
+    layers = table.frozen_layers()
+    header = _cache_header(table.region.k, table.girth, table.lengths, table.target)
+    header["layers"] = [[layer.width, len(layer)] for layer in layers]
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+        for layer in layers:
+            fh.write(layer.blob)
     os.replace(tmp, path)
 
 
@@ -481,8 +481,8 @@ def partition_family(
 
     One all-sources table is built per target endpoint and reused across
     every start; per-table layers are cached on disk when a cache dir is
-    configured.  Walk lengths run up to 2k + slack, the largest cut a
-    partition inside the budget can have.
+    given (``cache_dir=None`` means no cache).  Walk lengths run up to
+    2k + slack, the largest cut a partition inside the budget can have.
     """
     region = aztec_region(k)
     slack = params.slack(k)
@@ -491,8 +491,6 @@ def partition_family(
     lengths = tuple(t for t in range(2, max_len + 1) if t % 2 == 0)
     if not lengths:
         raise ValueError("length budget below the shortest possible cut")
-    if cache_dir is None:
-        cache_dir = os.environ.get(CACHE_ENV)
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
     bpts = boundary_vertices(k)
@@ -501,11 +499,11 @@ def partition_family(
         table = None
         path = _cache_path(cache_dir, k, girth, budget, target) if cache_dir else None
         if path:
-            table = _load_cached_table(path, region, target, girth, lengths)
+            table = _load_cached_table(path, region, target, girth, lengths, memory_cap)
         if table is None:
             table = CountTable(region, target, girth, lengths, memory_cap=memory_cap)
             if path:
-                _store_cached_table(path, table, budget)
+                _store_cached_table(path, table)
         for start in bpts:
             if start >= target:
                 continue
@@ -521,10 +519,8 @@ def sample_partition(
     girth: int,
     rng: RngStream,
     *,
-    family: list[FamilyEntry] | None = None,
+    family: list[FamilyEntry],
     max_attempts: int = 10000,
-    cache_dir: str | None = None,
-    memory_cap: int = DEFAULT_MEMORY_CAP,
 ) -> tuple[Partition, SampleReport]:
     """One exactly-uniform partition from Omega, by proportional draw + rejection.
 
@@ -532,10 +528,9 @@ def sample_partition(
     count, samples a walk, and rejects non-self-avoiding walks, walks that
     do not induce a 2-partition, and partitions over budget.  Each accepted
     partition corresponds to exactly one (pair, length, walk) triple, so
-    acceptance leaves the uniform distribution on Omega.
+    acceptance leaves the uniform distribution on Omega.  ``family`` is
+    ``partition_family(k, params, girth)``.
     """
-    if family is None:
-        family = partition_family(k, params, girth, cache_dir=cache_dir, memory_cap=memory_cap)
     for attempt in range(1, max_attempts + 1):
         _, walk = sample_length_then_walk(family, rng)
         if not walk.is_self_avoiding():

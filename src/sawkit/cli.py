@@ -3,8 +3,10 @@
 Exit codes: 0 success, 1 usage error, 2 resource error (memory cap),
 3 sampling budget exhausted.  Sampling commands require --seed and, when
 given --out, write their outputs next to a manifest.json recording the
-full configuration; `sawkit rerun manifest.json --out DIR` reproduces the
-outputs byte for byte.
+full configuration; `sawkit rerun manifest.json --out DIR` checks the
+manifest and reproduces the outputs byte for byte.  How a DP table is
+stored follows from --memory-cap alone.  The environment is read in one
+place: SAWKIT_CACHE_DIR is the default of `aztec sample --cache-dir`.
 """
 
 from __future__ import annotations
@@ -16,12 +18,19 @@ import os
 import sys
 
 from . import __version__
-from .aztec import CACHE_ENV, AztecRegion, OmegaParams, partition_family, partition_to_path, sample_partition
+from .aztec import AztecRegion, OmegaParams, partition_family, partition_to_path, sample_partition
 from .counting import DEFAULT_MEMORY_CAP, ResourceLimitError, build_table
 from .lattice import BoxRegion, FullLattice, LatticeBox, Point, Walk
 from .render import render_partition_svg, render_walk_svg
 from .sampling import RngStream, SamplingBudgetError, sample_saw
 from .paths import base_path, bump
+
+CACHE_ENV = "SAWKIT_CACHE_DIR"
+# The params each sampling command records in its manifest: its option dests.
+_MANIFEST_PARAMS = {
+    ("sample", "saw"): ("n1", "n2", "k", "l", "seed", "count", "format", "max_attempts", "region"),
+    ("aztec", "sample"): ("k", "C", "eps", "l", "seed", "count", "format", "max_attempts"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,6 +71,15 @@ def _write_outputs(out_dir: str, manifest: dict, files: dict[str, str]) -> None:
     for name, content in files.items():
         with open(os.path.join(out_dir, name), "w") as fh:
             fh.write(content)
+
+
+def _manifest(args, command: tuple[str, str]) -> dict:
+    return {
+        "tool": "sawkit",
+        "version": __version__,
+        "command": list(command),
+        "params": {key: getattr(args, key) for key in _MANIFEST_PARAMS[command]},
+    }
 
 
 def _walk_json(walk: Walk, attempts: int) -> dict:
@@ -115,20 +133,11 @@ def _cmd_sample_saw(args) -> int:
     _regime_warning(n, args.k, args.l)
     region = _parse_region(args.region)
     table = build_table(region, Point(0, 0), Point(args.n1, args.n2), args.l, args.k,
-                        memory_cap=args.memory_cap, compact=args.compact)
+                        memory_cap=args.memory_cap)
     rng = RngStream(args.seed)
     length = n + 2 * args.k
     reports = [sample_saw(table, rng.substream(i), length, args.max_attempts) for i in range(args.count)]
-    manifest = {
-        "tool": "sawkit",
-        "version": __version__,
-        "command": ["sample", "saw"],
-        "params": {
-            "n1": args.n1, "n2": args.n2, "k": args.k, "l": args.l,
-            "seed": args.seed, "count": args.count, "format": args.format,
-            "max_attempts": args.max_attempts, "region": args.region,
-        },
-    }
+    manifest = _manifest(args, ("sample", "saw"))
     files: dict[str, str] = {}
     lines = []
     for i, rep in enumerate(reports):
@@ -161,16 +170,7 @@ def _cmd_aztec_sample(args) -> int:
         part, rep = sample_partition(args.k, params, args.l, rng.substream(i),
                                      family=family, max_attempts=args.max_attempts)
         results.append((part, rep))
-    manifest = {
-        "tool": "sawkit",
-        "version": __version__,
-        "command": ["aztec", "sample"],
-        "params": {
-            "k": args.k, "C": args.C, "eps": args.eps, "l": args.l,
-            "seed": args.seed, "count": args.count, "format": args.format,
-            "max_attempts": args.max_attempts,
-        },
-    }
+    manifest = _manifest(args, ("aztec", "sample"))
     files: dict[str, str] = {}
     lines = []
     for i, (part, rep) in enumerate(results):
@@ -283,19 +283,35 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_rerun(args) -> int:
-    with open(args.manifest) as fh:
-        manifest = json.load(fh)
-    command = manifest.get("command", [])
-    params = manifest.get("params", {})
+def _rerun_argv(manifest) -> list[str]:
+    """The command line a manifest records; ValueError for anything else."""
+    if not isinstance(manifest, dict) or manifest.get("tool") != "sawkit":
+        raise ValueError("manifest is not a sawkit manifest object")
+    if manifest.get("version") != __version__:
+        raise ValueError(f"manifest version {manifest.get('version')!r} is not {__version__}")
+    command = next((c for c in _MANIFEST_PARAMS if list(c) == manifest.get("command")), None)
+    if command is None:
+        raise ValueError(f"manifest command {manifest.get('command')!r} cannot be rerun")
+    params = manifest.get("params")
+    if not isinstance(params, dict):
+        raise ValueError("manifest params must be an object")
+    unknown = sorted(set(params) - set(_MANIFEST_PARAMS[command]))
+    if unknown:
+        raise ValueError(f"manifest params {unknown} are not recorded by {' '.join(command)}")
     argv = list(command)
     for key, value in sorted(params.items()):
         if value is None:
             continue
-        argv.append(f"--{key.replace('_', '-')}")
-        argv.append(str(value))
-    argv += ["--out", args.out]
-    return main(argv)
+        if type(value) not in (int, float, str):
+            raise ValueError(f"manifest param {key!r} is a {type(value).__name__}, not a number or string")
+        argv.append(f"--{key.replace('_', '-')}={value}")
+    return argv
+
+
+def _cmd_rerun(args) -> int:
+    with open(args.manifest) as fh:
+        manifest = json.load(fh)
+    return main(_rerun_argv(manifest) + ["--out", args.out])
 
 
 # -- parser ----------------------------------------------------------------------
@@ -348,10 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     ss.add_argument("--k", type=int, required=True)
     ss.add_argument("--l", type=int, required=True)
     ss.add_argument("--format", choices=("udlr", "json", "svg"), default="udlr")
-    ss.add_argument("--compact", action="store_true",
-                    help="always store finished DP layers as fixed-width bytes (less memory, slower "
-                         "sampling); without it they are stored so only when plain storage would "
-                         "exceed --memory-cap")
     _add_common_sampling(ss)
     ss.set_defaults(run=_cmd_sample_saw)
 
@@ -362,7 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     az.add_argument("--eps", type=float, required=True)
     az.add_argument("--l", type=int, required=True)
     az.add_argument("--format", choices=("json", "svg"), default="json")
-    az.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV), dest="cache_dir")
+    az.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV), dest="cache_dir",
+                    help=f"directory caching the DP tables across runs (default: ${CACHE_ENV}; "
+                         "unset means no cache)")
     _add_common_sampling(az, with_region=False)
     az.set_defaults(run=_cmd_aztec_sample)
 

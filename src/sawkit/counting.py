@@ -39,6 +39,8 @@ _SLAB_BYTES = 40
 # its row map (two numpy arrays and a list header).
 _POINT_BYTES = 400
 _LAYER_BYTES = 512
+# Cells encoded per join when a layer is stored as fixed-width bytes.
+_ENCODE_CELLS = 4096
 
 
 class ResourceLimitError(RuntimeError):
@@ -132,29 +134,53 @@ def window_automaton(girth: int) -> WindowAutomaton:
 
 
 class _Frozen:
-    """A finished layer's slab as fixed-width little-endian bytes (compact mode)."""
+    """A layer's cells as fixed-width little-endian bytes.
 
-    __slots__ = ("_n", "_width", "_blob")
+    The compact storage of a finished layer, and the only serialized form:
+    ``width`` bytes per cell, ``len`` cells, one ``blob``.
+    """
 
-    def __init__(self, slab):
-        width = (slab.max().bit_length() + 7) // 8
-        self._n = slab.size
-        self._width = width
-        # one row at a time, so only a row's worth of bytes pieces is alive
-        self._blob = b"".join(
-            [b"".join([v.to_bytes(width, "little") for v in row]) for row in slab.tolist()]
+    __slots__ = ("_n", "width", "blob")
+
+    def __init__(self, cells: int, width: int, blob: bytes):
+        if len(blob) != cells * width:
+            raise ValueError(f"blob of {len(blob)} bytes is not {cells} cells of {width} bytes")
+        self._n = cells
+        self.width = width
+        self.blob = blob
+
+    @classmethod
+    def from_ints(cls, values: list[int]) -> "_Frozen":
+        """Encode nonnegative ints, ``_ENCODE_CELLS`` at a time so few bytes pieces are alive."""
+        width = (max(values).bit_length() + 7) // 8
+        blob = b"".join(
+            [
+                b"".join([v.to_bytes(width, "little") for v in values[i : i + _ENCODE_CELLS]])
+                for i in range(0, len(values), _ENCODE_CELLS)
+            ]
         )
+        return cls(len(values), width, blob)
 
     def __getitem__(self, i: int) -> int:
-        w = self._width
-        return int.from_bytes(self._blob[i * w : i * w + w], "little")
-
-    def __iter__(self):
-        for i in range(self._n):
-            yield self[i]
+        w = self.width
+        return int.from_bytes(self.blob[i * w : i * w + w], "little")
 
     def __len__(self) -> int:
         return self._n
+
+    def tolist(self) -> list[int]:
+        """Every cell as a Python int: 8-byte limbs decoded by numpy, joined by shifts."""
+        import numpy as np
+
+        n, w = self._n, self.width
+        limbs = max(1, -(-w // 8))
+        padded = np.zeros((n, 8 * limbs), dtype=np.uint8)
+        padded[:, :w] = np.frombuffer(self.blob, dtype=np.uint8).reshape(n, w)
+        words = padded.view("<u8")
+        out = words[:, limbs - 1].tolist()
+        for j in range(limbs - 2, -1, -1):
+            out = [hi << 64 | lo for hi, lo in zip(out, words[:, j].tolist())]
+        return out
 
 
 def _count_bits(t: int) -> int:
@@ -189,11 +215,12 @@ class CountTable:
     modes share one build: layer t is a dense slab over its rows x
     ``_columns[t]`` (see the module docstring and ``_size_layers``).
 
-    Finished layers are stored as flat lists of ints, or with
-    ``compact=True`` as fixed-width bytes (smaller, slower to read).  A
-    table whose plain storage would exceed ``memory_cap`` is stored
-    compactly without being asked; only one that does not fit either way
-    raises ResourceLimitError, before anything per point is allocated.
+    One storage rule, from the memory estimate alone, holds for a fresh
+    build and for layers passed in (``layers``, as ``_Frozen``): finished
+    layers are flat lists of ints when plain storage fits ``memory_cap``,
+    else fixed-width bytes (smaller, slower to read).  A table that fits
+    neither way raises ResourceLimitError, before anything per point is
+    allocated.
     """
 
     def __init__(
@@ -206,7 +233,6 @@ class CountTable:
         origin: Point | None = None,
         box: LatticeBox | None = None,
         memory_cap: int = DEFAULT_MEMORY_CAP,
-        compact: bool = False,
         layers: list | None = None,
     ):
         target = Point(*target)
@@ -237,11 +263,8 @@ class CountTable:
         self.box = box
 
         self._size_layers()
-        if layers is not None:
-            compact = any(isinstance(layer, _Frozen) for layer in layers)
-        elif not compact and self._estimate_bytes(False) > memory_cap:
-            compact = True  # plain storage does not fit; fixed-width bytes may
-        est_bytes = self._estimate_bytes(compact)
+        self._frozen = self._estimate_bytes(False) > memory_cap
+        est_bytes = self._estimate_bytes(self._frozen)
         if est_bytes > memory_cap:
             cells = sum(self._cells(t) for t in range(self.max_length + 1))
             raise ResourceLimitError(
@@ -251,7 +274,7 @@ class CountTable:
         self._build_geometry()
         active = self._plan_rows()
         if layers is None:
-            self._build_layers(active, compact)
+            self._build_layers(active)
         else:
             self.import_layers(layers)
 
@@ -336,16 +359,16 @@ class CountTable:
     def _cells(self, t: int) -> int:
         return (self._nrows[t] + 1) * (len(self._columns[t]) + 1)
 
-    def _estimate_bytes(self, compact: bool) -> int:
+    def _estimate_bytes(self, frozen: bool) -> int:
         """Upper bound on the heap bytes of the build.
 
         Each stored cell costs a list pointer plus an int of at most
-        ``_count_bits(t)`` bits, or in compact mode that int's fixed-width
+        ``_count_bits(t)`` bits, or when ``frozen`` that int's fixed-width
         bytes.  Each point adds its geometry and each layer its row map
         over the band.  On top comes the largest working set of one layer
-        update: the numpy slabs and index arrays, and in compact mode also
-        the ints of the previous and the new layer, the new layer's nested
-        list and one row of bytes pieces.
+        update: the numpy slabs and index arrays, and when ``frozen`` also
+        the ints of the previous and the new layer, the new layer's flat
+        list and one chunk of bytes pieces.
         """
         total = _POINT_BYTES * self._npts
         work = prev_cells = 0
@@ -357,10 +380,10 @@ class CountTable:
             lo, hi = self._band[t]
             total += _LAYER_BYTES + 8 * (hi - lo + 1) + (8 + _int_bytes(64)) * self._nrows[t]
             span = max(cells, prev_cells)
-            if compact:
+            if frozen:
                 total += cells * width
-                row = (len(self._columns[t]) + 1) * (8 + _bytes_size(width))
-                work = max(work, span * (_SLAB_BYTES + 2 * ints + 8) + row)
+                chunk = min(cells, _ENCODE_CELLS) * (16 + _bytes_size(width))
+                work = max(work, span * (_SLAB_BYTES + 2 * ints + 8) + chunk)
             else:
                 total += cells * (8 + ints)
                 work = max(work, span * _SLAB_BYTES)
@@ -416,7 +439,7 @@ class CountTable:
 
     # -- build ---------------------------------------------------------------
 
-    def _build_layers(self, active: list, compact: bool) -> None:
+    def _build_layers(self, active: list) -> None:
         import numpy as np
 
         nw = len(self.auto.windows)
@@ -444,7 +467,8 @@ class CountTable:
             prev_lo = self._band[t][0]
             prev_row = np.asarray(self._rows[t], dtype=np.intp)
             prev_col = np.asarray(self._cols[t], dtype=np.intp)
-            self._vals.append(_Frozen(cur) if compact else prev.tolist())
+            cells = prev.tolist()
+            self._vals.append(_Frozen.from_ints(cells) if self._frozen else cells)
 
     # -- queries ---------------------------------------------------------------
 
@@ -533,9 +557,6 @@ class CountTable:
             raise ValueError(f"start {start} outside the restricted region")
         return p, self.auto.empty_id
 
-    def point_at(self, pid: int) -> Point:
-        return self._pts[pid]
-
     def step_options(self, pid: int, wid: int, t: int) -> list[tuple[str, int, int, int]]:
         """(move, next_pid, next_wid, count) for each admissible next step."""
         rows, cols, vals = self._rows[t - 1], self._cols[t - 1], self._vals[t - 1]
@@ -553,17 +574,24 @@ class CountTable:
     # -- persistence -----------------------------------------------------------
 
     def export_layers(self) -> list:
-        """Every layer's flat cells (row-major, zero row and column last)."""
+        """Every layer's flat cells as stored (row-major, zero row and column last)."""
         return list(self._vals)
 
+    def frozen_layers(self) -> list[_Frozen]:
+        """Every layer as fixed-width bytes, the form ``import_layers`` reads."""
+        return [v if isinstance(v, _Frozen) else _Frozen.from_ints(v) for v in self._vals]
+
     def import_layers(self, layers) -> None:
+        """Take every layer from fixed-width bytes, kept or decoded by the storage rule."""
         if len(layers) != self.max_length + 1:
             raise ValueError("layer count mismatch")
         vals = []
         for t, layer in enumerate(layers):
+            if not isinstance(layer, _Frozen):
+                raise TypeError(f"layer {t} is a {type(layer).__name__}, not fixed-width bytes")
             if len(layer) != self._cells(t):
                 raise ValueError(f"layer {t} has {len(layer)} cells, expected {self._cells(t)}")
-            vals.append(layer if isinstance(layer, _Frozen) else list(layer))
+            vals.append(layer if self._frozen else layer.tolist())
         self._vals = vals
 
 
@@ -575,7 +603,6 @@ def build_table(
     extra: int,
     *,
     memory_cap: int = DEFAULT_MEMORY_CAP,
-    compact: bool = False,
 ) -> CountTable:
     """Table for walks origin -> target of lengths n, n+2, ..., n+2*extra."""
     if extra < 0:
@@ -589,18 +616,5 @@ def build_table(
         lengths,
         origin=Point(*origin),
         memory_cap=memory_cap,
-        compact=compact,
     )
 
-
-def build_all_sources_table(
-    region: Region,
-    target: Point,
-    girth: int,
-    lengths,
-    *,
-    memory_cap: int = DEFAULT_MEMORY_CAP,
-    compact: bool = False,
-) -> CountTable:
-    """Table answering counts from every start in a bounded region."""
-    return CountTable(region, Point(*target), girth, lengths, memory_cap=memory_cap, compact=compact)

@@ -104,15 +104,6 @@ class Walk:
         return cls(Point(int(m.group(1)), int(m.group(2))), m.group(3))
 
 
-def points_of(walk: Walk) -> list[Point]:
-    """Visited point sequence of a walk (length len(walk)+1)."""
-    return walk.points()
-
-
-def is_self_avoiding(walk: Walk) -> bool:
-    return walk.is_self_avoiding()
-
-
 def moves_between(points: list[Point]) -> str:
     """Reconstruct the move string of a point sequence (unit steps required)."""
     out = []

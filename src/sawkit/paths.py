@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import Point, Region, Walk, boundary
+from .lattice import Point, Region, Walk
 
 
 class GoodEdgeMapError(ValueError):
@@ -94,25 +94,6 @@ def unbump(walk: Walk) -> Walk:
             out.append(c)
             i += 1
     return Walk(walk.start, "".join(out))
-
-
-def bumpable_indices(walk: Walk, region: Region) -> tuple[int, ...]:
-    """Straight indices of a monotone path whose bump stays inside the region.
-
-    Uses the conservative rule: drop index i when either endpoint of move i
-    lies on the region boundary.  Exact per-index feasibility is available
-    through direct simulation (see bumpable_good_edges).
-    """
-    if any(c not in "UR" for c in walk.moves):
-        raise ValueError("walk is not a monotone shortest path")
-    pts = walk.points()
-    if any(p not in region for p in pts):
-        raise ValueError("walk leaves the region")
-    idx = straight_indices(walk)
-    if not region.bounded:
-        return idx
-    bd = boundary(region)
-    return tuple(i for i in idx if pts[i - 1] not in bd and pts[i] not in bd)
 
 
 def corner_count(walk: Walk) -> int:

@@ -69,10 +69,6 @@ class SampleReport:
     attempts: int
     walk: Walk
 
-    @property
-    def acceptance_rate(self) -> float:
-        return 1.0 / self.attempts
-
 
 def sample_low_girth_walk(table: CountTable, rng: RngStream, length: int) -> Walk:
     """One exactly-uniform girth-restricted walk of the given length."""

@@ -1,3 +1,4 @@
+import json
 import math
 import pickle
 from collections import Counter
@@ -12,7 +13,6 @@ from sawkit.aztec import (
     aztec_region,
     boundary_vertices,
     dual_vertices,
-    edge_boundary_size,
     in_omega,
     make_partition,
     outer_boundary_edge_count,
@@ -23,6 +23,7 @@ from sawkit.aztec import (
     staircase_partition,
     width_certificate,
 )
+from sawkit.counting import DEFAULT_MEMORY_CAP, CountTable
 from sawkit.glauber import enumerate_omega
 from sawkit.lattice import Point, Walk, boundary
 from sawkit.sampling import RngStream
@@ -92,7 +93,7 @@ def test_edge_boundary_identity():
     for k in (1, 2):
         for p in enumerate_omega(k, params):
             cut = len(partition_to_path(p))
-            assert edge_boundary_size(p, 1) + edge_boundary_size(p, 2) == 8 * k + 2 * cut
+            assert sum(p.boundary_sizes) == 8 * k + 2 * cut
 
 
 def test_in_omega():
@@ -167,39 +168,110 @@ def test_sample_partition_stays_in_omega():
         assert rep.attempts >= 1
 
 
+def _family_key(fam):
+    return [(e.label, e.length, e.count) for e in fam]
+
+
 def test_table_cache_round_trip(tmp_path):
     params = OmegaParams(2, 0.5)
     fam1 = partition_family(2, params, girth=2, cache_dir=str(tmp_path))
     files = list(tmp_path.iterdir())
-    assert files and all(f.suffix == ".pkl" for f in files)
+    assert files and all(f.suffix == ".layers" for f in files)
     fam2 = partition_family(2, params, girth=2, cache_dir=str(tmp_path))
-    assert [(e.label, e.length, e.count) for e in fam1] == [(e.label, e.length, e.count) for e in fam2]
+    assert _family_key(fam1) == _family_key(fam2)
 
 
-@pytest.mark.parametrize("plant", ["non-dict", "version-1"])
+def _plant(f, plant):
+    """Rewrite one cache file the way ``plant`` names."""
+    data = f.read_bytes()
+    head, _, blobs = data.partition(b"\n")
+    header = json.loads(head)
+    if plant == "non-json":
+        data = b"\x80not json\n" + blobs
+    elif plant == "non-dict":
+        data = b"[1, 2]\n" + blobs
+    elif plant.startswith("version-"):
+        header["version"] = int(plant.split("-")[1])
+        data = json.dumps(header).encode() + b"\n" + blobs
+    elif plant == "truncated":
+        data = data[:-1]
+    elif plant == "trailing":
+        data = data + b"\0"
+    elif plant == "cells":  # one cell fewer in the last layer, its blob shortened to match
+        width, cells = header["layers"][-1]
+        header["layers"][-1] = [width, cells - 1]
+        data = json.dumps(header).encode() + b"\n" + blobs[: len(blobs) - width]
+    f.write_bytes(data)
+
+
+@pytest.mark.parametrize("plant", ["non-json", "non-dict", "version-1", "version-2", "truncated", "trailing", "cells"])
 def test_table_cache_foreign_file_is_a_miss(tmp_path, plant):
     params = OmegaParams(2, 0.5)
-    want = [(e.label, e.length, e.count) for e in partition_family(2, params, girth=2)]
+    want = _family_key(partition_family(2, params, girth=2))
     partition_family(2, params, girth=2, cache_dir=str(tmp_path))
     files = sorted(tmp_path.iterdir())
+    stored = {f: f.read_bytes() for f in files}
     for f in files:
-        if plant == "non-dict":
-            f.write_bytes(pickle.dumps([1, 2]))
-        else:  # the dict-layer format: a header of version 1, layers as {key: count}
-            payload = pickle.loads(f.read_bytes())
-            payload["header"]["version"] = 1
-            payload["layers"] = [None] + [{0: 1}] * (len(payload["layers"]) - 1)
-            f.write_bytes(pickle.dumps(payload))
+        _plant(f, plant)
     region = aztec_region(2)
     lengths = tuple(range(2, 2 * 2 + params.slack(2) + 1, 2))
     for target in boundary_vertices(2):
         path = _cache_path(str(tmp_path), 2, 2, params.budget(2), target)
         assert _load_cached_table(path, region, target, 2, lengths) is None
     got = partition_family(2, params, girth=2, cache_dir=str(tmp_path))
-    assert [(e.label, e.length, e.count) for e in got] == want
+    assert _family_key(got) == want
     assert sorted(tmp_path.iterdir()) == files  # the misses were rebuilt and stored again
+    assert {f: f.read_bytes() for f in files} == stored
+
+
+class _Plant:
+    """Unpickling this runs ``open(marker, "w")``."""
+
+    def __init__(self, marker):
+        self.marker = marker
+
+    def __reduce__(self):
+        return (open, (self.marker, "w"))
+
+
+def test_table_cache_never_runs_code(tmp_path):
+    params = OmegaParams(2, 0.5)
+    want = _family_key(partition_family(2, params, girth=2))
+    partition_family(2, params, girth=2, cache_dir=str(tmp_path))
+    marker = tmp_path.parent / (tmp_path.name + "-marker")
+    files = sorted(tmp_path.iterdir())
     for f in files:
-        assert pickle.loads(f.read_bytes())["header"]["version"] != 1
+        payload = pickle.dumps(_Plant(str(marker)))
+        f.write_bytes(payload)
+        f.with_suffix(".pkl").write_bytes(payload)  # the old cache's name as well
+    got = partition_family(2, params, girth=2, cache_dir=str(tmp_path))
+    assert not marker.exists()
+    assert _family_key(got) == want
+
+
+def test_cache_storage_follows_the_memory_cap_on_load(tmp_path):
+    # k=4 is the smallest order whose tables all have a compact estimate below every plain one
+    k, params = 4, OmegaParams(2, 0.5)
+    lengths = tuple(range(2, 2 * k + params.slack(k) + 1, 2))
+    probes = [CountTable(aztec_region(k), t, 2, lengths) for t in boundary_vertices(k)]
+    lo = max(t._estimate_bytes(True) for t in probes)
+    hi = min(t._estimate_bytes(False) for t in probes)
+    assert lo < hi
+    small = (lo + hi) // 2
+    for write_cap, read_cap in ((small, DEFAULT_MEMORY_CAP), (DEFAULT_MEMORY_CAP, small)):
+        cache = tmp_path / f"cap-{write_cap}"
+        built = partition_family(k, params, girth=2, cache_dir=str(cache), memory_cap=write_cap)
+        loaded = partition_family(k, params, girth=2, cache_dir=str(cache), memory_cap=read_cap)
+        assert _family_key(loaded) == _family_key(built)
+        for fam, cap in ((built, write_cap), (loaded, read_cap)):
+            layers = [layer for e in fam for layer in e.table.export_layers()]
+            assert all(isinstance(layer, list) == (cap == DEFAULT_MEMORY_CAP) for layer in layers)
+
+
+def test_no_cache_dir_reads_no_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("SAWKIT_CACHE_DIR", str(tmp_path))
+    partition_family(2, OmegaParams(2, 0.5), girth=2, cache_dir=None)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_boundary_vertices_sorted_count():

@@ -1,8 +1,10 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
+from sawkit import __version__
 from sawkit.cli import main
 from sawkit.counting import CountTable
 
@@ -140,6 +142,58 @@ def test_rerun_reproduces_outputs(tmp_path):
     assert main(["rerun", str(d1 / "manifest.json"), "--out", str(d2)]) == 0
     for name in ("manifest.json", "samples.jsonl"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+GOLDEN = Path(__file__).parent / "data" / "saw_n10_8_k3_l2_seed5"
+
+
+def test_rerun_committed_manifest(tmp_path, capsys):
+    assert main(["rerun", str(GOLDEN / "manifest.json"), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    names = sorted(p.name for p in GOLDEN.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("change", [
+    {"manifest": [1, 2]},
+    {"tool": "other"},
+    {"version": "0.0.0"},
+    {"command": ["glauber", "run"]},
+    {"command": "sample saw"},
+    {"command": [["sample"], "saw"]},
+    {"params": "n1=2"},
+    {"params": ["n1", 2]},
+    {"param": ("out", "elsewhere")},
+    {"param": ("compact", True)},
+    {"param": ("C", 2.0)},
+    {"param": ("seed", [1])},
+    {"param": ("seed", {"a": 1})},
+    {"param": ("seed", True)},
+], ids=["list", "tool", "version", "command", "command-string", "command-nested", "params-string",
+        "params-list", "out", "unknown-key", "other-command-key", "list-value", "object-value", "bool-value"])
+def test_rerun_rejects_malformed_manifest(tmp_path, capsys, change):
+    manifest = json.loads((GOLDEN / "manifest.json").read_text())  # reruns, see above
+    assert manifest["version"] == __version__
+    if "manifest" in change:
+        manifest = change["manifest"]
+    elif "param" in change:
+        key, value = change["param"]
+        manifest["params"][key] = value
+    else:
+        manifest.update(change)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    assert main(["rerun", str(path), "--out", str(out)]) == 1
+    assert "error: manifest" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sample_saw_has_no_compact_flag(capsys):
+    assert main(["sample", "saw", "--n1", "2", "--n2", "1", "--k", "1", "--l", "2",
+                 "--seed", "1", "--compact"]) == 1
 
 
 def test_regime_warning(capsys):

@@ -12,12 +12,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sawkit.counting import (
+    DEFAULT_MEMORY_CAP,
     MOVE_CHARS,
     CountTable,
     ResourceLimitError,
     TableDomainError,
     _Frozen,
-    build_all_sources_table,
     build_table,
     window_automaton,
 )
@@ -71,14 +71,18 @@ def test_memory_cap():
 
 @pytest.mark.parametrize("compact,target,k", [(False, (10, 8), 3), (True, (20, 20), 4)])
 def test_memory_estimate_bounds_tracemalloc_peak(compact, target, k):
-    # the girth-2 window automaton and numpy are loaded once per process, outside the measurement
-    build_table(Z, (0, 0), (1, 1), 2, 0)
+    # the window automaton and numpy are loaded, and the cap that forces compact
+    # storage is found, outside the measurement
+    probe = build_table(Z, (0, 0), target, 2, k)
+    cap = probe._estimate_bytes(False) - 1 if compact else DEFAULT_MEMORY_CAP
+    del probe
     tracemalloc.start()
     try:
-        table = build_table(Z, (0, 0), target, 2, k, compact=compact)
+        table = build_table(Z, (0, 0), target, 2, k, memory_cap=cap)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert all(isinstance(layer, _Frozen) == compact for layer in table.export_layers())
     est = table._estimate_bytes(compact)
     assert peak <= est
     # Over-estimate, not a bound: measured 1.2-1.6x on these tables with
@@ -86,7 +90,7 @@ def test_memory_estimate_bounds_tracemalloc_peak(compact, target, k):
     # working-set constants are set by hand, so the ratio may drift with them.
     assert est <= 2.5 * peak
     with pytest.raises(ResourceLimitError):
-        build_table(Z, (0, 0), target, 2, k, compact=True, memory_cap=table._estimate_bytes(True) - 1)
+        build_table(Z, (0, 0), target, 2, k, memory_cap=table._estimate_bytes(True) - 1)
 
 
 def test_plain_storage_over_the_cap_switches_to_compact():
@@ -203,32 +207,62 @@ def test_count_from_trivial_zeros_before_domain():
 
 def test_all_sources_table():
     region = BoxRegion(LatticeBox(Point(0, 0), Point(3, 3)))
-    table = build_all_sources_table(region, Point(3, 3), 2, (2, 4, 6))
+    table = CountTable(region, Point(3, 3), 2, (2, 4, 6))
     for start in (Point(3, 1), Point(1, 1), Point(0, 3)):
         for length in (2, 4, 6):
             want = enumerate_low_girth_walks(region, start, Point(3, 3), length, 2).count
             assert table.count_from(start, length) == want
 
 
+def _compact_cap(*args) -> int:
+    """A memory cap between the compact and the plain estimate of build_table(*args)."""
+    probe = build_table(*args)
+    lo, hi = probe._estimate_bytes(True), probe._estimate_bytes(False)
+    assert lo < hi
+    return (lo + hi) // 2
+
+
 def test_compact_layers_agree():
     plain = build_table(Z, (0, 0), (3, 2), 2, 2)
-    compact = build_table(Z, (0, 0), (3, 2), 2, 2, compact=True)
+    compact = build_table(Z, (0, 0), (3, 2), 2, 2, memory_cap=_compact_cap(Z, (0, 0), (3, 2), 2, 2))
+    assert all(isinstance(layer, _Frozen) for layer in compact.export_layers())
     assert plain.counts() == compact.counts()
     assert compact.completion_count((1, 1), "UR", 5) == plain.completion_count((1, 1), "UR", 5)
 
 
+@pytest.mark.parametrize("width", [0, 1, 3, 8, 9, 17])
+def test_frozen_round_trip(width):
+    top = (1 << 8 * width) - 1
+    values = [0, top, top >> 1, top // 3, top >> 4, min(top, 1)]
+    frozen = _Frozen.from_ints(values)
+    assert frozen.width == width and len(frozen) == len(values)
+    assert frozen.tolist() == values
+    assert [frozen[i] for i in range(len(values))] == values
+    with pytest.raises(ValueError, match="blob"):
+        _Frozen(len(values) + 1, width or 1, frozen.blob)
+
+
 def test_export_import_layers():
-    for compact in (False, True):
-        table = build_table(Z, (0, 0), (2, 2), 2, 1, compact=compact)
-        clone = CountTable(
-            table.region, table.target, table.girth, table.lengths,
-            origin=table.origin, layers=table.export_layers(),
-        )
-        assert clone.counts() == table.counts()
-    short = table.export_layers()
-    short[1] = list(short[1])[:-1]
+    args = (Z, (0, 0), (3, 2), 2, 2)
+    for cap in (DEFAULT_MEMORY_CAP, _compact_cap(*args)):
+        table = build_table(*args, memory_cap=cap)
+        layers = table.frozen_layers()
+        for load_cap in (DEFAULT_MEMORY_CAP, _compact_cap(*args)):
+            clone = CountTable(
+                table.region, table.target, table.girth, table.lengths,
+                origin=table.origin, memory_cap=load_cap, layers=layers,
+            )
+            assert clone.counts() == table.counts()
+            # the storage rule applies on load, whatever the layers were built under
+            plain = load_cap == DEFAULT_MEMORY_CAP
+            assert all(isinstance(layer, list) == plain for layer in clone.export_layers())
+    short = table.frozen_layers()
+    short[1] = _Frozen.from_ints(short[1].tolist()[:-1])
     with pytest.raises(ValueError, match="cells"):
         CountTable(table.region, table.target, table.girth, table.lengths, origin=table.origin, layers=short)
+    with pytest.raises(TypeError, match="fixed-width"):
+        CountTable(table.region, table.target, table.girth, table.lengths, origin=table.origin,
+                   layers=table.frozen_layers()[:-1] + [table.frozen_layers()[-1].tolist()])
 
 
 @st.composite

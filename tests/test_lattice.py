@@ -11,7 +11,6 @@ from sawkit.lattice import (
     boundary,
     boundary_points_in_box,
     moves_between,
-    points_of,
     reflect_walk,
     reverse,
     step,
@@ -31,9 +30,9 @@ def test_step_reverse_round_trip():
 
 
 def test_points_of():
-    assert points_of(Walk(Point(0, 0), "RU")) == [(0, 0), (1, 0), (1, 1)]
-    assert points_of(Walk(Point(0, 0), "")) == [(0, 0)]
-    assert points_of(Walk(Point(0, 0), "RL")) == [(0, 0), (1, 0), (0, 0)]
+    assert Walk(Point(0, 0), "RU").points() == [(0, 0), (1, 0), (1, 1)]
+    assert Walk(Point(0, 0), "").points() == [(0, 0)]
+    assert Walk(Point(0, 0), "RL").points() == [(0, 0), (1, 0), (0, 0)]
 
 
 def test_points_round_trip_moves():

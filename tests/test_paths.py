@@ -4,13 +4,12 @@ from collections import Counter
 
 import pytest
 
-from sawkit.lattice import BoxRegion, FullLattice, LatticeBox, Point, Walk
+from sawkit.lattice import FullLattice, Point, Walk
 from sawkit.paths import (
     GoodEdgeMapError,
     base_path,
     bump,
     bumpable_good_edges,
-    bumpable_indices,
     corner_count,
     from_first_quadrant,
     good_edge_map,
@@ -70,15 +69,6 @@ def test_bump_errors():
         bump(Walk(Point(0, 0), "RU"), {3})
     with pytest.raises(ValueError):
         bump(Walk(Point(0, 0), "RD"), {2})  # only U and R moves can be bumped
-
-
-def test_bumpable_indices():
-    assert bumpable_indices(Walk(Point(0, 0), "RURU"), Z) == ()
-    assert bumpable_indices(Walk(Point(0, 0), "RRR"), Z) == (2, 3)
-    strip = BoxRegion(LatticeBox(Point(0, 0), Point(2, 0)))
-    assert bumpable_indices(Walk(Point(0, 0), "RR"), strip) == ()
-    with pytest.raises(ValueError):
-        bumpable_indices(Walk(Point(0, 0), "RD"), Z)
 
 
 def test_unbump():
