@@ -7,7 +7,7 @@ the whole suite is deterministic.  The two large calibration instances
 ``run_calibration`` in the packaged artifact ``src/sawkit/data/calibration.json``;
 criterion 4 checks that it records exactly those instances and that their
 rates are at least 0.5.  The run is seeded and exact, so it reproduces
-the file byte for byte (it takes about 40 s and 0.9 GB peak RSS on a
+the file byte for byte (it takes about 14 s and 0.51 GB peak RSS on a
 2-vCPU machine).  Regenerate it with::
 
     sawkit verify --calibration --write-calibration src/sawkit/data/calibration.json

@@ -11,6 +11,7 @@ partition is stored as one bitmask over the sorted dual vertices
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import dataclass
@@ -21,7 +22,8 @@ from .lattice import LatticeBox, Point, Region, Walk, boundary_points_in_box, ma
 from .sampling import FamilyEntry, RngStream, SampleReport, SamplingBudgetError, make_family, sample_length_then_walk
 
 _CACHE_MAGIC = "sawkit-aztec-table"
-_CACHE_VERSION = 3  # 3: a JSON header line, then each layer's fixed-width bytes
+# 4: layers keyed by window class, and a SHA-256 of the layer bytes in the header
+_CACHE_VERSION = 4
 
 
 class AztecRegion(Region):
@@ -431,15 +433,18 @@ def _load_cached_table(
     path: str, region: AztecRegion, target: Point, girth: int, lengths, memory_cap: int = DEFAULT_MEMORY_CAP
 ) -> CountTable | None:
     """The cached table at path; None (a miss) for a missing, unreadable,
-    stale or malformed file.
+    stale, malformed or corrupted file.
 
     The file is one JSON header line, whose ``layers`` entry gives each
-    layer's [width, cells], followed by the layers' bytes and nothing else.
+    layer's [width, cells] and whose ``sha256`` entry is the digest of the
+    layers' bytes, followed by those bytes and nothing else.
     """
     try:
         with open(path, "rb") as fh:
             header = json.loads(fh.readline())
-            shapes = header.pop("layers", None) if isinstance(header, dict) else None
+            if not isinstance(header, dict):
+                return None
+            shapes, digest = header.pop("layers", None), header.pop("sha256", None)
             if header != _cache_header(region.k, girth, lengths, target) or not isinstance(shapes, list):
                 return None
             if not all(
@@ -451,16 +456,26 @@ def _load_cached_table(
             layers = [_Frozen(n, w, fh.read(w * n)) for w, n in shapes]
     except (OSError, ValueError, RecursionError):  # RecursionError: a deeply nested header
         return None
+    if _layers_digest(layers) != digest:
+        return None  # a flipped byte passes every check above and skews the counts
     try:
         return CountTable(region, target, girth, lengths, memory_cap=memory_cap, layers=layers)
     except ValueError:
         return None
 
 
+def _layers_digest(layers: list[_Frozen]) -> str:
+    h = hashlib.sha256()
+    for layer in layers:
+        h.update(layer.blob)
+    return h.hexdigest()
+
+
 def _store_cached_table(path: str, table: CountTable) -> None:
     layers = table.frozen_layers()
     header = _cache_header(table.region.k, table.girth, table.lengths, table.target)
     header["layers"] = [[layer.width, len(layer)] for layer in layers]
+    header["sha256"] = _layers_digest(layers)
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")

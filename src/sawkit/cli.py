@@ -4,9 +4,10 @@ Exit codes: 0 success, 1 usage error, 2 resource error (memory cap),
 3 sampling budget exhausted.  Sampling commands require --seed and, when
 given --out, write their outputs next to a manifest.json recording the
 full configuration; `sawkit rerun manifest.json --out DIR` checks the
-manifest and reproduces the outputs byte for byte.  How a DP table is
-stored follows from --memory-cap alone.  The environment is read in one
-place: SAWKIT_CACHE_DIR is the default of `aztec sample --cache-dir`.
+manifest and reproduces the outputs byte for byte.  --memory-cap bounds
+the estimated size of a DP table; a table over it exits 2.  The
+environment is read in one place: SAWKIT_CACHE_DIR is the default of
+`aztec sample --cache-dir`.
 """
 
 from __future__ import annotations

@@ -1,22 +1,21 @@
 """Exact DP counts of girth-restricted walks over a region.
 
-States are keyed by (point, suffix window, remaining steps).  The suffix
-window is the move sequence of the most recent min(2l, steps-taken) steps,
-canonically encoded; stepping onto any window point is forbidden, which on
-the bipartite lattice forbids exactly the cycles of length <= 2l.
+A walk's suffix window is the move sequence of its most recent
+min(2l, steps-taken) steps; stepping onto any window point is forbidden,
+which on the bipartite lattice forbids exactly the cycles of length <= 2l.
+Two windows that admit the same continuations (the same move sequences
+collide from both) give the same count from every point, so states are
+keyed by (point, class, remaining steps), the class being the window's
+Nerode class in the window automaton (see ``WindowAutomaton``).
 
 The table is filled iteratively by remaining-steps layer (layer t reads
 only layer t-1).  Layer t is one dense slab of exact Python integers: a
 row for every point that can sit t steps from the target within the length
-budget, a column for every window a covered length needs at t, and one
-zero row and one zero column that every miss is sent to (a step off the
-region, a colliding step, a point or window the layer does not hold).  A
-layer update is four gathers of the previous slab and three adds.
-
-Cells whose window leaves the region, or in origin mode is not a prefix of
-a walk from the origin, are computed as well.  No valid state reads them:
-a successor window's points are the old window's points plus the new one.
-``completion_count`` rejects such states before its lookup.
+budget, a column for every class, and one zero row and one zero column
+that every miss is sent to (a step off the region, a colliding step, a
+point the layer does not hold).  A layer update is four gathers of the
+previous slab and three adds.  A finished layer is one flat list of ints;
+fixed-width bytes (``_Frozen``) are its serialized form only.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ _SLAB_BYTES = 40
 # its row map (two numpy arrays and a list header).
 _POINT_BYTES = 400
 _LAYER_BYTES = 512
-# Cells encoded per join when a layer is stored as fixed-width bytes.
+# Cells encoded per join when a layer is serialized as fixed-width bytes.
 _ENCODE_CELLS = 4096
 
 
@@ -52,11 +51,16 @@ class TableDomainError(ValueError):
 
 
 class WindowAutomaton:
-    """Transition tables over all canonical suffix windows for one girth value.
+    """The suffix windows of one girth value and their Nerode classes.
 
     Windows are tuples of move codes (U=0, R=1, D=2, L=3) of length 0..2l
     whose spanned points are pairwise distinct.  Transitions are relative,
-    so collision checks are position-independent.
+    so collision checks are position-independent.  Moore partition
+    refinement merges the windows that admit the same continuations into
+    one class; classes are numbered in window order, so the empty window's
+    is 0.  ``class_of[wid]`` is a window's class, ``step[c][d]`` the class
+    after move d (``classes`` for a colliding move) and ``trans[c]`` the
+    (d, next class) pairs of the non-colliding moves, in ascending d.
     """
 
     def __init__(self, girth: int):
@@ -80,31 +84,28 @@ class WindowAutomaton:
         self.windows = windows
         self.index = {w: i for i, w in enumerate(windows)}
         self.offsets = [self._offsets(w) for w in windows]
-        by_length: dict[int, list[int]] = {}
-        for i, w in enumerate(windows):
-            by_length.setdefault(len(w), []).append(i)
-        self.by_length = {m: tuple(v) for m, v in by_length.items()}
-        # trans[wid] = ((d, next_wid) for each non-colliding direction d)
-        trans = []
-        step_map = []
-        for w in windows:
-            offs = set(self._offsets(w))
-            row = []
-            smap = [-1, -1, -1, -1]
-            for d in range(4):
-                if (_DX[d], _DY[d]) in offs:
-                    continue
-                w2 = w + (d,)
-                if len(w2) > self.max_moves:
-                    w2 = w2[1:]
-                nid = self.index[w2]
-                row.append((d, nid))
-                smap[d] = nid
-            trans.append(tuple(row))
-            step_map.append(tuple(smap))
-        self.trans = trans
-        self.step_map = step_map
-        self.empty_id = self.index[()]
+        # step_map[wid][d]: the window after move d, -1 for a colliding move
+        step_map = [
+            [-1 if (_DX[d], _DY[d]) in offs else self.index[(w + (d,))[-self.max_moves :]] for d in range(4)]
+            for w, offs in zip(windows, map(set, self.offsets))
+        ]
+        # split blocks by the blocks their moves lead to until no block splits
+        block, count = [0] * len(windows), 1
+        while True:
+            ids: dict[tuple, int] = {}
+            split = [ids.setdefault((block[i], *(block[j] if j >= 0 else -1 for j in row)), len(ids))
+                     for i, row in enumerate(step_map)]
+            if len(ids) == count:
+                break
+            block, count = split, len(ids)
+        self.class_of = block
+        self.classes = count
+        first: dict[int, int] = {}  # each class's first window
+        for wid, c in enumerate(block):
+            first.setdefault(c, wid)
+        self.step = [tuple(block[j] if j >= 0 else count for j in step_map[wid]) for wid in first.values()]
+        self.trans = [tuple((d, c) for d, c in enumerate(row) if c < count) for row in self.step]
+        self.empty_class = block[self.index[()]]
 
     @staticmethod
     def _offsets(w: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
@@ -134,9 +135,8 @@ def window_automaton(girth: int) -> WindowAutomaton:
 
 
 class _Frozen:
-    """A layer's cells as fixed-width little-endian bytes.
+    """A layer's cells as fixed-width little-endian bytes, its serialized form.
 
-    The compact storage of a finished layer, and the only serialized form:
     ``width`` bytes per cell, ``len`` cells, one ``blob``.
     """
 
@@ -160,10 +160,6 @@ class _Frozen:
             ]
         )
         return cls(len(values), width, blob)
-
-    def __getitem__(self, i: int) -> int:
-        w = self.width
-        return int.from_bytes(self.blob[i * w : i * w + w], "little")
 
     def __len__(self) -> int:
         return self._n
@@ -199,11 +195,6 @@ def _int_bytes(bits: int) -> int:
     return _round16(sys.getsizeof(1) + sys.int_info.sizeof_digit * (digits - 1))
 
 
-def _bytes_size(width: int) -> int:
-    """Heap bytes of one bytes object of that length."""
-    return _round16(sys.getsizeof(b"") + width)
-
-
 class CountTable:
     """Layered exact counts of girth-restricted continuations toward a target.
 
@@ -212,15 +203,14 @@ class CountTable:
     from the origin can reach within the length budget.  In all-sources mode
     (``origin=None``, used for the Aztec sampler) the table answers counts
     from any start point in the region for every covered length.  Both
-    modes share one build: layer t is a dense slab over its rows x
-    ``_columns[t]`` (see the module docstring and ``_size_layers``).
+    modes share one build: states are keyed by (point, class, t), and
+    layer t is a dense slab over its rows x every class of the window
+    automaton (see the module docstring and ``_size_layers``).
 
-    One storage rule, from the memory estimate alone, holds for a fresh
-    build and for layers passed in (``layers``, as ``_Frozen``): finished
-    layers are flat lists of ints when plain storage fits ``memory_cap``,
-    else fixed-width bytes (smaller, slower to read).  A table that fits
-    neither way raises ResourceLimitError, before anything per point is
-    allocated.
+    Finished layers have one storage form, a flat list of ints, whether
+    built or passed in (``layers``, as ``_Frozen``).  A table whose
+    estimate exceeds ``memory_cap`` raises ResourceLimitError, before
+    anything per point is allocated.
     """
 
     def __init__(
@@ -263,8 +253,7 @@ class CountTable:
         self.box = box
 
         self._size_layers()
-        self._frozen = self._estimate_bytes(False) > memory_cap
-        est_bytes = self._estimate_bytes(self._frozen)
+        est_bytes = self._estimate_bytes()
         if est_bytes > memory_cap:
             cells = sum(self._cells(t) for t in range(self.max_length + 1))
             raise ResourceLimitError(
@@ -281,7 +270,7 @@ class CountTable:
     # -- layer plan ----------------------------------------------------------
 
     def _size_layers(self) -> None:
-        """Rows and columns of every layer, from one pass over the box.
+        """Rows of every layer, from one pass over the box.
 
         Nothing per point is stored here, so the memory cap is checked
         before the geometry exists.  Points are numbered by (parity,
@@ -292,15 +281,12 @@ class CountTable:
         these rows lie in one run of pids, ``_band[t]``: the points of t's
         parity with t - slack <= d <= max_length + D - t in origin mode
         (D the origin-target distance, slack = max_length - D) and d <= t
-        in all-sources mode.  Layer t has a column for each window a
-        covered length needs at t: every full window while t <=
-        max_length - 2l, and every window of length m < 2l with t + m a
-        covered length.  ``_cols[t][wid]`` is wid's column; a window the
-        layer does not hold, and the colliding-step index len(windows),
-        go to the last column, which is zero, as is the last row.
+        in all-sources mode.  Every layer has a column per class, class c
+        in column c; the last column (the colliding-step index ``classes``)
+        is zero, as is the last row.
         """
-        box, region, auto = self.box, self.region, self.auto
-        max_len, full_m = self.max_length, auto.max_moves
+        box, region = self.box, self.region
+        max_len = self.max_length
         if self.target not in box:
             raise ValueError("target outside the restriction box")
         if self.origin is not None and self.origin not in box:
@@ -332,9 +318,7 @@ class CountTable:
             first[d] = run[d & 1]
             run[d & 1] += per_d[d]
         dist = manhattan(self.origin, self.target) if self.origin is not None else 0
-        nw = len(auto.windows)
-        col_maps = {}  # window lengths -> (column wids, wid -> column)
-        self._nrows, self._band, self._columns, self._cols = [], [], [], []
+        self._nrows, self._band = [], []
         for t in range(max_len + 1):
             self._nrows.append(delta[t] + (self._nrows[t - 2] if t >= 2 else 0))
             lo, hi = (0, t) if self.origin is None else (t - max_len + dist, max_len + dist - t)
@@ -343,50 +327,26 @@ class CountTable:
             hi = min(hi, t)
             hi -= (t - hi) % 2
             self._band.append((first[lo], first[hi] + per_d[hi]) if lo <= hi else (0, 0))
-            ms = tuple(m for m in range(full_m) if t + m in self._length_set)
-            if t <= max_len - full_m:
-                ms += (full_m,)
-            if ms not in col_maps:
-                cols = tuple(w for m in ms for w in auto.by_length[m])
-                col_of = [len(cols)] * (nw + 1)
-                for j, w in enumerate(cols):
-                    col_of[w] = j
-                col_maps[ms] = cols, col_of
-            cols, col_of = col_maps[ms]
-            self._columns.append(cols)
-            self._cols.append(col_of)
 
     def _cells(self, t: int) -> int:
-        return (self._nrows[t] + 1) * (len(self._columns[t]) + 1)
+        return (self._nrows[t] + 1) * (self.auto.classes + 1)
 
-    def _estimate_bytes(self, frozen: bool) -> int:
+    def _estimate_bytes(self) -> int:
         """Upper bound on the heap bytes of the build.
 
         Each stored cell costs a list pointer plus an int of at most
-        ``_count_bits(t)`` bits, or when ``frozen`` that int's fixed-width
-        bytes.  Each point adds its geometry and each layer its row map
-        over the band.  On top comes the largest working set of one layer
-        update: the numpy slabs and index arrays, and when ``frozen`` also
-        the ints of the previous and the new layer, the new layer's flat
-        list and one chunk of bytes pieces.
+        ``_count_bits(t)`` bits.  Each point adds its geometry and each
+        layer its row map over the band.  On top comes the largest working
+        set of one layer update: the numpy slabs and index arrays.
         """
         total = _POINT_BYTES * self._npts
         work = prev_cells = 0
         for t in range(self.max_length + 1):
             cells = self._cells(t)
-            bits = _count_bits(t)
-            ints = _int_bytes(bits)
-            width = (bits + 7) // 8
             lo, hi = self._band[t]
             total += _LAYER_BYTES + 8 * (hi - lo + 1) + (8 + _int_bytes(64)) * self._nrows[t]
-            span = max(cells, prev_cells)
-            if frozen:
-                total += cells * width
-                chunk = min(cells, _ENCODE_CELLS) * (16 + _bytes_size(width))
-                work = max(work, span * (_SLAB_BYTES + 2 * ints + 8) + chunk)
-            else:
-                total += cells * (8 + ints)
-                work = max(work, span * _SLAB_BYTES)
+            total += cells * (8 + _int_bytes(_count_bits(t)))
+            work = max(work, max(cells, prev_cells) * _SLAB_BYTES)
             prev_cells = cells
         return total + work
 
@@ -430,7 +390,7 @@ class CountTable:
             rows = np.arange(lo, hi)
             if d_o is not None:
                 rows = rows[d_o[lo:hi] <= self.max_length - t]
-            stride = len(self._columns[t]) + 1
+            stride = self.auto.classes + 1
             row_of = np.full(hi - lo + 1, len(rows) * stride, dtype=np.intp)
             row_of[rows - lo] = np.arange(len(rows)) * stride
             active.append(rows)
@@ -442,15 +402,14 @@ class CountTable:
     def _build_layers(self, active: list) -> None:
         import numpy as np
 
-        nw = len(self.auto.windows)
+        nc = self.auto.classes
         nbr = np.array(self._nbr, dtype=np.intp)
-        succ = np.array(self.auto.step_map, dtype=np.intp)
-        succ[succ < 0] = nw
+        succ = np.array(self.auto.step, dtype=np.intp)
         self._vals = []
-        prev = prev_lo = prev_row = prev_col = None
+        prev = prev_lo = prev_row = None
         for t in range(self.max_length + 1):
-            rows, cols = active[t], np.asarray(self._columns[t], dtype=np.intp)
-            nr, nc = len(rows), len(cols)
+            rows = active[t]
+            nr = len(rows)
             cur = np.zeros((nr + 1, nc + 1), dtype=object)
             if t == 0:
                 cur[:nr, :nc] = 1  # the target's row: the empty walk has arrived
@@ -459,22 +418,19 @@ class CountTable:
                 for d in range(4):
                     r = nbr[rows, d] - prev_lo
                     r[(r < 0) | (r >= len(prev_row))] = -1  # outside the band: the zero row
-                    idx = prev_row[r][:, None] + prev_col[succ[cols, d]][None, :]
-                    g = prev[idx]
+                    g = prev[prev_row[r][:, None] + succ[None, :, d]]
                     acc = g if acc is None else np.add(acc, g, out=acc)
                 cur[:nr, :nc] = acc
             prev = cur.ravel()
             prev_lo = self._band[t][0]
             prev_row = np.asarray(self._rows[t], dtype=np.intp)
-            prev_col = np.asarray(self._cols[t], dtype=np.intp)
-            cells = prev.tolist()
-            self._vals.append(_Frozen.from_ints(cells) if self._frozen else cells)
+            self._vals.append(prev.tolist())
 
     # -- queries ---------------------------------------------------------------
 
-    def _cell(self, t: int, p: int, wid: int) -> int:
+    def _cell(self, t: int, p: int, c: int) -> int:
         rows, i = self._rows[t], p - self._band[t][0]
-        return self._vals[t][(rows[i] if 0 <= i < len(rows) else rows[-1]) + self._cols[t][wid]]
+        return self._vals[t][(rows[i] if 0 <= i < len(rows) else rows[-1]) + c]
 
     def counts(self) -> dict[int, int]:
         """Walk count for every covered length (origin mode)."""
@@ -507,14 +463,17 @@ class CountTable:
         p = self._pid.get(start)
         if p is None or (self.origin is not None and start != self.origin):
             raise TableDomainError("origin-mode table only counts walks from its origin")
-        return self._cell(length, p, self.auto.empty_id)
+        return self._cell(length, p, self.auto.empty_class)
 
     def completion_count(self, point: Point, window_moves: str, t: int) -> int:
         """Admissible t-step continuations from (point, window) to the target.
 
-        The window is the move string of the most recent steps (newest last).
-        Raises TableDomainError for states outside the budget-reachable cone
-        the table covers.
+        The window is the move string of the most recent steps (newest
+        last); the count depends only on its class.  Raises ValueError for
+        an invalid window, a point outside the restricted region, a window
+        leaving it, or t out of range, and TableDomainError in origin mode
+        for a point more than max_length - t steps from the origin, the one
+        state layer t has no row for.
         """
         point = Point(*point)
         codes = tuple(MOVE_CHARS.index(c) for c in window_moves)
@@ -533,20 +492,9 @@ class CountTable:
             return 1 if p == self._target_pid else 0
         if self._dist_target[p] > t or (self._dist_target[p] - t) % 2:
             return 0
-        m = len(codes)
-        if m == self.auto.max_moves:
-            if t > self.max_length - m:
-                raise TableDomainError(f"full-window state at t={t} exceeds the length budget")
-            if self._dist_origin is not None and self._dist_origin[p] > self.max_length - t:
-                raise TableDomainError("state not reachable from the origin within budget")
-        else:
-            if (t + m) not in self._length_set:
-                raise TableDomainError(f"window length {m} with t={t} matches no covered length")
-            if self.origin is not None:
-                sx, sy = self.auto.offsets[wid][-1]
-                if (x + sx, y + sy) != self.origin:
-                    raise TableDomainError("short window must be a walk prefix from the origin")
-        return self._cell(t, p, wid)
+        if self._dist_origin is not None and self._dist_origin[p] > self.max_length - t:
+            raise TableDomainError("state not reachable from the origin within budget")
+        return self._cell(t, p, self.auto.class_of[wid])
 
     # -- sampler support -------------------------------------------------------
 
@@ -555,34 +503,34 @@ class CountTable:
         p = self._pid.get(start)
         if p is None:
             raise ValueError(f"start {start} outside the restricted region")
-        return p, self.auto.empty_id
+        return p, self.auto.empty_class
 
-    def step_options(self, pid: int, wid: int, t: int) -> list[tuple[str, int, int, int]]:
-        """(move, next_pid, next_wid, count) for each admissible next step."""
-        rows, cols, vals = self._rows[t - 1], self._cols[t - 1], self._vals[t - 1]
+    def step_options(self, pid: int, cls: int, t: int) -> list[tuple[str, int, int, int]]:
+        """(move, next_pid, next_class, count) for each admissible next step."""
+        rows, vals = self._rows[t - 1], self._vals[t - 1]
         lo, nr = self._band[t - 1][0], len(rows)
         nb = self._nbr[pid]
         out = []
-        for d, wid2 in self.auto.trans[wid]:
+        for d, cls2 in self.auto.trans[cls]:
             q = nb[d]
             if 0 <= q - lo < nr:  # a point outside the band has count 0
-                c = vals[rows[q - lo] + cols[wid2]]
+                c = vals[rows[q - lo] + cls2]
                 if c:
-                    out.append((MOVE_CHARS[d], q, wid2, c))
+                    out.append((MOVE_CHARS[d], q, cls2, c))
         return out
 
     # -- persistence -----------------------------------------------------------
 
-    def export_layers(self) -> list:
-        """Every layer's flat cells as stored (row-major, zero row and column last)."""
+    def export_layers(self) -> list[list[int]]:
+        """Every layer's flat cells (row-major, zero row and column last)."""
         return list(self._vals)
 
     def frozen_layers(self) -> list[_Frozen]:
         """Every layer as fixed-width bytes, the form ``import_layers`` reads."""
-        return [v if isinstance(v, _Frozen) else _Frozen.from_ints(v) for v in self._vals]
+        return [_Frozen.from_ints(v) for v in self._vals]
 
     def import_layers(self, layers) -> None:
-        """Take every layer from fixed-width bytes, kept or decoded by the storage rule."""
+        """Take every layer from fixed-width bytes, decoded to ints."""
         if len(layers) != self.max_length + 1:
             raise ValueError("layer count mismatch")
         vals = []
@@ -591,7 +539,7 @@ class CountTable:
                 raise TypeError(f"layer {t} is a {type(layer).__name__}, not fixed-width bytes")
             if len(layer) != self._cells(t):
                 raise ValueError(f"layer {t} has {len(layer)} cells, expected {self._cells(t)}")
-            vals.append(layer if self._frozen else layer.tolist())
+            vals.append(layer.tolist())
         self._vals = vals
 
 

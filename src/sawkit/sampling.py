@@ -81,18 +81,18 @@ def sample_low_girth_walk_from(table: CountTable, rng: RngStream, start: Point, 
     total = table.count_from(start, length)
     if total == 0:
         raise ValueError(f"no girth-restricted walk of length {length} from {start}")
-    pid, wid = table.start_state(start)
+    pid, cls = table.start_state(start)
     moves = []
     for t in range(length, 0, -1):
-        options = table.step_options(pid, wid, t)
+        options = table.step_options(pid, cls, t)
         total = sum(c for _, _, _, c in options)
         pick = uniform_bignat(rng, total)
         acc = 0
-        for move, pid2, wid2, c in options:
+        for move, pid2, cls2, c in options:
             acc += c
             if pick < acc:
                 moves.append(move)
-                pid, wid = pid2, wid2
+                pid, cls = pid2, cls2
                 break
     return Walk(Point(*start), "".join(moves))
 

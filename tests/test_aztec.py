@@ -23,7 +23,7 @@ from sawkit.aztec import (
     staircase_partition,
     width_certificate,
 )
-from sawkit.counting import DEFAULT_MEMORY_CAP, CountTable
+from sawkit.counting import CountTable, ResourceLimitError
 from sawkit.glauber import enumerate_omega
 from sawkit.lattice import Point, Walk, boundary
 from sawkit.sampling import RngStream
@@ -201,10 +201,13 @@ def _plant(f, plant):
         width, cells = header["layers"][-1]
         header["layers"][-1] = [width, cells - 1]
         data = json.dumps(header).encode() + b"\n" + blobs[: len(blobs) - width]
+    elif plant == "flipped":  # one byte inside the layer bytes, shapes and size unchanged
+        mid = len(blobs) // 2
+        data = head + b"\n" + blobs[:mid] + bytes([blobs[mid] ^ 0xFF]) + blobs[mid + 1 :]
     f.write_bytes(data)
 
 
-@pytest.mark.parametrize("plant", ["non-json", "non-dict", "version-1", "version-2", "truncated", "trailing", "cells"])
+@pytest.mark.parametrize("plant", ["non-json", "non-dict", "version-1", "version-2", "version-3", "truncated", "trailing", "cells", "flipped"])
 def test_table_cache_foreign_file_is_a_miss(tmp_path, plant):
     params = OmegaParams(2, 0.5)
     want = _family_key(partition_family(2, params, girth=2))
@@ -249,23 +252,15 @@ def test_table_cache_never_runs_code(tmp_path):
     assert _family_key(got) == want
 
 
-def test_cache_storage_follows_the_memory_cap_on_load(tmp_path):
-    # k=4 is the smallest order whose tables all have a compact estimate below every plain one
-    k, params = 4, OmegaParams(2, 0.5)
+def test_cache_load_checks_the_memory_cap(tmp_path):
+    k, params = 2, OmegaParams(2, 0.5)
     lengths = tuple(range(2, 2 * k + params.slack(k) + 1, 2))
-    probes = [CountTable(aztec_region(k), t, 2, lengths) for t in boundary_vertices(k)]
-    lo = max(t._estimate_bytes(True) for t in probes)
-    hi = min(t._estimate_bytes(False) for t in probes)
-    assert lo < hi
-    small = (lo + hi) // 2
-    for write_cap, read_cap in ((small, DEFAULT_MEMORY_CAP), (DEFAULT_MEMORY_CAP, small)):
-        cache = tmp_path / f"cap-{write_cap}"
-        built = partition_family(k, params, girth=2, cache_dir=str(cache), memory_cap=write_cap)
-        loaded = partition_family(k, params, girth=2, cache_dir=str(cache), memory_cap=read_cap)
-        assert _family_key(loaded) == _family_key(built)
-        for fam, cap in ((built, write_cap), (loaded, read_cap)):
-            layers = [layer for e in fam for layer in e.table.export_layers()]
-            assert all(isinstance(layer, list) == (cap == DEFAULT_MEMORY_CAP) for layer in layers)
+    small = min(CountTable(aztec_region(k), t, 2, lengths)._estimate_bytes() for t in boundary_vertices(k)) - 1
+    with pytest.raises(ResourceLimitError):
+        partition_family(k, params, girth=2, cache_dir=str(tmp_path / "cold"), memory_cap=small)
+    partition_family(k, params, girth=2, cache_dir=str(tmp_path))
+    with pytest.raises(ResourceLimitError):
+        partition_family(k, params, girth=2, cache_dir=str(tmp_path), memory_cap=small)
 
 
 def test_no_cache_dir_reads_no_environment(tmp_path, monkeypatch):

@@ -12,7 +12,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sawkit.counting import (
-    DEFAULT_MEMORY_CAP,
     MOVE_CHARS,
     CountTable,
     ResourceLimitError,
@@ -28,13 +27,26 @@ Z = FullLattice()
 
 
 def test_window_automaton_sizes():
-    assert len(window_automaton(1).windows) == 1 + 4 + 12
-    assert len(window_automaton(2).windows) == 1 + 4 + 12 + 36 + 100
-    auto = window_automaton(2)
-    # stepping back onto the previous point is always forbidden
-    for wid, w in enumerate(auto.windows):
-        if w:
-            assert auto.step_map[wid][w[-1] ^ 2] == -1
+    # girth: (windows, classes, classes holding a full window)
+    sizes = {1: (1 + 4 + 12, 5, 4), 2: (1 + 4 + 12 + 36 + 100, 21, 20), 3: (1217, 89, 84)}
+    for girth, (windows, classes, full_classes) in sizes.items():
+        auto = window_automaton(girth)
+        assert len(auto.windows) == windows
+        assert auto.classes == classes
+        assert len({auto.class_of[wid] for wid, w in enumerate(auto.windows) if len(w) == 2 * girth}) == full_classes
+        assert auto.empty_class == auto.class_of[auto.index[()]] == 0
+        for wid, w in enumerate(auto.windows):
+            c = auto.class_of[wid]
+            if w:  # stepping back onto the previous point is always forbidden
+                assert auto.step[c][w[-1] ^ 2] == auto.classes
+            # a class's moves are those of each of its windows
+            for d in range(4):
+                nxt = (w + (d,))[-2 * girth :]
+                if nxt in auto.index:
+                    assert auto.step[c][d] == auto.class_of[auto.index[nxt]]
+                else:
+                    assert auto.step[c][d] == auto.classes
+            assert auto.trans[c] == tuple((d, s) for d, s in enumerate(auto.step[c]) if s < auto.classes)
 
 
 def test_frozen_examples():
@@ -59,9 +71,15 @@ def test_completion_count_validation():
         table.completion_count((50, 50), "", 2)  # outside restriction box
     with pytest.raises(ValueError):
         table.low_girth_walk_count(5)  # wrong parity
+    with pytest.raises(ValueError):
+        table.completion_count((0, 0), "", 7)  # t beyond the longest length
+    # a short window that is not a prefix of walks from the origin is counted too
+    assert table.completion_count((2, 1), "U", 3) == _reference_counts(
+        BoxRegion(table.box), None, (2, 2), 2, 3, history=((2, 0), (2, 1))
+    )
+    # the one state a layer has no row for: 3 steps left, 5 steps from the origin
     with pytest.raises(TableDomainError):
-        # a short window that is not a prefix of walks from the origin
-        table.completion_count((2, 1), "U", 3)
+        table.completion_count((3, 2), "", 3)
 
 
 def test_memory_cap():
@@ -69,37 +87,23 @@ def test_memory_cap():
         build_table(Z, (0, 0), (150, 150), 5, 10)
 
 
-@pytest.mark.parametrize("compact,target,k", [(False, (10, 8), 3), (True, (20, 20), 4)])
-def test_memory_estimate_bounds_tracemalloc_peak(compact, target, k):
-    # the window automaton and numpy are loaded, and the cap that forces compact
-    # storage is found, outside the measurement
-    probe = build_table(Z, (0, 0), target, 2, k)
-    cap = probe._estimate_bytes(False) - 1 if compact else DEFAULT_MEMORY_CAP
-    del probe
+@pytest.mark.parametrize("target,k", [((10, 8), 3), ((20, 20), 4)])
+def test_memory_estimate_bounds_tracemalloc_peak(target, k):
+    build_table(Z, (0, 0), target, 2, k)  # the window automaton and numpy load outside the measurement
     tracemalloc.start()
     try:
-        table = build_table(Z, (0, 0), target, 2, k, memory_cap=cap)
+        table = build_table(Z, (0, 0), target, 2, k)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert all(isinstance(layer, _Frozen) == compact for layer in table.export_layers())
-    est = table._estimate_bytes(compact)
+    est = table._estimate_bytes()
     assert peak <= est
-    # Over-estimate, not a bound: measured 1.2-1.6x on these tables with
+    # Over-estimate, not a bound: measured 1.3-1.7x on these tables with
     # CPython 3 and numpy 1.x/2.x; the per-point, per-layer and per-cell
     # working-set constants are set by hand, so the ratio may drift with them.
     assert est <= 2.5 * peak
     with pytest.raises(ResourceLimitError):
-        build_table(Z, (0, 0), target, 2, k, memory_cap=table._estimate_bytes(True) - 1)
-
-
-def test_plain_storage_over_the_cap_switches_to_compact():
-    plain = build_table(Z, (0, 0), (10, 8), 2, 3)
-    cap = plain._estimate_bytes(False) - 1
-    assert plain._estimate_bytes(True) <= cap
-    table = build_table(Z, (0, 0), (10, 8), 2, 3, memory_cap=cap)
-    assert all(isinstance(layer, _Frozen) for layer in table.export_layers())
-    assert table.counts() == plain.counts()
+        build_table(Z, (0, 0), target, 2, k, memory_cap=est - 1)
 
 
 def test_memory_cap_checked_before_geometry(monkeypatch):
@@ -214,22 +218,6 @@ def test_all_sources_table():
             assert table.count_from(start, length) == want
 
 
-def _compact_cap(*args) -> int:
-    """A memory cap between the compact and the plain estimate of build_table(*args)."""
-    probe = build_table(*args)
-    lo, hi = probe._estimate_bytes(True), probe._estimate_bytes(False)
-    assert lo < hi
-    return (lo + hi) // 2
-
-
-def test_compact_layers_agree():
-    plain = build_table(Z, (0, 0), (3, 2), 2, 2)
-    compact = build_table(Z, (0, 0), (3, 2), 2, 2, memory_cap=_compact_cap(Z, (0, 0), (3, 2), 2, 2))
-    assert all(isinstance(layer, _Frozen) for layer in compact.export_layers())
-    assert plain.counts() == compact.counts()
-    assert compact.completion_count((1, 1), "UR", 5) == plain.completion_count((1, 1), "UR", 5)
-
-
 @pytest.mark.parametrize("width", [0, 1, 3, 8, 9, 17])
 def test_frozen_round_trip(width):
     top = (1 << 8 * width) - 1
@@ -237,25 +225,18 @@ def test_frozen_round_trip(width):
     frozen = _Frozen.from_ints(values)
     assert frozen.width == width and len(frozen) == len(values)
     assert frozen.tolist() == values
-    assert [frozen[i] for i in range(len(values))] == values
     with pytest.raises(ValueError, match="blob"):
         _Frozen(len(values) + 1, width or 1, frozen.blob)
 
 
 def test_export_import_layers():
-    args = (Z, (0, 0), (3, 2), 2, 2)
-    for cap in (DEFAULT_MEMORY_CAP, _compact_cap(*args)):
-        table = build_table(*args, memory_cap=cap)
-        layers = table.frozen_layers()
-        for load_cap in (DEFAULT_MEMORY_CAP, _compact_cap(*args)):
-            clone = CountTable(
-                table.region, table.target, table.girth, table.lengths,
-                origin=table.origin, memory_cap=load_cap, layers=layers,
-            )
-            assert clone.counts() == table.counts()
-            # the storage rule applies on load, whatever the layers were built under
-            plain = load_cap == DEFAULT_MEMORY_CAP
-            assert all(isinstance(layer, list) == plain for layer in clone.export_layers())
+    table = build_table(Z, (0, 0), (3, 2), 2, 2)
+    clone = CountTable(
+        table.region, table.target, table.girth, table.lengths, origin=table.origin, layers=table.frozen_layers()
+    )
+    assert clone.export_layers() == table.export_layers()
+    assert clone.counts() == table.counts()
+    assert clone.completion_count((1, 1), "UR", 5) == table.completion_count((1, 1), "UR", 5)
     short = table.frozen_layers()
     short[1] = _Frozen.from_ints(short[1].tolist()[:-1])
     with pytest.raises(ValueError, match="cells"):
@@ -295,9 +276,9 @@ def _dp_instances(draw):
 def test_dp_matches_oracle_on_small_regions(inst):
     """Every count the table answers equals a brute-force or top-down count.
 
-    The slab layers also compute cells no valid state reads (windows leaving
-    the region, short windows not from the origin); this checks that no
-    answered state is affected by them.
+    A cell is keyed by a window's class, not the window; this checks every
+    window of every class, short windows that are not walks from the origin
+    included, against a top-down count over the window's points.
     """
     region, pts, girth, target, origin, lengths = inst
     table = CountTable(region, target, girth, lengths, origin=origin)

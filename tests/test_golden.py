@@ -6,11 +6,7 @@ that keeps the exact counts and the random-number use must reproduce them.
 
 from pathlib import Path
 
-import pytest
-
 from sawkit.cli import main
-from sawkit.counting import build_table
-from sawkit.lattice import FullLattice, Point
 
 DATA = Path(__file__).parent / "data"
 
@@ -34,20 +30,13 @@ def test_glauber_run_golden(tmp_path, capsys):
     assert trace.read_bytes() == (DATA / "glauber_k4_seed3_trace.jsonl").read_bytes()
 
 
-@pytest.mark.parametrize("compact", [False, True], ids=["plain", "compact"])
-def test_sample_saw_golden(tmp_path, capsys, compact):
+def test_sample_saw_golden(tmp_path, capsys):
     out = tmp_path / "out"
-    extra = []
-    if compact:  # a memory cap the plain table exceeds and the compact one fits
-        probe = build_table(FullLattice(), Point(0, 0), Point(10, 8), 2, 3)
-        lo, hi = probe._estimate_bytes(True), probe._estimate_bytes(False)
-        assert lo < hi
-        extra = ["--memory-cap", str((lo + hi) // 2)]
     rc = main(["sample", "saw", "--n1", "10", "--n2", "8", "--k", "3", "--l", "2",
-               "--seed", "5", "--count", "20", "--out", str(out)] + extra)
+               "--seed", "5", "--count", "20", "--out", str(out)])
     assert rc == 0
     capsys.readouterr()
-    golden = DATA / ("saw_n10_8_k3_l2_seed5" + ("_compact" if compact else ""))
+    golden = DATA / "saw_n10_8_k3_l2_seed5"
     names = sorted(p.name for p in golden.iterdir())
     assert sorted(p.name for p in out.iterdir()) == names
     for name in names:

@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sawkit.lattice import FullLattice, Point, Walk
 from sawkit.paths import (
@@ -78,6 +80,30 @@ def test_unbump():
         unbump(Walk(Point(0, 0), "LU"))
     with pytest.raises(ValueError):
         unbump(Walk(Point(0, 0), "DRD"))
+
+
+@st.composite
+def _bumped_paths(draw):
+    """A monotone path and a set of pairwise non-adjacent straight indices of it."""
+    moves = draw(st.lists(st.sampled_from("RU"), max_size=16))
+    b = Walk(Point(0, 0), "".join(moves))
+    chosen = []
+    for i in straight_indices(b):
+        if (not chosen or i - chosen[-1] > 1) and draw(st.booleans()):
+            chosen.append(i)
+    return b, chosen
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_bumped_paths())
+def test_bump_unbump_round_trip(case):
+    b, m = case
+    assert is_non_adjacent(m)
+    a = bump(b, m)
+    assert len(a) == len(b) + 2 * len(m)
+    assert a.end == b.end
+    assert a.is_self_avoiding()
+    assert unbump(a) == b
 
 
 def test_base_path_of_shortest_path_is_itself():
