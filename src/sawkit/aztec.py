@@ -7,8 +7,27 @@ primal edge crosses exactly one interior dual edge, which is what turns a
 boundary-to-boundary path into a contiguous 2-partition and back.  A
 partition is stored as one bitmask over the sorted dual vertices
 (``_Diamond``), shared with the Glauber chain.
-"""
 
+Two facts let Algorithm 4 propose only walks it can accept (tested
+exhaustively on Omega for k <= 4 in tests/test_aztec.py):
+
+* Boundary.  The interior of a 2-partition's boundary path never touches
+  |x|+|y| = k.  A path that visits a boundary point b between its ends
+  splits at b into two boundary-to-boundary cuts.  Closed up by an arc of
+  the diamond's outline, each cut is a Jordan curve, which separates the
+  dual vertices (faces) on its two sides; the two cuts share only b, so
+  they leave at least three classes.  Conversely a self-avoiding path whose
+  interior stays off the boundary closes with either outline arc into one
+  Jordan curve and leaves exactly two connected classes.  No two boundary
+  points are adjacent (a step changes the parity of |x|+|y|), so the first
+  step from a boundary start always enters the interior.
+* Budget.  Around the outline the 8k outer dual edges and the 4k boundary
+  points alternate, two outer edges between cyclically consecutive
+  boundary points.  A cut of length L from s to t, m = ``arc_gap(k, s, t)``
+  boundary steps apart, therefore bounds the class on one arc by L + 2m
+  edges and the other by L + 2(4k - m).  Whether a partition is within
+  the budget is a property of (s, t, L) alone.
+"""
 from __future__ import annotations
 
 import hashlib
@@ -18,12 +37,12 @@ from dataclasses import dataclass
 from math import floor
 
 from .counting import DEFAULT_MEMORY_CAP, CountTable, _Frozen
-from .lattice import LatticeBox, Point, Region, Walk, boundary_points_in_box, manhattan, walk_through
-from .sampling import FamilyEntry, RngStream, SampleReport, SamplingBudgetError, make_family, sample_length_then_walk
+from .lattice import DIRECTIONS, LatticeBox, Point, Region, Walk, boundary_points_in_box, manhattan, step, walk_through
+from .sampling import Family, RngStream, SampleReport, SamplingBudgetError, make_family, sample_length_then_walk
 
 _CACHE_MAGIC = "sawkit-aztec-table"
-# 4: layers keyed by window class, and a SHA-256 of the layer bytes in the header
-_CACHE_VERSION = 4
+# 5: tables over the interior plus the target, odd lengths only
+_CACHE_VERSION = 5
 
 
 class AztecRegion(Region):
@@ -430,7 +449,7 @@ def _cache_header(k: int, girth: int, lengths, target: Point) -> dict:
 
 
 def _load_cached_table(
-    path: str, region: AztecRegion, target: Point, girth: int, lengths, memory_cap: int = DEFAULT_MEMORY_CAP
+    path: str, region: _InteriorRegion, target: Point, girth: int, lengths, memory_cap: int = DEFAULT_MEMORY_CAP
 ) -> CountTable | None:
     """The cached table at path; None (a miss) for a missing, unreadable,
     stale, malformed or corrupted file.
@@ -484,6 +503,51 @@ def _store_cached_table(path: str, table: CountTable) -> None:
     os.replace(tmp, path)
 
 
+def _boundary_position(k: int, p: Point) -> int:
+    """Index of a boundary point counterclockwise around the diamond from (k, 0)."""
+    x, y = p
+    if x > 0 and y >= 0:
+        return y
+    if x <= 0 and y > 0:
+        return k - x
+    if x < 0 and y <= 0:
+        return 2 * k - y
+    return 3 * k + x
+
+
+def arc_gap(k: int, s: Point, t: Point) -> int:
+    """Boundary steps counterclockwise from s to t; the other arc has 4k minus that."""
+    return (_boundary_position(k, t) - _boundary_position(k, s)) % (4 * k)
+
+
+class _InteriorRegion(Region):
+    """The interior {|x|+|y| <= k-1} of A_k' plus one boundary point, the target."""
+
+    bounded = True
+
+    def __init__(self, k: int, target: Point):
+        self.k = k
+        self.target = Point(*target)
+
+    def __contains__(self, p: tuple) -> bool:
+        return abs(p[0]) + abs(p[1]) < self.k or (p[0], p[1]) == self.target
+
+    def points(self):
+        return (p for p in aztec_region(self.k).points() if p in self)
+
+    def bounding_box(self) -> LatticeBox:
+        return aztec_region(self.k).bounding_box()
+
+
+def _target_table(k: int, params: OmegaParams, target: Point) -> tuple[_InteriorRegion, tuple[int, ...]]:
+    """Region and lengths of the all-sources table toward one boundary target.
+
+    The walk after the first step runs through the interior to the target,
+    so it has odd length below 2k + slack, the longest cut in the budget.
+    """
+    return _InteriorRegion(k, target), tuple(range(1, 2 * k + params.slack(k), 2))
+
+
 def partition_family(
     k: int,
     params: OmegaParams,
@@ -491,26 +555,29 @@ def partition_family(
     *,
     cache_dir: str | None = None,
     memory_cap: int = DEFAULT_MEMORY_CAP,
-) -> list[FamilyEntry]:
-    """All (endpoint pair, length) cells with their exact walk counts.
+) -> Family:
+    """The in-budget cells of boundary paths with their exact walk counts.
 
-    One all-sources table is built per target endpoint and reused across
-    every start; per-table layers are cached on disk when a cache dir is
-    given (``cache_dir=None`` means no cache).  Walk lengths run up to
-    2k + slack, the largest cut a partition inside the budget can have.
+    A cell is ((s, t), first move, L) for boundary points s < t: walks of
+    length L that step from s into the interior, stay there, and end with
+    a step onto t (the boundary fact of the module docstring).  Its label
+    is ((s, t), move), its start the interior point one step from s and
+    its length L - 1.  A cell is kept only if L + 2 * max(m, 4k - m) <= 6k
+    + slack, m = ``arc_gap(k, s, t)`` (the budget fact), so no cell holds
+    a walk that is over budget.
+
+    One all-sources table per target t, over the interior plus t
+    (``_target_table``), serves every start; the smallest boundary point
+    has no smaller start and gets none.  Per-table layers are cached on
+    disk when a cache dir is given (``cache_dir=None`` means no cache).
     """
-    region = aztec_region(k)
-    slack = params.slack(k)
     budget = params.budget(k)
-    max_len = 2 * k + slack
-    lengths = tuple(t for t in range(2, max_len + 1) if t % 2 == 0)
-    if not lengths:
-        raise ValueError("length budget below the shortest possible cut")
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
     bpts = boundary_vertices(k)
     raw_entries = []
-    for target in bpts:
+    for i, target in enumerate(bpts[1:], 1):
+        region, lengths = _target_table(k, params, target)
         table = None
         path = _cache_path(cache_dir, k, girth, budget, target) if cache_dir else None
         if path:
@@ -519,12 +586,15 @@ def partition_family(
             table = CountTable(region, target, girth, lengths, memory_cap=memory_cap)
             if path:
                 _store_cached_table(path, table)
-        for start in bpts:
-            if start >= target:
-                continue
-            d = manhattan(start, target)
-            for t in range(d, max_len + 1, 2):
-                raw_entries.append(((tuple(start), tuple(target)), table, start, t))
+        for s in bpts[:i]:
+            gap = arc_gap(k, s, target)
+            longest = budget - 2 * max(gap, 4 * k - gap)
+            for move in DIRECTIONS:
+                start = step(s, move)
+                if start not in region:
+                    continue
+                for length in range(manhattan(s, target), longest + 1, 2):
+                    raw_entries.append((((tuple(s), tuple(target)), move), table, start, length - 1))
     return make_family(raw_entries)
 
 
@@ -534,20 +604,29 @@ def sample_partition(
     girth: int,
     rng: RngStream,
     *,
-    family: list[FamilyEntry],
+    family: Family,
     max_attempts: int = 10000,
 ) -> tuple[Partition, SampleReport]:
     """One exactly-uniform partition from Omega, by proportional draw + rejection.
 
-    Draws (endpoint pair, length) proportional to the girth-restricted walk
-    count, samples a walk, and rejects non-self-avoiding walks, walks that
-    do not induce a 2-partition, and partitions over budget.  Each accepted
-    partition corresponds to exactly one (pair, length, walk) triple, so
-    acceptance leaves the uniform distribution on Omega.  ``family`` is
-    ``partition_family(k, params, girth)``.
+    Draws a cell of ``family`` (``partition_family(k, params, girth)``)
+    proportional to its exact girth-restricted walk count, samples the
+    rest of a walk from the cell's start and prepends the first move, so
+    ``rep.walk`` runs from s to t.  It rejects non-self-avoiding walks,
+    walks that do not induce a 2-partition and partitions over budget.
+
+    By the module docstring's two facts, the family leaves out only walks
+    that would be rejected: a path touching the boundary between its ends
+    induces no 2-partition, and a cell over budget holds no partition of
+    Omega.  So each partition of Omega is still exactly one (cell, walk)
+    pair, and acceptance leaves the uniform distribution on Omega.  Of the
+    three checks only self-avoidance can then reject; the other two stay
+    as guards of the two facts.
     """
     for attempt in range(1, max_attempts + 1):
-        _, walk = sample_length_then_walk(family, rng)
+        entry, rest = sample_length_then_walk(family, rng)
+        (s, _), move = entry.label
+        walk = Walk(Point(*s), move + rest.moves)
         if not walk.is_self_avoiding():
             continue
         try:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .counting import CountTable
 from .lattice import Point, Walk
@@ -127,30 +129,41 @@ class FamilyEntry:
     count: int
 
 
-def make_family(entries) -> list[FamilyEntry]:
-    """Materialize (label, table, start, length) tuples with their exact counts."""
+class Family(list):
+    """Family cells in draw order, with their running count totals.
+
+    ``cumulative[i]`` is the sum of the counts of cells 0..i, computed once
+    when the family is made; the cells must not change afterwards.
+    """
+
+    def __init__(self, entries=()):
+        super().__init__(entries)
+        self.cumulative = list(accumulate(e.count for e in self))
+
+
+def make_family(entries) -> Family:
+    """Materialize (label, table, start, length) tuples with their exact counts.
+
+    Cells without walks are dropped, so every cell of a family has a
+    positive count.
+    """
     out = []
     for label, table, start, length in entries:
         c = table.count_from(start, length)
         if c:
             out.append(FamilyEntry(label, table, Point(*start), length, c))
-    return out
+    return Family(out)
 
 
-def sample_length_then_walk(family: list[FamilyEntry], rng: RngStream) -> tuple[FamilyEntry, Walk]:
+def sample_length_then_walk(family: Family, rng: RngStream) -> tuple[FamilyEntry, Walk]:
     """Draw a family cell proportional to its exact count, then a walk in it.
 
     The joint distribution is uniform over the disjoint union of all walks
-    covered by the family.
+    covered by the family.  The cell is the first whose running total
+    exceeds a uniform pick below the family total.
     """
-    total = sum(e.count for e in family)
-    if total == 0:
-        raise ValueError("all counts in the family are zero")
-    pick = uniform_bignat(rng, total)
-    acc = 0
-    for entry in family:
-        acc += entry.count
-        if pick < acc:
-            walk = sample_low_girth_walk_from(entry.table, rng, entry.start, entry.length)
-            return entry, walk
-    raise AssertionError("unreachable: cumulative weights exhausted")
+    if not family:
+        raise ValueError("the family has no cells")
+    cumulative = family.cumulative
+    entry = family[bisect_right(cumulative, uniform_bignat(rng, cumulative[-1]))]
+    return entry, sample_low_girth_walk_from(entry.table, rng, entry.start, entry.length)

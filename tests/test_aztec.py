@@ -2,6 +2,8 @@ import json
 import math
 import pickle
 from collections import Counter
+from functools import cache
+from statistics import NormalDist
 
 import pytest
 
@@ -9,7 +11,9 @@ from sawkit.aztec import (
     OmegaParams,
     _cache_path,
     _load_cached_table,
+    _target_table,
     anchor_vertex,
+    arc_gap,
     aztec_region,
     boundary_vertices,
     dual_vertices,
@@ -168,6 +172,60 @@ def test_sample_partition_stays_in_omega():
         assert rep.attempts >= 1
 
 
+def test_cache_holds_one_table_per_target_with_a_smaller_start(tmp_path):
+    k = 2
+    partition_family(k, OmegaParams(2, 0.5), girth=2, cache_dir=str(tmp_path))
+    files = sorted(f.name for f in tmp_path.iterdir())
+    assert len(files) == 4 * k - 1 and all(f.endswith(".layers") for f in files)
+    smallest = boundary_vertices(k)[0]
+    assert not any(f.endswith(f"-t{smallest.x}_{smallest.y}.layers") for f in files)
+
+
+@cache
+def _omega(k, C):
+    return enumerate_omega(k, OmegaParams(C, 0.5))
+
+
+@pytest.mark.parametrize("k, C", [(1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3)])
+def test_boundary_path_facts_hold_on_omega(k, C):
+    # the two facts the family prunes by, on every partition of Omega
+    boundary = set(boundary_vertices(k))
+    for p in _omega(k, C):
+        pts = partition_to_path(p).points()
+        assert boundary.isdisjoint(pts[1:-1])
+        L, m = len(pts) - 1, arc_gap(k, pts[0], pts[-1])
+        assert sorted(p.boundary_sizes) == sorted((L + 2 * m, L + 2 * (4 * k - m)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_family_weight_is_omega_at_girth_2(k):
+    # girth 2 and slack <= 4 leave no room for a cycle: every walk is accepted
+    fam = partition_family(k, OmegaParams(2, 0.5), girth=2)
+    assert sum(e.count for e in fam) == len(_omega(k, 2))
+
+
+def _wilson(successes, n, confidence):
+    z = NormalDist().inv_cdf((1 + confidence) / 2)
+    p = successes / n
+    centre = (p + z * z / (2 * n)) / (1 + z * z / n)
+    half = z / (1 + z * z / n) * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
+    return centre - half, centre + half
+
+
+@pytest.mark.parametrize("k, C, girth, weight, size", [(3, 3, 1, 802, 526), (4, 2, 1, 8902, 6206)])
+def test_acceptance_is_omega_over_family_weight(k, C, girth, weight, size):
+    # every walk of Omega is in the family exactly once, so acceptance is |Omega| / W
+    params = OmegaParams(C, 0.5)
+    fam = partition_family(k, params, girth)
+    assert sum(e.count for e in fam) == weight
+    assert len(_omega(k, C)) == size
+    rng = RngStream(7001)
+    accepted = 5000
+    proposals = sum(sample_partition(k, params, girth, rng, family=fam)[1].attempts for _ in range(accepted))
+    lo, hi = _wilson(accepted, proposals, 0.999)
+    assert lo <= size / weight <= hi
+
+
 def _family_key(fam):
     return [(e.label, e.length, e.count) for e in fam]
 
@@ -207,7 +265,10 @@ def _plant(f, plant):
     f.write_bytes(data)
 
 
-@pytest.mark.parametrize("plant", ["non-json", "non-dict", "version-1", "version-2", "version-3", "truncated", "trailing", "cells", "flipped"])
+@pytest.mark.parametrize(
+    "plant",
+    ["non-json", "non-dict", "version-1", "version-2", "version-3", "version-4", "truncated", "trailing", "cells", "flipped"],
+)
 def test_table_cache_foreign_file_is_a_miss(tmp_path, plant):
     params = OmegaParams(2, 0.5)
     want = _family_key(partition_family(2, params, girth=2))
@@ -216,9 +277,8 @@ def test_table_cache_foreign_file_is_a_miss(tmp_path, plant):
     stored = {f: f.read_bytes() for f in files}
     for f in files:
         _plant(f, plant)
-    region = aztec_region(2)
-    lengths = tuple(range(2, 2 * 2 + params.slack(2) + 1, 2))
-    for target in boundary_vertices(2):
+    for target in boundary_vertices(2)[1:]:
+        region, lengths = _target_table(2, params, target)
         path = _cache_path(str(tmp_path), 2, 2, params.budget(2), target)
         assert _load_cached_table(path, region, target, 2, lengths) is None
     got = partition_family(2, params, girth=2, cache_dir=str(tmp_path))
@@ -254,8 +314,11 @@ def test_table_cache_never_runs_code(tmp_path):
 
 def test_cache_load_checks_the_memory_cap(tmp_path):
     k, params = 2, OmegaParams(2, 0.5)
-    lengths = tuple(range(2, 2 * k + params.slack(k) + 1, 2))
-    small = min(CountTable(aztec_region(k), t, 2, lengths)._estimate_bytes() for t in boundary_vertices(k)) - 1
+    estimates = []
+    for t in boundary_vertices(k)[1:]:
+        region, lengths = _target_table(k, params, t)
+        estimates.append(CountTable(region, t, 2, lengths)._estimate_bytes())
+    small = min(estimates) - 1
     with pytest.raises(ResourceLimitError):
         partition_family(k, params, girth=2, cache_dir=str(tmp_path / "cold"), memory_cap=small)
     partition_family(k, params, girth=2, cache_dir=str(tmp_path))
