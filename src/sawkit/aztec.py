@@ -34,15 +34,15 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from math import floor
+from math import floor, isfinite
 
 from .counting import DEFAULT_MEMORY_CAP, CountTable, _Frozen
 from .lattice import DIRECTIONS, LatticeBox, Point, Region, Walk, boundary_points_in_box, manhattan, step, walk_through
 from .sampling import Family, RngStream, SampleReport, SamplingBudgetError, make_family, sample_length_then_walk
 
 _CACHE_MAGIC = "sawkit-aztec-table"
-# 5: tables over the interior plus the target, odd lengths only
-_CACHE_VERSION = 5
+# 6: the header pins the sources; tables built for the starts and lengths of one target's cells
+_CACHE_VERSION = 6
 
 
 class AztecRegion(Region):
@@ -64,10 +64,6 @@ class AztecRegion(Region):
             r = k - abs(x)
             for y in range(-r, r + 1):
                 yield Point(x, y)
-
-    def bounding_box(self) -> LatticeBox:
-        k = self.k
-        return LatticeBox(Point(-k, -k), Point(k, k))
 
     def __repr__(self) -> str:
         return f"AztecRegion(k={self.k})"
@@ -346,8 +342,8 @@ class OmegaParams:
     eps: float
 
     def __post_init__(self) -> None:
-        if self.C <= 0:
-            raise ValueError("C must be positive")
+        if not (isfinite(self.C) and self.C > 0):
+            raise ValueError(f"C must be a positive finite number, got {self.C}")
         if not 0 < self.eps <= 1:
             raise ValueError("eps must lie in (0, 1]")
 
@@ -437,7 +433,7 @@ def _cache_path(cache_dir: str, k: int, girth: int, budget: int, target: Point) 
     return os.path.join(cache_dir, f"aztec-k{k}-l{girth}-b{budget}-t{target.x}_{target.y}.layers")
 
 
-def _cache_header(k: int, girth: int, lengths, target: Point) -> dict:
+def _cache_header(k: int, girth: int, lengths, target: Point, sources) -> dict:
     return {
         "magic": _CACHE_MAGIC,
         "version": _CACHE_VERSION,
@@ -445,11 +441,18 @@ def _cache_header(k: int, girth: int, lengths, target: Point) -> dict:
         "girth": girth,
         "lengths": list(lengths),
         "endpoint": list(target),
+        "sources": [list(s) for s in sources],
     }
 
 
 def _load_cached_table(
-    path: str, region: _InteriorRegion, target: Point, girth: int, lengths, memory_cap: int = DEFAULT_MEMORY_CAP
+    path: str,
+    region: _InteriorRegion,
+    target: Point,
+    girth: int,
+    lengths: tuple[int, ...],
+    sources: tuple[Point, ...],
+    memory_cap: int = DEFAULT_MEMORY_CAP,
 ) -> CountTable | None:
     """The cached table at path; None (a miss) for a missing, unreadable,
     stale, malformed or corrupted file.
@@ -464,7 +467,7 @@ def _load_cached_table(
             if not isinstance(header, dict):
                 return None
             shapes, digest = header.pop("layers", None), header.pop("sha256", None)
-            if header != _cache_header(region.k, girth, lengths, target) or not isinstance(shapes, list):
+            if header != _cache_header(region.k, girth, lengths, target, sources) or not isinstance(shapes, list):
                 return None
             if not all(
                 isinstance(s, list) and len(s) == 2 and all(type(v) is int and v >= 0 for v in s) for s in shapes
@@ -478,7 +481,7 @@ def _load_cached_table(
     if _layers_digest(layers) != digest:
         return None  # a flipped byte passes every check above and skews the counts
     try:
-        return CountTable(region, target, girth, lengths, memory_cap=memory_cap, layers=layers)
+        return CountTable(region, target, girth, lengths, sources=sources, memory_cap=memory_cap, layers=layers)
     except ValueError:
         return None
 
@@ -492,7 +495,7 @@ def _layers_digest(layers: list[_Frozen]) -> str:
 
 def _store_cached_table(path: str, table: CountTable) -> None:
     layers = table.frozen_layers()
-    header = _cache_header(table.region.k, table.girth, table.lengths, table.target)
+    header = _cache_header(table.region.k, table.girth, table.lengths, table.target, table.sources)
     header["layers"] = [[layer.width, len(layer)] for layer in layers]
     header["sha256"] = _layers_digest(layers)
     tmp = path + ".tmp"
@@ -535,18 +538,6 @@ class _InteriorRegion(Region):
     def points(self):
         return (p for p in aztec_region(self.k).points() if p in self)
 
-    def bounding_box(self) -> LatticeBox:
-        return aztec_region(self.k).bounding_box()
-
-
-def _target_table(k: int, params: OmegaParams, target: Point) -> tuple[_InteriorRegion, tuple[int, ...]]:
-    """Region and lengths of the all-sources table toward one boundary target.
-
-    The walk after the first step runs through the interior to the target,
-    so it has odd length below 2k + slack, the longest cut in the budget.
-    """
-    return _InteriorRegion(k, target), tuple(range(1, 2 * k + params.slack(k), 2))
-
 
 def partition_family(
     k: int,
@@ -566,10 +557,11 @@ def partition_family(
     + slack, m = ``arc_gap(k, s, t)`` (the budget fact), so no cell holds
     a walk that is over budget.
 
-    One all-sources table per target t, over the interior plus t
-    (``_target_table``), serves every start; the smallest boundary point
-    has no smaller start and gets none.  Per-table layers are cached on
-    disk when a cache dir is given (``cache_dir=None`` means no cache).
+    Each target t with a cell gets one table over the interior plus t,
+    built for its cells: their starts are its sources and their lengths
+    its lengths.  A target without cells, the smallest boundary point
+    among them, gets no table.  Per-table layers are cached on disk when a
+    cache dir is given (``cache_dir=None`` means no cache).
     """
     budget = params.budget(k)
     if cache_dir:
@@ -577,15 +569,8 @@ def partition_family(
     bpts = boundary_vertices(k)
     raw_entries = []
     for i, target in enumerate(bpts[1:], 1):
-        region, lengths = _target_table(k, params, target)
-        table = None
-        path = _cache_path(cache_dir, k, girth, budget, target) if cache_dir else None
-        if path:
-            table = _load_cached_table(path, region, target, girth, lengths, memory_cap)
-        if table is None:
-            table = CountTable(region, target, girth, lengths, memory_cap=memory_cap)
-            if path:
-                _store_cached_table(path, table)
+        region = _InteriorRegion(k, target)
+        cells = []
         for s in bpts[:i]:
             gap = arc_gap(k, s, target)
             longest = budget - 2 * max(gap, 4 * k - gap)
@@ -594,7 +579,20 @@ def partition_family(
                 if start not in region:
                     continue
                 for length in range(manhattan(s, target), longest + 1, 2):
-                    raw_entries.append((((tuple(s), tuple(target)), move), table, start, length - 1))
+                    cells.append((((tuple(s), tuple(target)), move), start, length - 1))
+        if not cells:
+            continue
+        sources = tuple(sorted({start for _, start, _ in cells}))
+        lengths = tuple(sorted({length for _, _, length in cells}))
+        table = None
+        path = _cache_path(cache_dir, k, girth, budget, target) if cache_dir else None
+        if path:
+            table = _load_cached_table(path, region, target, girth, lengths, sources, memory_cap)
+        if table is None:
+            table = CountTable(region, target, girth, lengths, sources=sources, memory_cap=memory_cap)
+            if path:
+                _store_cached_table(path, table)
+        raw_entries += [(label, table, start, length) for label, start, length in cells]
     return make_family(raw_entries)
 
 

@@ -255,6 +255,8 @@ def _cmd_render(args) -> int:
     else:
         from .aztec import path_to_partition
 
+        if args.k is None:
+            raise ValueError("render partition needs --k, the diamond order")
         walk = Walk.from_text(args.walk)
         doc = render_partition_svg(path_to_partition(args.k, walk))
     if args.output:
@@ -279,6 +281,9 @@ def _cmd_verify(args) -> int:
             print(text)
         return 0
     selected = [int(x) for x in args.criteria.split(",")] if args.criteria else None
+    unknown = sorted(set(selected or ()) - {number for number, _, _ in acceptance.CRITERIA})
+    if unknown:
+        raise ValueError(f"unknown criteria {unknown}; the criteria are numbered 1..{len(acceptance.CRITERIA)}")
     results = acceptance.run_criteria(selected)
     ok = all(r.passed for r in results)
     return 0 if ok else 1

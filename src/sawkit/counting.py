@@ -1,4 +1,4 @@
-"""Exact DP counts of girth-restricted walks over a region.
+"""Exact DP counts of girth-restricted walks from a set of sources to a target.
 
 A walk's suffix window is the move sequence of its most recent
 min(2l, steps-taken) steps; stepping onto any window point is forbidden,
@@ -8,14 +8,21 @@ collide from both) give the same count from every point, so states are
 keyed by (point, class, remaining steps), the class being the window's
 Nerode class in the window automaton (see ``WindowAutomaton``).
 
+A table is built for a set of sources and a set of lengths, and one rule
+sizes it: layer t (t steps left) holds a point iff the point can sit t
+steps from the target within the length budget, that is, it is at most t
+steps from the target, of t's parity, and at most max_length - t steps from
+its nearest source.  The sampler for one origin passes one source; the
+Aztec family passes every start its cells of one target read.
+
 The table is filled iteratively by remaining-steps layer (layer t reads
 only layer t-1).  Layer t is one dense slab of exact Python integers: a
-row for every point that can sit t steps from the target within the length
-budget, a column for every class, and one zero row and one zero column
-that every miss is sent to (a step off the region, a colliding step, a
-point the layer does not hold).  A layer update is four gathers of the
-previous slab and three adds.  A finished layer is one flat list of ints;
-fixed-width bytes (``_Frozen``) are its serialized form only.
+row for every point the rule puts in the layer, a column for every class,
+and one zero row and one zero column that every miss is sent to (a step
+off the region, a colliding step, a point the layer does not hold).  A
+layer update is four gathers of the previous slab and three adds.  A
+finished layer is one flat list of ints; fixed-width bytes (``_Frozen``)
+are its serialized form only.
 """
 
 from __future__ import annotations
@@ -196,16 +203,14 @@ def _int_bytes(bits: int) -> int:
 
 
 class CountTable:
-    """Layered exact counts of girth-restricted continuations toward a target.
+    """Layered exact counts of girth-restricted walks from its sources to a target.
 
-    In origin mode (``origin`` given) the table covers walks origin->target
-    of each length in ``lengths``; its layers hold only the points a walk
-    from the origin can reach within the length budget.  In all-sources mode
-    (``origin=None``, used for the Aztec sampler) the table answers counts
-    from any start point in the region for every covered length.  Both
-    modes share one build: states are keyed by (point, class, t), and
-    layer t is a dense slab over its rows x every class of the window
-    automaton (see the module docstring and ``_size_layers``).
+    The table covers walks from each point of ``sources`` to ``target`` of
+    each length in ``lengths``; layer t holds the points the rule of the
+    module docstring keeps, and its band of pids and the restriction box
+    follow from the same rule (see ``_size_layers``).  States are keyed by
+    (point, class, t), and layer t is a dense slab over its rows x every
+    class of the window automaton.
 
     Finished layers have one storage form, a flat list of ints, whether
     built or passed in (``layers``, as ``_Frozen``).  A table whose
@@ -220,37 +225,37 @@ class CountTable:
         girth: int,
         lengths,
         *,
-        origin: Point | None = None,
-        box: LatticeBox | None = None,
+        sources,
         memory_cap: int = DEFAULT_MEMORY_CAP,
         layers: list | None = None,
     ):
         target = Point(*target)
         if target not in region:
             raise ValueError(f"target {target} outside region")
-        if origin is not None:
-            origin = Point(*origin)
-            if origin not in region:
-                raise ValueError(f"origin {origin} outside region")
+        sources = tuple(sorted({Point(*s) for s in sources}))
+        if not sources:
+            raise ValueError("a table needs at least one source")
+        for s in sources:
+            if s not in region:
+                raise ValueError(f"source {s} outside region")
         lengths = tuple(sorted(set(int(x) for x in lengths)))
         if not lengths or lengths[0] < 0:
             raise ValueError("lengths must be nonnegative")
         self.region = region
         self.target = target
-        self.origin = origin
+        self.sources = sources
+        self._source_set = frozenset(sources)
         self.girth = girth
         self.lengths = lengths
         self._length_set = frozenset(lengths)
         self.max_length = lengths[-1]
         self.auto = window_automaton(girth)
-
-        if box is None:
-            if origin is not None:
-                margin = max(0, (self.max_length - manhattan(origin, target)) // 2)
-                box = LatticeBox.spanning(origin, target).expand(margin)
-            else:
-                box = region.bounding_box()
-        self.box = box
+        # every walk from a source s stays within (max_length - d(s, target)) // 2 of span(s, target)
+        dists = [manhattan(s, target) for s in sources]
+        self._dist_range = min(dists), max(dists)
+        xs, ys = zip(*sources, target)
+        margin = max(0, (self.max_length - self._dist_range[0]) // 2)
+        self.box = LatticeBox(Point(min(xs), min(ys)), Point(max(xs), max(ys))).expand(margin)
 
         self._size_layers()
         est_bytes = self._estimate_bytes()
@@ -267,7 +272,18 @@ class CountTable:
         else:
             self.import_layers(layers)
 
+    @property
+    def origin(self) -> Point:
+        """The one source of a single-source table; ValueError for several."""
+        if len(self.sources) != 1:
+            raise ValueError(f"table has {len(self.sources)} sources; use count_from")
+        return self.sources[0]
+
     # -- layer plan ----------------------------------------------------------
+
+    def _source_distance(self, x: int, y: int) -> int:
+        """Steps from (x, y) to its nearest source."""
+        return min([abs(x - sx) + abs(y - sy) for sx, sy in self.sources])
 
     def _size_layers(self) -> None:
         """Rows of every layer, from one pass over the box.
@@ -275,29 +291,23 @@ class CountTable:
         Nothing per point is stored here, so the memory cap is checked
         before the geometry exists.  Points are numbered by (parity,
         distance d to the target) (see ``_build_geometry``).  Layer t has
-        a row for each point that can sit t steps from the target within
-        the budget: d <= t of t's parity and, in origin mode, at most
-        max_length - t steps from the origin.  By the triangle inequality
-        these rows lie in one run of pids, ``_band[t]``: the points of t's
-        parity with t - slack <= d <= max_length + D - t in origin mode
-        (D the origin-target distance, slack = max_length - D) and d <= t
-        in all-sources mode.  Every layer has a column per class, class c
-        in column c; the last column (the colliding-step index ``classes``)
-        is zero, as is the last row.
+        a row for each point with d <= t of t's parity and at most
+        max_length - t steps from its nearest source.  By the triangle
+        inequality these rows lie in one run of pids, ``_band[t]``: the
+        points of t's parity with t - max_length + D_min <= d <= max_length
+        + D_max - t, D_min and D_max the least and greatest source-target
+        distance.  Every layer has a column per class, class c in column
+        c; the last column (the colliding-step index ``classes``) is zero,
+        as is the last row.
         """
-        box, region = self.box, self.region
+        region = self.region
         max_len = self.max_length
-        if self.target not in box:
-            raise ValueError("target outside the restriction box")
-        if self.origin is not None and self.origin not in box:
-            raise ValueError("origin outside the restriction box")
         tx, ty = self.target
-        ox, oy = self.origin if self.origin is not None else self.target
         per_parity = [0, 0]
         per_d = [0] * (max_len + 1)  # points at each target distance
         # each point is a row of layers d, d + 2, ..., last; +1 at d, -1 after last
         delta = [0] * (max_len + 3)
-        for x, y in box.points():
+        for x, y in self.box.points():
             if (x, y) not in region:
                 continue
             d = abs(x - tx) + abs(y - ty)
@@ -305,26 +315,23 @@ class CountTable:
             if d > max_len:
                 continue
             per_d[d] += 1
-            last = max_len if self.origin is None else max_len - abs(x - ox) - abs(y - oy)
+            last = max_len - self._source_distance(x, y)
             if last >= d:
                 delta[d] += 1
                 delta[last - (last - d) % 2 + 2] -= 1
         self._npts = sum(per_parity)
-        if not self._npts:
-            raise ValueError("restricted region is empty")
         first = [0] * (max_len + 1)  # first pid at each target distance
         run = [0, per_parity[0]]
         for d in range(max_len + 1):
             first[d] = run[d & 1]
             run[d & 1] += per_d[d]
-        dist = manhattan(self.origin, self.target) if self.origin is not None else 0
+        d_min, d_max = self._dist_range
         self._nrows, self._band = [], []
         for t in range(max_len + 1):
             self._nrows.append(delta[t] + (self._nrows[t - 2] if t >= 2 else 0))
-            lo, hi = (0, t) if self.origin is None else (t - max_len + dist, max_len + dist - t)
-            lo = max(lo, t % 2)
+            lo = max(t - max_len + d_min, t % 2)
             lo += (lo - t) % 2
-            hi = min(hi, t)
+            hi = min(max_len + d_max - t, t)
             hi -= (t - hi) % 2
             self._band.append((first[lo], first[hi] + per_d[hi]) if lo <= hi else (0, 0))
 
@@ -353,23 +360,19 @@ class CountTable:
     # -- geometry ------------------------------------------------------------
 
     def _build_geometry(self) -> None:
-        region, box = self.region, self.box
+        region = self.region
         tx, ty = self.target
 
         def parity_distance(p: Point) -> tuple[int, int]:
             d = abs(p[0] - tx) + abs(p[1] - ty)
             return d & 1, d
 
-        pts = sorted((p for p in box.points() if p in region), key=parity_distance)
+        pts = sorted((p for p in self.box.points() if p in region), key=parity_distance)
         self._pts = pts
         self._pid = pid = {p: i for i, p in enumerate(pts)}
         self._target_pid = pid[self.target]
         self._dist_target = array("l", [abs(p[0] - tx) + abs(p[1] - ty) for p in pts])
-        if self.origin is not None:
-            ox, oy = self.origin
-            self._dist_origin = array("l", [abs(p[0] - ox) + abs(p[1] - oy) for p in pts])
-        else:
-            self._dist_origin = None
+        self._dist_source = array("l", [self._source_distance(x, y) for x, y in pts])
         # neighbour pid per direction; len(pts) stands for a step off the region
         n = len(pts)
         self._nbr = [tuple(pid.get((x + _DX[d], y + _DY[d]), n) for d in range(4)) for (x, y) in pts]
@@ -383,13 +386,12 @@ class CountTable:
         """
         import numpy as np  # loaded by the first table, not by every sawkit import
 
-        d_o = None if self._dist_origin is None else np.asarray(self._dist_origin)
+        d_s = np.asarray(self._dist_source)
         active, self._rows = [], []
         for t in range(self.max_length + 1):
             lo, hi = self._band[t]
             rows = np.arange(lo, hi)
-            if d_o is not None:
-                rows = rows[d_o[lo:hi] <= self.max_length - t]
+            rows = rows[d_s[lo:hi] <= self.max_length - t]
             stride = self.auto.classes + 1
             row_of = np.full(hi - lo + 1, len(rows) * stride, dtype=np.intp)
             row_of[rows - lo] = np.arange(len(rows)) * stride
@@ -433,12 +435,10 @@ class CountTable:
         return self._vals[t][(rows[i] if 0 <= i < len(rows) else rows[-1]) + c]
 
     def counts(self) -> dict[int, int]:
-        """Walk count for every covered length (origin mode)."""
+        """Walk count for every covered length, from the table's one source."""
         return {L: self.low_girth_walk_count(L) for L in self.lengths}
 
     def low_girth_walk_count(self, length: int) -> int:
-        if self.origin is None:
-            raise ValueError("table has no fixed origin; use count_from")
         return self.count_from(self.origin, length)
 
     def count_from(self, start: Point, length: int) -> int:
@@ -446,9 +446,8 @@ class CountTable:
 
         Trivial zeros come first: a start outside the region, length 0, a
         target out of reach or of the wrong parity give an exact 0 or 1
-        from any start.  Otherwise an origin-mode table raises
-        TableDomainError for a start other than its origin, a state it
-        does not cover.
+        from any start.  Otherwise a start that is not one of the table's
+        sources raises TableDomainError, a state it does not cover.
         """
         start = Point(*start)
         if length not in self._length_set:
@@ -460,10 +459,9 @@ class CountTable:
         d = manhattan(start, self.target)
         if d > length or (d - length) % 2:
             return 0
-        p = self._pid.get(start)
-        if p is None or (self.origin is not None and start != self.origin):
-            raise TableDomainError("origin-mode table only counts walks from its origin")
-        return self._cell(length, p, self.auto.empty_class)
+        if start not in self._source_set:
+            raise TableDomainError(f"start {start} is not a source of the table")
+        return self._cell(length, self._pid[start], self.auto.empty_class)
 
     def completion_count(self, point: Point, window_moves: str, t: int) -> int:
         """Admissible t-step continuations from (point, window) to the target.
@@ -471,9 +469,9 @@ class CountTable:
         The window is the move string of the most recent steps (newest
         last); the count depends only on its class.  Raises ValueError for
         an invalid window, a point outside the restricted region, a window
-        leaving it, or t out of range, and TableDomainError in origin mode
-        for a point more than max_length - t steps from the origin, the one
-        state layer t has no row for.
+        leaving it, or t out of range, and TableDomainError for a point
+        more than max_length - t steps from every source, the one state
+        layer t has no row for.
         """
         point = Point(*point)
         codes = tuple(MOVE_CHARS.index(c) for c in window_moves)
@@ -492,8 +490,8 @@ class CountTable:
             return 1 if p == self._target_pid else 0
         if self._dist_target[p] > t or (self._dist_target[p] - t) % 2:
             return 0
-        if self._dist_origin is not None and self._dist_origin[p] > self.max_length - t:
-            raise TableDomainError("state not reachable from the origin within budget")
+        if self._dist_source[p] > self.max_length - t:
+            raise TableDomainError("state not reachable from a source within budget")
         return self._cell(t, p, self.auto.class_of[wid])
 
     # -- sampler support -------------------------------------------------------
@@ -555,14 +553,7 @@ def build_table(
     """Table for walks origin -> target of lengths n, n+2, ..., n+2*extra."""
     if extra < 0:
         raise ValueError("extra steps must be >= 0")
-    n = manhattan(Point(*origin), Point(*target))
+    origin, target = Point(*origin), Point(*target)
+    n = manhattan(origin, target)
     lengths = [n + 2 * j for j in range(extra + 1)]
-    return CountTable(
-        region,
-        Point(*target),
-        girth,
-        lengths,
-        origin=Point(*origin),
-        memory_cap=memory_cap,
-    )
-
+    return CountTable(region, target, girth, lengths, sources=[origin], memory_cap=memory_cap)

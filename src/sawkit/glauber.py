@@ -208,6 +208,8 @@ def run_chain(
     """
     from .aztec import staircase_partition
 
+    if record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every}")
     if start is None:
         start = staircase_partition(k)
     state = make_chain(k, params, start, rng)
@@ -254,7 +256,6 @@ def transition_counts(omega: list[Partition], params: OmegaParams) -> tuple[list
 
 
 def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 

@@ -164,8 +164,8 @@ class LatticeBox:
 class Region:
     """Membership predicate over lattice points.
 
-    Bounded regions report a finite vertex set via :meth:`points` and a
-    :meth:`bounding_box`; membership is pure and deterministic.
+    Bounded regions report a finite vertex set via :meth:`points`;
+    membership is pure and deterministic.
     """
 
     bounded: bool = False
@@ -175,9 +175,6 @@ class Region:
 
     def points(self) -> Iterator[Point]:
         raise ValueError("unbounded region has no finite vertex set")
-
-    def bounding_box(self) -> LatticeBox:
-        raise ValueError("unbounded region has no bounding box")
 
 
 class FullLattice(Region):
@@ -206,9 +203,6 @@ class BoxRegion(Region):
     def points(self) -> Iterator[Point]:
         return self.box.points()
 
-    def bounding_box(self) -> LatticeBox:
-        return self.box
-
     def __repr__(self) -> str:
         return f"BoxRegion({self.box.lo} .. {self.box.hi})"
 
@@ -228,11 +222,6 @@ class PointSetRegion(Region):
 
     def points(self) -> Iterator[Point]:
         return iter(sorted(self._pts))
-
-    def bounding_box(self) -> LatticeBox:
-        xs = [p.x for p in self._pts]
-        ys = [p.y for p in self._pts]
-        return LatticeBox(Point(min(xs), min(ys)), Point(max(xs), max(ys)))
 
 
 def neighbors(p: Point) -> list[Point]:

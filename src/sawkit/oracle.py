@@ -167,8 +167,6 @@ def enumerate_partitions(k: int, params, budget: int | None = None, cap: int = D
     (the budget excludes partitions whose cut does not reach the outer
     boundary).  Both engines agree at k <= 2 (tested).
     """
-    from . import aztec
-
     if k > cap:
         raise ValueError(f"exhaustive partition enumeration capped at k={cap}")
     if budget is None:

@@ -73,9 +73,7 @@ class SampleReport:
 
 
 def sample_low_girth_walk(table: CountTable, rng: RngStream, length: int) -> Walk:
-    """One exactly-uniform girth-restricted walk of the given length."""
-    if table.origin is None:
-        raise ValueError("table has no origin; use sample_low_girth_walk_from")
+    """One exactly-uniform girth-restricted walk of the given length from the table's one source."""
     return sample_low_girth_walk_from(table, rng, table.origin, length)
 
 

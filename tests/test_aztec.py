@@ -3,6 +3,7 @@ import math
 import pickle
 from collections import Counter
 from functools import cache
+from pathlib import Path
 from statistics import NormalDist
 
 import pytest
@@ -11,7 +12,6 @@ from sawkit.aztec import (
     OmegaParams,
     _cache_path,
     _load_cached_table,
-    _target_table,
     anchor_vertex,
     arc_gap,
     aztec_region,
@@ -27,7 +27,7 @@ from sawkit.aztec import (
     staircase_partition,
     width_certificate,
 )
-from sawkit.counting import CountTable, ResourceLimitError
+from sawkit.counting import ResourceLimitError
 from sawkit.glauber import enumerate_omega
 from sawkit.lattice import Point, Walk, boundary
 from sawkit.sampling import RngStream
@@ -172,13 +172,20 @@ def test_sample_partition_stays_in_omega():
         assert rep.attempts >= 1
 
 
-def test_cache_holds_one_table_per_target_with_a_smaller_start(tmp_path):
-    k = 2
-    partition_family(k, OmegaParams(2, 0.5), girth=2, cache_dir=str(tmp_path))
+def _tables(fam):
+    """The distinct tables a family's cells read, in family order."""
+    return list({id(e.table): e.table for e in fam}.values())
+
+
+def test_cache_holds_one_file_per_table_the_family_reads(tmp_path):
+    k, params = 2, OmegaParams(2, 0.5)
+    fam = partition_family(k, params, girth=2, cache_dir=str(tmp_path))
     files = sorted(f.name for f in tmp_path.iterdir())
-    assert len(files) == 4 * k - 1 and all(f.endswith(".layers") for f in files)
-    smallest = boundary_vertices(k)[0]
-    assert not any(f.endswith(f"-t{smallest.x}_{smallest.y}.layers") for f in files)
+    want = sorted(Path(_cache_path(str(tmp_path), k, 2, params.budget(k), t.target)).name for t in _tables(fam))
+    assert files == want and len(files) == 6
+    # the smallest boundary point has no smaller start; (-1, -1) has no in-budget cell
+    for t in (boundary_vertices(k)[0], Point(-1, -1)):
+        assert not any(f.endswith(f"-t{t.x}_{t.y}.layers") for f in files)
 
 
 @cache
@@ -251,6 +258,9 @@ def _plant(f, plant):
     elif plant.startswith("version-"):
         header["version"] = int(plant.split("-")[1])
         data = json.dumps(header).encode() + b"\n" + blobs
+    elif plant == "sources":  # one source moved, shapes and layer bytes unchanged
+        header["sources"][-1] = [99, 99]
+        data = json.dumps(header).encode() + b"\n" + blobs
     elif plant == "truncated":
         data = data[:-1]
     elif plant == "trailing":
@@ -267,20 +277,22 @@ def _plant(f, plant):
 
 @pytest.mark.parametrize(
     "plant",
-    ["non-json", "non-dict", "version-1", "version-2", "version-3", "version-4", "truncated", "trailing", "cells", "flipped"],
+    [
+        "non-json", "non-dict", "version-1", "version-2", "version-3", "version-4", "version-5", "sources",
+        "truncated", "trailing", "cells", "flipped",
+    ],
 )
 def test_table_cache_foreign_file_is_a_miss(tmp_path, plant):
     params = OmegaParams(2, 0.5)
     want = _family_key(partition_family(2, params, girth=2))
-    partition_family(2, params, girth=2, cache_dir=str(tmp_path))
+    tables = _tables(partition_family(2, params, girth=2, cache_dir=str(tmp_path)))
     files = sorted(tmp_path.iterdir())
     stored = {f: f.read_bytes() for f in files}
     for f in files:
         _plant(f, plant)
-    for target in boundary_vertices(2)[1:]:
-        region, lengths = _target_table(2, params, target)
-        path = _cache_path(str(tmp_path), 2, 2, params.budget(2), target)
-        assert _load_cached_table(path, region, target, 2, lengths) is None
+    for t in tables:
+        path = _cache_path(str(tmp_path), 2, 2, params.budget(2), t.target)
+        assert _load_cached_table(path, t.region, t.target, 2, t.lengths, t.sources) is None
     got = partition_family(2, params, girth=2, cache_dir=str(tmp_path))
     assert _family_key(got) == want
     assert sorted(tmp_path.iterdir()) == files  # the misses were rebuilt and stored again
@@ -314,11 +326,7 @@ def test_table_cache_never_runs_code(tmp_path):
 
 def test_cache_load_checks_the_memory_cap(tmp_path):
     k, params = 2, OmegaParams(2, 0.5)
-    estimates = []
-    for t in boundary_vertices(k)[1:]:
-        region, lengths = _target_table(k, params, t)
-        estimates.append(CountTable(region, t, 2, lengths)._estimate_bytes())
-    small = min(estimates) - 1
+    small = min(t._estimate_bytes() for t in _tables(partition_family(k, params, girth=2))) - 1
     with pytest.raises(ResourceLimitError):
         partition_family(k, params, girth=2, cache_dir=str(tmp_path / "cold"), memory_cap=small)
     partition_family(k, params, girth=2, cache_dir=str(tmp_path))

@@ -201,3 +201,42 @@ def test_regime_warning(capsys):
                "--seed", "2", "--count", "1"])
     assert rc == 0
     assert "regime" in capsys.readouterr().err
+
+
+def _usage_error(capsys, argv) -> str:
+    """The stderr of a command that must exit 1 with a one-line typed error."""
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
+def test_glauber_run_record_every_zero_exits_1(capsys):
+    err = _usage_error(capsys, ["glauber", "run", "--k", "2", "--C", "3", "--eps", "0.5", "--steps", "10",
+                                "--seed", "1", "--record-every", "0"])
+    assert "record_every" in err
+
+
+def test_render_partition_without_k_exits_1(capsys):
+    assert "--k" in _usage_error(capsys, ["render", "partition", "--walk", "(-1,0)RR"])
+
+
+@pytest.mark.parametrize("C", ["inf", "nan"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["aztec", "sample", "--k", "2", "--eps", "0.5", "--l", "2", "--seed", "1"],
+        ["glauber", "run", "--k", "2", "--eps", "0.5", "--steps", "10", "--seed", "1"],
+        ["glauber", "conductance", "--k", "2", "--eps", "0.5"],
+        ["oracle", "enumerate", "--kind", "partitions", "--k", "2", "--eps", "0.5"],
+    ],
+    ids=["aztec-sample", "glauber-run", "glauber-conductance", "oracle-partitions"],
+)
+def test_non_finite_C_exits_1(capsys, argv, C):
+    assert "C must be a positive finite number" in _usage_error(capsys, argv + ["--C", C])
+
+
+@pytest.mark.parametrize("criteria,unknown", [("14", "[14]"), ("0,99", "[0, 99]"), ("3,14", "[14]")])
+def test_verify_unknown_criteria_exits_1(capsys, criteria, unknown):
+    err = _usage_error(capsys, ["verify", "--criteria", criteria])
+    assert f"unknown criteria {unknown}" in err

@@ -201,7 +201,7 @@ def test_count_from_trivial_zeros_before_domain():
     assert table.count_from((5, 5), 3) == 0  # outside the region
     wide = build_table(Z, (0, 0), (1, 0), 1, 1)
     assert wide.count_from((-1, 1), 1) == 0  # distance 3 > length 1, parity right
-    # within reach and of the right parity: the origin-mode table does not cover it
+    # within reach and of the right parity: not a source, so the table does not cover it
     with pytest.raises(TableDomainError):
         wide.count_from((-1, 1), 3)
     with pytest.raises(TableDomainError):
@@ -211,11 +211,19 @@ def test_count_from_trivial_zeros_before_domain():
 
 def test_all_sources_table():
     region = BoxRegion(LatticeBox(Point(0, 0), Point(3, 3)))
-    table = CountTable(region, Point(3, 3), 2, (2, 4, 6))
+    table = CountTable(region, Point(3, 3), 2, (2, 4, 6), sources=region.points())
     for start in (Point(3, 1), Point(1, 1), Point(0, 3)):
         for length in (2, 4, 6):
             want = enumerate_low_girth_walks(region, start, Point(3, 3), length, 2).count
             assert table.count_from(start, length) == want
+
+
+def test_sources_must_be_nonempty_and_in_region():
+    region = BoxRegion(LatticeBox(Point(0, 0), Point(3, 3)))
+    with pytest.raises(ValueError, match="at least one source"):
+        CountTable(region, Point(3, 3), 2, (2,), sources=[])
+    with pytest.raises(ValueError, match="outside region"):
+        CountTable(region, Point(3, 3), 2, (2,), sources=[(3, 1), (4, 3)])
 
 
 @pytest.mark.parametrize("width", [0, 1, 3, 8, 9, 17])
@@ -232,7 +240,7 @@ def test_frozen_round_trip(width):
 def test_export_import_layers():
     table = build_table(Z, (0, 0), (3, 2), 2, 2)
     clone = CountTable(
-        table.region, table.target, table.girth, table.lengths, origin=table.origin, layers=table.frozen_layers()
+        table.region, table.target, table.girth, table.lengths, sources=table.sources, layers=table.frozen_layers()
     )
     assert clone.export_layers() == table.export_layers()
     assert clone.counts() == table.counts()
@@ -240,15 +248,21 @@ def test_export_import_layers():
     short = table.frozen_layers()
     short[1] = _Frozen.from_ints(short[1].tolist()[:-1])
     with pytest.raises(ValueError, match="cells"):
-        CountTable(table.region, table.target, table.girth, table.lengths, origin=table.origin, layers=short)
+        CountTable(table.region, table.target, table.girth, table.lengths, sources=table.sources, layers=short)
     with pytest.raises(TypeError, match="fixed-width"):
-        CountTable(table.region, table.target, table.girth, table.lengths, origin=table.origin,
+        CountTable(table.region, table.target, table.girth, table.lengths, sources=table.sources,
                    layers=table.frozen_layers()[:-1] + [table.frozen_layers()[-1].tolist()])
 
 
 @st.composite
 def _dp_instances(draw):
-    """A small box or holed point-set region, girth 1..3, one of the two table modes."""
+    """A small box or holed point-set region, girth 1..3, and a nonempty source set.
+
+    The sources are one point, a few, or the whole region.  With one source
+    the band's two ends come from the same source-target distance, so only
+    several sources at different distances check that each end takes the
+    right one.
+    """
     w, h = draw(st.integers(0, 3)), draw(st.integers(1, 3))
     box_pts = [(x, y) for x in range(w + 1) for y in range(h + 1)]
     if draw(st.booleans()):
@@ -261,14 +275,16 @@ def _dp_instances(draw):
         region = PointSetRegion(pts)
     girth = draw(st.integers(1, 3))
     target = Point(*draw(st.sampled_from(pts)))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(("one", "few", "all")))
+    if kind == "one":
         origin = Point(*draw(st.sampled_from(pts)))
+        sources = [origin]
         d = abs(origin.x - target.x) + abs(origin.y - target.y)
         lengths = [d + 2 * j for j in range(draw(st.integers(0, 2)) + 1)]
     else:
-        origin = None
+        sources = pts if kind == "all" else draw(st.lists(st.sampled_from(pts), min_size=2, max_size=4))
         lengths = draw(st.lists(st.integers(0, 7), min_size=1, max_size=3))
-    return region, pts, girth, target, origin, lengths
+    return region, pts, girth, target, {Point(*p) for p in sources}, lengths
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -277,20 +293,20 @@ def test_dp_matches_oracle_on_small_regions(inst):
     """Every count the table answers equals a brute-force or top-down count.
 
     A cell is keyed by a window's class, not the window; this checks every
-    window of every class, short windows that are not walks from the origin
+    window of every class, short windows that are not walks from a source
     included, against a top-down count over the window's points.
     """
-    region, pts, girth, target, origin, lengths = inst
-    table = CountTable(region, target, girth, lengths, origin=origin)
-    for start in pts:
+    region, pts, girth, target, sources, lengths = inst
+    table = CountTable(region, target, girth, lengths, sources=sources)
+    for start in map(Point._make, pts):
         for length in table.lengths:
-            want = enumerate_low_girth_walks(region, Point(*start), target, length, girth).count
-            try:
-                got = table.count_from(start, length)
-            except TableDomainError:
-                assert origin is not None and start != origin
-                continue
-            assert got == want
+            want = enumerate_low_girth_walks(region, start, target, length, girth).count
+            d = abs(start.x - target.x) + abs(start.y - target.y)
+            if start in sources or length == 0 or d > length or (d - length) % 2:
+                assert table.count_from(start, length) == want
+            else:  # a reachable start that is not a source
+                with pytest.raises(TableDomainError):
+                    table.count_from(start, length)
     auto = table.auto
     memo = {}
     answered = 0
