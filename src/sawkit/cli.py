@@ -83,6 +83,11 @@ def _manifest(args, command: tuple[str, str]) -> dict:
     }
 
 
+def _check_count(args) -> None:
+    if args.count < 0:
+        raise ValueError(f"--count must be >= 0, got {args.count}")
+
+
 def _walk_json(walk: Walk, attempts: int) -> dict:
     return {
         "start": [walk.start.x, walk.start.y],
@@ -130,6 +135,7 @@ def _cmd_paths_bump(args) -> int:
 
 
 def _cmd_sample_saw(args) -> int:
+    _check_count(args)
     n = args.n1 + args.n2
     _regime_warning(n, args.k, args.l)
     region = _parse_region(args.region)
@@ -162,6 +168,7 @@ def _cmd_sample_saw(args) -> int:
 
 
 def _cmd_aztec_sample(args) -> int:
+    _check_count(args)
     params = OmegaParams(args.C, args.eps)
     rng = RngStream(args.seed)
     family = partition_family(args.k, params, args.l, cache_dir=args.cache_dir,

@@ -212,6 +212,12 @@ class CountTable:
     (point, class, t), and layer t is a dense slab over its rows x every
     class of the window automaton.
 
+    Every cell of a layer t >= 1 is the sum of its successors' cells in
+    layer t - 1, one per non-colliding move, with a step off the region or
+    onto a point layer t - 1 does not hold counting 0: the four gathers of
+    the build read exactly those cells.  ``draw_moves`` rests on this, as
+    each step draws below its own state's count.
+
     Finished layers have one storage form, a flat list of ints, whether
     built or passed in (``layers``, as ``_Frozen``).  A table whose
     estimate exceeds ``memory_cap`` raises ResourceLimitError, before
@@ -494,28 +500,50 @@ class CountTable:
             raise TableDomainError("state not reachable from a source within budget")
         return self._cell(t, p, self.auto.class_of[wid])
 
-    # -- sampler support -------------------------------------------------------
+    # -- sampling ---------------------------------------------------------------
 
-    def start_state(self, start: Point) -> tuple[int, int]:
+    def draw_moves(self, start: Point, length: int, rng) -> str:
+        """The moves of one walk start -> target drawn in proportion to the counts.
+
+        Each step draws a pick below its state's own count, exactly as
+        ``sampling.uniform_bignat`` does (no draw for a count of 1, else
+        ``rng.getrandbits(count.bit_length())`` until the value is below
+        the count), and takes the successor, in ``auto.trans`` order, whose
+        count the pick falls in.  The pick is never used up by the
+        successors, as every state's count is the sum of theirs; a table
+        that breaks this raises AssertionError.  A start with no walk of
+        that length raises ValueError.
+        """
         start = Point(*start)
-        p = self._pid.get(start)
-        if p is None:
-            raise ValueError(f"start {start} outside the restricted region")
-        return p, self.auto.empty_class
-
-    def step_options(self, pid: int, cls: int, t: int) -> list[tuple[str, int, int, int]]:
-        """(move, next_pid, next_class, count) for each admissible next step."""
-        rows, vals = self._rows[t - 1], self._vals[t - 1]
-        lo, nr = self._band[t - 1][0], len(rows)
-        nb = self._nbr[pid]
-        out = []
-        for d, cls2 in self.auto.trans[cls]:
-            q = nb[d]
-            if 0 <= q - lo < nr:  # a point outside the band has count 0
-                c = vals[rows[q - lo] + cls2]
-                if c:
-                    out.append((MOVE_CHARS[d], q, cls2, c))
-        return out
+        count = self.count_from(start, length)
+        if not count:
+            raise ValueError(f"no girth-restricted walk of length {length} from {start}")
+        getrandbits = rng.getrandbits
+        trans, nbr, band, all_rows, all_vals = self.auto.trans, self._nbr, self._band, self._rows, self._vals
+        p, c = self._pid[start], self.auto.empty_class
+        moves = []
+        for t in range(length - 1, -1, -1):
+            if count == 1:
+                pick = 0
+            else:
+                bits = count.bit_length()
+                pick = getrandbits(bits)
+                while pick >= count:
+                    pick = getrandbits(bits)
+            rows, vals, lo = all_rows[t], all_vals[t], band[t][0]
+            nr, nb = len(rows), nbr[p]
+            for d, c2 in trans[c]:
+                i = nb[d] - lo
+                if 0 <= i < nr:  # a point outside the band has count 0
+                    count = vals[rows[i] + c2]
+                    if pick < count:
+                        break
+                    pick -= count
+            else:
+                raise AssertionError(f"successors of state (pid {p}, class {c}, t {t + 1}) sum below its count")
+            moves.append(MOVE_CHARS[d])
+            p, c = nb[d], c2
+        return "".join(moves)
 
     # -- persistence -----------------------------------------------------------
 

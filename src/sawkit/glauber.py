@@ -208,6 +208,8 @@ def run_chain(
     """
     from .aztec import staircase_partition
 
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
     if start is None:

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, NamedTuple
 
 DIRECTIONS = "URDL"
 
 _DISPLACEMENT = {"U": (0, 1), "R": (1, 0), "D": (0, -1), "L": (-1, 0)}
 _REVERSE = {"U": "D", "D": "U", "L": "R", "R": "L"}
+_MOVE_SET = frozenset(_DISPLACEMENT)
 
 _WALK_TEXT = re.compile(r"^\((-?\d+),(-?\d+)\)([URDL]*)$")
 
@@ -60,7 +62,7 @@ class Walk:
     moves: str = ""
 
     def __post_init__(self) -> None:
-        if not isinstance(self.moves, str) or any(m not in _DISPLACEMENT for m in self.moves):
+        if not isinstance(self.moves, str) or not _MOVE_SET.issuperset(self.moves):
             raise ValueError("moves must be a string over U, R, D, L")
         object.__setattr__(self, "start", Point(*self.start))
 
@@ -88,9 +90,15 @@ class Walk:
         return pts
 
     def is_self_avoiding(self) -> bool:
-        """True iff all visited points are pairwise distinct."""
-        pts = self.points()
-        return len(set(pts)) == len(pts)
+        """True iff all visited points are pairwise distinct.
+
+        A point at offset (x, y) from the start, |x|, |y| <= len, is the int
+        x + y * (2 * len + 1), one per point; the running sums of the
+        per-move deltas are those ints.
+        """
+        w = 2 * len(self.moves) + 1
+        delta = {"U": w, "R": 1, "D": -w, "L": -1}
+        return len(set(accumulate(map(delta.__getitem__, self.moves), initial=0))) == len(self.moves) + 1
 
     def to_text(self) -> str:
         """Canonical text codec: ``(x,y)`` followed by the move string."""

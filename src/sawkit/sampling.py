@@ -1,9 +1,12 @@
 """Exact proportional sampling of girth-restricted walks, rejection to SAWs.
 
-Every random choice is made with exact integer weights via uniform_bignat
-(rejection on fixed-width random blocks), never floating point, so the
-sampled distribution is exactly proportional to the DP counts.  Identical
-seed and stream id reproduce identical output bit for bit.
+Every random choice follows one rule with exact integer weights, never
+floating point: to draw below a count, take ``getrandbits`` of the count's
+bit length until the value is below it (no draw for a count of 1).
+``uniform_bignat`` applies the rule to pick a family cell and
+``CountTable.draw_moves`` applies it inline at every step of a walk, so
+the sampled distribution is exactly proportional to the DP counts.
+Identical seed and stream id reproduce identical output bit for bit.
 """
 
 from __future__ import annotations
@@ -39,12 +42,11 @@ class RngStream:
         self.stream = int(stream)
         digest = hashlib.sha256(f"sawkit.rng:{self.seed}:{self.stream}".encode()).digest()
         self._rng = random.Random(int.from_bytes(digest, "big"))
+        # the generator's own method: rng.getrandbits(k) costs no wrapper frame
+        self.getrandbits = self._rng.getrandbits
 
     def substream(self, stream: int) -> "RngStream":
         return RngStream(self.seed, stream)
-
-    def getrandbits(self, k: int) -> int:
-        return self._rng.getrandbits(k)
 
     def uniform_int(self, bound: int) -> int:
         return uniform_bignat(self, bound)
@@ -78,23 +80,8 @@ def sample_low_girth_walk(table: CountTable, rng: RngStream, length: int) -> Wal
 
 
 def sample_low_girth_walk_from(table: CountTable, rng: RngStream, start: Point, length: int) -> Walk:
-    total = table.count_from(start, length)
-    if total == 0:
-        raise ValueError(f"no girth-restricted walk of length {length} from {start}")
-    pid, cls = table.start_state(start)
-    moves = []
-    for t in range(length, 0, -1):
-        options = table.step_options(pid, cls, t)
-        total = sum(c for _, _, _, c in options)
-        pick = uniform_bignat(rng, total)
-        acc = 0
-        for move, pid2, cls2, c in options:
-            acc += c
-            if pick < acc:
-                moves.append(move)
-                pid, cls = pid2, cls2
-                break
-    return Walk(Point(*start), "".join(moves))
+    """One exactly-uniform girth-restricted walk of the given length from a source of the table."""
+    return Walk(Point(*start), table.draw_moves(start, length, rng))
 
 
 def sample_saw(

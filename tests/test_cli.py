@@ -240,3 +240,25 @@ def test_non_finite_C_exits_1(capsys, argv, C):
 def test_verify_unknown_criteria_exits_1(capsys, criteria, unknown):
     err = _usage_error(capsys, ["verify", "--criteria", criteria])
     assert f"unknown criteria {unknown}" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["sample", "saw", "--n1", "2", "--n2", "2", "--k", "1", "--l", "2", "--seed", "1", "--count", "-1"],
+         "--count must be >= 0, got -1"),
+        (["aztec", "sample", "--k", "2", "--C", "3", "--eps", "0.5", "--l", "2", "--seed", "1", "--count", "-3"],
+         "--count must be >= 0, got -3"),
+        (["glauber", "run", "--k", "2", "--C", "3", "--eps", "0.5", "--steps", "-5", "--seed", "1"],
+         "steps must be >= 0, got -5"),
+    ],
+    ids=["sample-saw-count", "aztec-sample-count", "glauber-run-steps"],
+)
+def test_negative_size_exits_1(capsys, tmp_path, argv, message):
+    """A negative sample count or chain length is a typed error: no output, no manifest."""
+    out = tmp_path / "run"
+    extra = [] if argv[0] == "glauber" else ["--out", str(out)]
+    assert main(argv + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == "" and not out.exists()

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sawkit.aztec import aztec_region
 from sawkit.lattice import (
@@ -107,3 +109,30 @@ def test_box_validation():
         LatticeBox(Point(1, 0), Point(0, 0))
     box = LatticeBox.spanning(Point(3, -1), Point(0, 4))
     assert box.lo == (0, -1) and box.hi == (3, 4)
+
+
+_INVERSE = str.maketrans("URDL", "DLUR")
+
+_move_strings = st.one_of(
+    st.text("URDL", max_size=40),
+    st.text("URDL", min_size=200, max_size=260),
+    # out and back along the same moves: every such walk returns to its start
+    st.text("URDL", max_size=120).map(lambda m: m + m[::-1].translate(_INVERSE)),
+    # monotone, so self-avoiding, then a short tail that may run into it
+    st.tuples(st.text("UR", min_size=200, max_size=260), st.text("URDL", max_size=6)).map("".join),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.tuples(st.integers(-50, 50), st.integers(-50, 50)), _move_strings)
+def test_is_self_avoiding_matches_distinct_points(start, moves):
+    """The int encoding of the points agrees with the set of ``points()``."""
+    walk = Walk(Point(*start), moves)
+    pts = walk.points()
+    assert walk.is_self_avoiding() == (len(set(pts)) == len(pts))
+
+
+def test_walk_rejects_moves_outside_urdl():
+    for moves in ("RX", "u", "R" * 300 + " ", "UR\n"):
+        with pytest.raises(ValueError, match="U, R, D, L"):
+            Walk(Point(0, 0), moves)

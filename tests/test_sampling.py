@@ -1,10 +1,14 @@
+import copy
 import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sawkit.counting import build_table
-from sawkit.lattice import BoxRegion, FullLattice, LatticeBox, Point
+from sawkit.aztec import OmegaParams, partition_family
+from sawkit.counting import CountTable, build_table
+from sawkit.lattice import BoxRegion, FullLattice, LatticeBox, Point, PointSetRegion, step
 from sawkit.oracle import enumerate_low_girth_walks, uniformity_test
 from sawkit.sampling import (
     RngStream,
@@ -12,6 +16,7 @@ from sawkit.sampling import (
     make_family,
     sample_length_then_walk,
     sample_low_girth_walk,
+    sample_low_girth_walk_from,
     sample_saw,
     uniform_bignat,
 )
@@ -142,3 +147,94 @@ def test_family_all_zero():
     assert make_family([("x", table, Point(0, 1), 3)]) == []
     with pytest.raises(ValueError):
         sample_length_then_walk([], RngStream(16))
+
+
+def _reference_moves(table: CountTable, start: Point, length: int, rng: RngStream) -> str:
+    """Proportional descent from public calls only, the successor counts summed at every step.
+
+    The moves that do not collide with the window are listed in URDL order,
+    each weighted by ``completion_count`` of its next state (a ValueError is
+    a 0: a step off the region), and one is drawn with ``uniform_bignat``
+    over their sum.
+    """
+    span = 2 * table.girth
+    pts, window, moves = [Point(*start)], "", ""
+    for t in range(length, 0, -1):
+        options = []
+        for m in "URDL":
+            q = step(pts[-1], m)
+            if q in pts[-span - 1 :]:
+                continue
+            w = (window + m)[-span:]
+            try:
+                options.append((m, q, w, table.completion_count(q, w, t - 1)))
+            except ValueError:
+                options.append((m, q, w, 0))
+        pick = uniform_bignat(rng, sum(c for *_, c in options))
+        for m, q, w, c in options:
+            if pick < c:
+                break
+            pick -= c
+        moves, window = moves + m, w
+        pts.append(q)
+    return moves
+
+
+@st.composite
+def _descent_cases(draw):
+    """(table, start, length): one-source tables on a box or Z^2, and Aztec family cells for k <= 3."""
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 3))
+        family = partition_family(k, OmegaParams(draw(st.sampled_from((2, 3))), 0.5), draw(st.integers(1, 3)))
+        entry = draw(st.sampled_from(family))
+        return entry.table, entry.start, entry.length
+    girth = draw(st.integers(1, 3))
+    target = Point(draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+    region = FullLattice()
+    if draw(st.booleans()):
+        lo = Point(min(0, target.x) - draw(st.integers(0, 2)), min(0, target.y) - draw(st.integers(0, 2)))
+        hi = Point(max(0, target.x) + draw(st.integers(0, 2)), max(0, target.y) + draw(st.integers(0, 2)))
+        region = BoxRegion(LatticeBox(lo, hi))
+    table = build_table(region, Point(0, 0), target, girth, draw(st.integers(0, 3)))
+    length = draw(st.sampled_from([L for L in table.lengths if table.count_from(table.origin, L)]))
+    return table, table.origin, length
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_descent_cases(), st.integers(0, 2**32))
+def test_draw_moves_matches_reference_descent(case, seed):
+    """Same seed, same walk and the same random bits used, as a descent that sums successors."""
+    table, start, length = case
+    for stream in range(3):
+        rng, ref = RngStream(seed, stream), RngStream(seed, stream)
+        moves = table.draw_moves(start, length, rng)
+        assert moves == _reference_moves(table, start, length, ref)
+        assert rng.getrandbits(64) == ref.getrandbits(64)
+
+
+def test_draw_moves_guard_on_inconsistent_counts():
+    """A layer whose cells no longer sum to the counts above it fails at the first step."""
+    table = build_table(Z, (0, 0), (3, 2), 2, 2)
+    length = 9
+    count = table.count_from(table.origin, length)
+    broken = copy.copy(table)
+    broken._vals = list(table._vals)
+    broken._vals[length - 1] = [0] * len(table._vals[length - 1])
+    rng, first_pick = RngStream(5), RngStream(5)
+    with pytest.raises(AssertionError):
+        broken.draw_moves(table.origin, length, rng)
+    uniform_bignat(first_pick, count)  # the one draw of the first step
+    assert rng.getrandbits(64) == first_pick.getrandbits(64)
+    assert len(table.draw_moves(table.origin, length, RngStream(5))) == length  # the original is untouched
+
+
+def test_draw_moves_zero_count_raises_value_error():
+    # (1, 0) is missing, so no walk of length 2 joins the two points
+    table = CountTable(PointSetRegion([(0, 0), (2, 0), (0, 1)]), (2, 0), 1, [2], sources=[(0, 0)])
+    assert table.count_from((0, 0), 2) == 0
+    parity = build_table(Z, (0, 0), (1, 1), 1, 1)
+    for tab, start, length in ((table, Point(0, 0), 2), (parity, Point(0, 1), 2)):
+        with pytest.raises(ValueError, match="no girth-restricted walk"):
+            tab.draw_moves(start, length, RngStream(1))
+        with pytest.raises(ValueError, match="no girth-restricted walk"):
+            sample_low_girth_walk_from(tab, RngStream(1), start, length)
