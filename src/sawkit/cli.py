@@ -221,9 +221,10 @@ def _cmd_glauber_run(args) -> int:
 
 
 def _cmd_glauber_conductance(args) -> int:
-    from .glauber import conductance_of_cut, enumerate_omega, ordered_endpoints
+    from .glauber import check_open_cuts, conductance_of_cut, enumerate_omega, ordered_endpoints
 
     params = OmegaParams(args.C, args.eps)
+    check_open_cuts(args.k, params)
     omega = enumerate_omega(args.k, params, cap=args.cap)
     rep = conductance_of_cut(omega, params, ordered_endpoints)
     print(f"k={args.k} |Omega|={rep.state_count} |S|={rep.cut_size}")

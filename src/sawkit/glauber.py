@@ -7,6 +7,27 @@ symmetric-proposal variant has a symmetric transition matrix, so the
 uniform distribution on the state space is stationary.  Conductance and
 the mixing-time lower bound 1/(4*Phi) are computed in exact rational
 arithmetic on exhaustively enumerated state spaces.
+
+Each step costs only the flipped vertex's neighbourhood, by two locality
+facts:
+
+* Endpoints.  Flipping face v toggles the cut edges on the sides of v's
+  primal square that lie inside the diamond.  An interior face toggles all
+  four sides, so each corner twice, and the cut's endpoints (its
+  odd-degree points) stay.  A face with |a|+|b| = 2k has its two outer
+  sides outside, so only its two corners on |x|+|y| = k change parity:
+  they swap into or out of the endpoint set.  No face has one or three
+  outer sides.
+* Connectivity.  Removing v from its class keeps the class connected iff
+  v's neighbours in it stay in one component, since any path to v ends
+  through one of them.  The check first floods inside v's radius-2
+  neighbourhood; a local path is a real path, so when the flood reaches
+  every neighbour the answer is exact, and only otherwise does it flood
+  the whole class.
+
+Budgets of 8k + 4 or more (k >= 2) admit a class enclosed by the other:
+one interior face has boundary 4 and its complement 8k + 4.  Such a cut
+is a closed curve with no endpoints, so the chain refuses those budgets.
 """
 
 from __future__ import annotations
@@ -40,8 +61,18 @@ def _flip_valid(d: _Diamond, budget: int, mask: int, b_in: int, b_out: int, v: i
     new_b_join = b_out - other + od + same
     if max(new_b_leave, new_b_join) > budget:
         return None
-    if same > 1 and not d.connected(leaving ^ bit):
-        return None
+    if same > 1:
+        rest = leaving ^ bit
+        nbrs = d.nbr_masks
+        ring = nbrs[v] & rest
+        near = nbrs[v]
+        f = near
+        while f:
+            b = f & -f
+            near |= nbrs[b.bit_length() - 1]
+            f ^= b
+        if d.component(ring & -ring, rest & near) & ring != ring and not d.connected(rest):
+            return None
     return new_b_leave, new_b_join
 
 
@@ -66,7 +97,11 @@ def _flips(d: _Diamond, budget: int, p: Partition):
 
 @dataclass
 class ChainState:
-    """Mutable Glauber chain state; the current partition is always in Omega."""
+    """Mutable Glauber chain state; the current partition is always in Omega.
+
+    ``odd`` holds the odd-degree points of the cut, its two endpoints, and
+    is replaced (never mutated) when a flip changes them.
+    """
 
     diamond: _Diamond
     params: OmegaParams
@@ -74,6 +109,7 @@ class ChainState:
     mask: int
     b_mask: int
     b_comp: int
+    odd: frozenset[Point]
     rng: RngStream
     step: int = 0
     moves: int = 0
@@ -86,10 +122,24 @@ class ChainState:
         return Partition(d.k, d.all_mask ^ self.mask, (self.b_comp, self.b_mask))
 
     def endpoints(self) -> tuple[Point, Point]:
-        return self.diamond.cut_endpoints(self.mask)
+        if len(self.odd) != 2:
+            raise ValueError("cut does not have exactly two endpoints")
+        a, b = sorted(self.odd)
+        return a, b
+
+
+def check_open_cuts(k: int, params: OmegaParams) -> None:
+    """ValueError when Omega's budget admits a closed cut (a class enclosed by the other)."""
+    budget = params.budget(k)
+    if k >= 2 and budget >= 8 * k + 4:
+        raise ValueError(
+            f"budget {budget} >= 8k+4 = {8 * k + 4} admits a class enclosed by the other, "
+            "whose cut has no endpoints; lower C"
+        )
 
 
 def make_chain(k: int, params: OmegaParams, start: Partition, rng: RngStream) -> ChainState:
+    check_open_cuts(k, params)
     d = _Diamond.get(k)
     if max(start.boundary_sizes) > params.budget(k):
         raise ValueError("start partition outside Omega")
@@ -100,6 +150,7 @@ def make_chain(k: int, params: OmegaParams, start: Partition, rng: RngStream) ->
         mask=start.mask,
         b_mask=start.boundary_sizes[0],
         b_comp=start.boundary_sizes[1],
+        odd=frozenset(d.cut_endpoints(start.mask)),
         rng=rng,
     )
 
@@ -115,6 +166,12 @@ def glauber_step(state: ChainState) -> bool:
     state.mask ^= 1 << v
     state.b_mask, state.b_comp = res
     state.moves += 1
+    if d.outside_deg[v]:
+        # an outer face: its two corners on |x|+|y| = k change parity
+        a, b = d.verts[v]
+        sa = 1 if a > 0 else -1
+        sb = 1 if b > 0 else -1
+        state.odd = state.odd ^ {Point((a + sa) // 2, (b - sb) // 2), Point((a - sa) // 2, (b + sb) // 2)}
     return True
 
 
@@ -215,18 +272,18 @@ def run_chain(
     if start is None:
         start = staircase_partition(k)
     state = make_chain(k, params, start, rng)
-    d = state.diamond
 
     def snapshot() -> tuple:
         a, b = state.endpoints()
         return (state.step, (tuple(a), tuple(b)), cur_in_s, (state.b_mask, state.b_comp))
 
     cur_in_s = _ordered(state.endpoints())
+    odd = state.odd
     trace = ChainTrace(k=k, steps=steps, crossings=0, moves=0)
     trace.records.append(snapshot())
     for i in range(1, steps + 1):
-        moved = glauber_step(state)
-        if moved:
+        if glauber_step(state) and state.odd is not odd:
+            odd = state.odd
             new_in_s = _ordered(state.endpoints())
             if new_in_s != cur_in_s:
                 trace.crossings += 1

@@ -236,6 +236,22 @@ def test_non_finite_C_exits_1(capsys, argv, C):
     assert "C must be a positive finite number" in _usage_error(capsys, argv + ["--C", C])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["glauber", "run", "--k", "2", "--eps", "0.5", "--steps", "200000", "--seed", "1"],
+        ["glauber", "conductance", "--k", "2", "--eps", "0.5"],
+    ],
+    ids=["glauber-run", "glauber-conductance"],
+)
+def test_closed_cut_budget_exits_1(capsys, argv):
+    """Budget 20 = 8k + 4 at k=2 admits an enclosed class: refused before any step or enumeration."""
+    err = _usage_error(capsys, argv + ["--C", "5.7"])
+    assert "budget 20 >= 8k+4 = 20" in err
+    assert main(argv + ["--C", "4.3"]) == 0  # budget 18
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("criteria,unknown", [("14", "[14]"), ("0,99", "[0, 99]"), ("3,14", "[14]")])
 def test_verify_unknown_criteria_exits_1(capsys, criteria, unknown):
     err = _usage_error(capsys, ["verify", "--criteria", criteria])

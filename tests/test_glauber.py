@@ -5,9 +5,13 @@ from math import comb
 
 import pytest
 
+from sawkit import oracle
 from sawkit.aztec import OmegaParams, staircase_partition
 from sawkit.glauber import (
     _Diamond,
+    _flip_valid,
+    _ordered,
+    check_open_cuts,
     conductance_of_cut,
     enumerate_omega,
     exact_mixing_time,
@@ -159,3 +163,136 @@ def test_run_chain_records_and_crossings():
     assert len(trace.records) == 11
     step0 = trace.records[0]
     assert step0[0] == 0 and isinstance(step0[2], bool)
+
+
+def _reference_flip_valid(d, budget, mask, b_in, b_out, v):
+    """_flip_valid with the whole-class flood fill as its only connectivity test."""
+    bit = 1 << v
+    leaving = mask if mask & bit else d.all_mask ^ mask
+    joining = d.all_mask ^ leaving
+    if leaving == bit:
+        return None
+    same = (d.nbr_masks[v] & leaving).bit_count()
+    other = (d.nbr_masks[v] & joining).bit_count()
+    if other == 0:
+        return None
+    od = d.outside_deg[v]
+    new_b_leave = b_in - (od + other) + same
+    new_b_join = b_out - other + od + same
+    if max(new_b_leave, new_b_join) > budget:
+        return None
+    if same > 1 and not d.connected(leaving ^ bit):
+        return None
+    return new_b_leave, new_b_join
+
+
+def test_flip_valid_matches_whole_class_flood(monkeypatch):
+    # every partition of Omega and every vertex for k <= 3 at C=3, and at k=2
+    # under budget 24, where one class can enclose the other
+    whole_class_fill = _Diamond.connected
+    fills = Counter()
+    for k, budget in [(1, PARAMS.budget(1)), (2, PARAMS.budget(2)), (3, PARAMS.budget(3)), (2, 24)]:
+        d = _Diamond.get(k)
+        flips = []
+        for p in oracle.enumerate_partitions(k, PARAMS, budget=budget).items:
+            b1, b2 = p.boundary_sizes
+            flips += [(p.mask, b1, b2, v) if p.mask >> v & 1 else (p.mask, b2, b1, v) for v in range(d.n)]
+        want = [_reference_flip_valid(d, budget, *f) for f in flips]
+
+        def counting_fill(self, mask):
+            fills[k, budget] += 1
+            return whole_class_fill(self, mask)
+
+        monkeypatch.setattr(_Diamond, "connected", counting_fill)
+        assert [_flip_valid(d, budget, *f) for f in flips] == want
+        monkeypatch.setattr(_Diamond, "connected", whole_class_fill)
+    assert fills[2, 24] > 0  # the radius-2 flood left some flip to the whole-class fill
+
+
+def test_whole_class_fill_finds_the_long_way_round(monkeypatch):
+    # class 1 is a one-face-wide ring around a 3x2 block at k=4; v, mid-way along
+    # its bottom side, has ring neighbours left and right joined only around the ring
+    d = _Diamond.get(4)
+    ring = [(2 * x + 1, 2 * y - 3) for x in range(-2, 3) for y in range(4) if x in (-2, 2) or y in (0, 3)]
+    mask, v = d.mask_of(ring), d.index[(1, -3)]
+    b_in, b_out = d.boundary_size(mask), d.boundary_size(d.all_mask ^ mask)
+    want = _reference_flip_valid(d, 100, mask, b_in, b_out, v)
+    assert want is not None
+    fills = []
+    whole_class_fill = _Diamond.connected
+    monkeypatch.setattr(_Diamond, "connected", lambda self, m: fills.append(m) or whole_class_fill(self, m))
+    assert _flip_valid(d, 100, mask, b_in, b_out, v) == want
+    assert fills == [mask ^ (1 << v)]
+
+
+def _reference_run(k, params, steps, rng, record_every):
+    """run_chain's trace, from whole-class flood fills and whole-cut endpoints."""
+    d = _Diamond.get(k)
+    budget = params.budget(k)
+    start = staircase_partition(k)
+    mask, (b_mask, b_comp) = start.mask, start.boundary_sizes
+
+    def snapshot(step):
+        a, b = d.cut_endpoints(mask)
+        return (step, (tuple(a), tuple(b)), in_s, (b_mask, b_comp))
+
+    in_s = _ordered(d.cut_endpoints(mask))
+    records, moves, crossings = [snapshot(0)], 0, 0
+    for i in range(1, steps + 1):
+        v = rng.uniform_int(d.n)
+        if mask >> v & 1:
+            res = _reference_flip_valid(d, budget, mask, b_mask, b_comp, v)
+        else:
+            res = _reference_flip_valid(d, budget, mask, b_comp, b_mask, v)
+            res = None if res is None else res[::-1]
+        if res is not None:
+            mask ^= 1 << v
+            b_mask, b_comp = res
+            moves += 1
+            new_in_s = _ordered(d.cut_endpoints(mask))
+            crossings += new_in_s != in_s
+            in_s = new_in_s
+        if i % record_every == 0:
+            records.append(snapshot(i))
+    return records, moves, crossings, d.partition(mask)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 8])
+@pytest.mark.parametrize("C", [2, 3])
+def test_chain_matches_whole_diamond_reference(k, C):
+    params = OmegaParams(C, 0.5)
+    steps, seed = 20_000, 100 * k + C
+    d = _Diamond.get(k)
+    state = make_chain(k, params, staircase_partition(k), RngStream(seed))
+    endpoint_moves = 0
+    for _ in range(steps):
+        odd = state.odd
+        if glauber_step(state):
+            assert state.endpoints() == d.cut_endpoints(state.mask)
+            endpoint_moves += state.odd != odd
+    assert 0 < endpoint_moves < state.moves
+    trace = run_chain(k, params, steps, RngStream(seed), record_every=97)
+    records, moves, crossings, final = _reference_run(k, params, steps, RngStream(seed), 97)
+    assert (trace.records, trace.moves, trace.crossings, trace.final) == (records, moves, crossings, final)
+    assert state.partition == final and state.moves == moves
+
+
+@pytest.mark.parametrize("k, C_open, C_closed", [(2, 5.6, 5.7), (3, 5.7, 5.8), (8, 7.0, 7.1)])
+def test_closed_cut_budgets_are_refused(k, C_open, C_closed):
+    # 8k + 4: one interior face against its complement, the smallest enclosed class
+    open_params, closed_params = OmegaParams(C_open, 0.5), OmegaParams(C_closed, 0.5)
+    assert open_params.budget(k) == 8 * k + 3 and closed_params.budget(k) == 8 * k + 4
+    check_open_cuts(k, open_params)
+    assert run_chain(k, open_params, 10, RngStream(1)).steps == 10
+    with pytest.raises(ValueError, match=f"budget {8 * k + 4} "):
+        check_open_cuts(k, closed_params)
+    with pytest.raises(ValueError, match="admits a class enclosed"):
+        run_chain(k, closed_params, 10, RngStream(1))
+    check_open_cuts(1, OmegaParams(100, 0.5))  # k=1 has no interior face to enclose
+
+
+def test_endpoints_reject_a_closed_cut():
+    state = make_chain(2, PARAMS, staircase_partition(2), RngStream(1))
+    state.odd = frozenset()
+    with pytest.raises(ValueError, match="exactly two endpoints"):
+        state.endpoints()

@@ -3,7 +3,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sawkit.lattice import FullLattice, Point, Walk
@@ -104,6 +104,24 @@ def test_bump_unbump_round_trip(case):
     assert a.end == b.end
     assert a.is_self_avoiding()
     assert unbump(a) == b
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_bump_unbump_round_trip_any_indices(data):
+    moves = "".join(data.draw(st.lists(st.sampled_from("RU"), max_size=16)))
+    w = Walk(Point(0, 0), moves)
+    m = data.draw(st.sets(st.integers(1, len(moves)))) if moves else set()
+    a = bump(w, m)
+    assert len(a) == len(w) + 2 * len(m)
+    assert (a.start, a.end) == (w.start, w.end)
+    assert unbump(a) == w
+    # an L or D that does not begin an LUR or DRU is no bump image
+    i = data.draw(st.integers(0, len(a)))
+    stray = a.moves[:i] + data.draw(st.sampled_from("LD")) + a.moves[i:]
+    assume(stray[i : i + 3] not in ("LUR", "DRU"))
+    with pytest.raises(ValueError):
+        unbump(Walk(Point(0, 0), stray))
 
 
 def test_base_path_of_shortest_path_is_itself():
