@@ -7,7 +7,7 @@ the whole suite is deterministic.  The two large calibration instances
 ``run_calibration`` in the packaged artifact ``src/sawkit/data/calibration.json``;
 criterion 4 checks that it records exactly those instances and that their
 rates are at least 0.5.  The run is seeded and exact, so it reproduces
-the file byte for byte (it takes about 14 s and 0.51 GB peak RSS on a
+the file byte for byte (it takes about 7 s and 0.51 GB peak RSS on a
 2-vCPU machine).  Regenerate it with::
 
     sawkit verify --calibration --write-calibration src/sawkit/data/calibration.json
@@ -542,7 +542,10 @@ def run_calibration(draws: int = CALIBRATION_DRAWS) -> dict:
     n=200: the (100,100) walk instance with k=6, l=2.  n=300: the (150,150)
     instance with k = ceil(300^0.55)/2 = 12 and l=2 (the smallest k of that
     scale keeping l*delta > 1).  Both are expected to accept at >= 0.5.
+    Fewer than one draw raises ValueError before any table is built.
     """
+    if draws < 1:
+        raise ValueError(f"draws must be >= 1, got {draws}")
     out = {}
     for name, n1, n2, k, girth, seed in CALIBRATION_INSTANCES:
         rate, attempts = _acceptance_rate(n1, n2, k, girth, draws, seed)

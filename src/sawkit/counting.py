@@ -215,8 +215,8 @@ class CountTable:
     Every cell of a layer t >= 1 is the sum of its successors' cells in
     layer t - 1, one per non-colliding move, with a step off the region or
     onto a point layer t - 1 does not hold counting 0: the four gathers of
-    the build read exactly those cells.  ``draw_moves`` rests on this, as
-    each step draws below its own state's count.
+    the build read exactly those cells.  ``unrank`` rests on this, as
+    each step splits its state's count among the successors.
 
     Finished layers have one storage form, a flat list of ints, whether
     built or passed in (``layers``, as ``_Frozen``).  A table whose
@@ -500,45 +500,36 @@ class CountTable:
             raise TableDomainError("state not reachable from a source within budget")
         return self._cell(t, p, self.auto.class_of[wid])
 
-    # -- sampling ---------------------------------------------------------------
+    # -- unranking -------------------------------------------------------------
 
-    def draw_moves(self, start: Point, length: int, rng) -> str:
-        """The moves of one walk start -> target drawn in proportion to the counts.
+    def unrank(self, start: Point, length: int, index: int) -> str:
+        """The moves of walk number ``index`` among the walks start -> target of that length.
 
-        Each step draws a pick below its state's own count, exactly as
-        ``sampling.uniform_bignat`` does (no draw for a count of 1, else
-        ``rng.getrandbits(count.bit_length())`` until the value is below
-        the count), and takes the successor, in ``auto.trans`` order, whose
-        count the pick falls in.  The pick is never used up by the
-        successors, as every state's count is the sum of theirs; a table
-        that breaks this raises AssertionError.  A start with no walk of
-        that length raises ValueError.
+        The walks are numbered 0 .. count_from(start, length) - 1 in
+        lexicographic order of their moves, U < R < D < L.  Each step takes
+        the first successor, in ``auto.trans`` order, whose count the index
+        falls in, and subtracts the counts of the successors before it.
+        The index is never used up by the successors, as every state's
+        count is the sum of theirs; a table that breaks this raises
+        AssertionError.  An index outside [0, count) raises ValueError.
         """
         start = Point(*start)
         count = self.count_from(start, length)
-        if not count:
-            raise ValueError(f"no girth-restricted walk of length {length} from {start}")
-        getrandbits = rng.getrandbits
+        if not 0 <= index < count:
+            raise ValueError(f"index {index} outside [0, {count}) for walks of length {length} from {start}")
         trans, nbr, band, all_rows, all_vals = self.auto.trans, self._nbr, self._band, self._rows, self._vals
         p, c = self._pid[start], self.auto.empty_class
         moves = []
         for t in range(length - 1, -1, -1):
-            if count == 1:
-                pick = 0
-            else:
-                bits = count.bit_length()
-                pick = getrandbits(bits)
-                while pick >= count:
-                    pick = getrandbits(bits)
             rows, vals, lo = all_rows[t], all_vals[t], band[t][0]
             nr, nb = len(rows), nbr[p]
             for d, c2 in trans[c]:
                 i = nb[d] - lo
                 if 0 <= i < nr:  # a point outside the band has count 0
                     count = vals[rows[i] + c2]
-                    if pick < count:
+                    if index < count:
                         break
-                    pick -= count
+                    index -= count
             else:
                 raise AssertionError(f"successors of state (pid {p}, class {c}, t {t + 1}) sum below its count")
             moves.append(MOVE_CHARS[d])

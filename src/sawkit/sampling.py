@@ -1,12 +1,13 @@
 """Exact proportional sampling of girth-restricted walks, rejection to SAWs.
 
-Every random choice follows one rule with exact integer weights, never
-floating point: to draw below a count, take ``getrandbits`` of the count's
-bit length until the value is below it (no draw for a count of 1).
-``uniform_bignat`` applies the rule to pick a family cell and
-``CountTable.draw_moves`` applies it inline at every step of a walk, so
-the sampled distribution is exactly proportional to the DP counts.
-Identical seed and stream id reproduce identical output bit for bit.
+Every random choice is one exactly uniform integer below an exact count,
+never a floating-point weight; ``RngStream.uniform_int`` holds the one
+draw rule.  A walk costs one draw: a uniform index below its start's
+count, unranked down the table by ``CountTable.unrank``, a bijection
+from the indices to the walks.  A family cell costs one more draw, below
+the family's total.  So the sampled distribution is exactly proportional
+to the DP counts, and identical seed and stream id reproduce identical
+output bit for bit.
 """
 
 from __future__ import annotations
@@ -49,20 +50,19 @@ class RngStream:
         return RngStream(self.seed, stream)
 
     def uniform_int(self, bound: int) -> int:
-        return uniform_bignat(self, bound)
+        """Exactly uniform integer in [0, bound) for arbitrary-precision bounds.
 
-
-def uniform_bignat(rng: RngStream, bound: int) -> int:
-    """Exactly uniform integer in [0, bound) for arbitrary-precision bounds."""
-    if bound <= 0:
-        raise ValueError("bound must be >= 1")
-    if bound == 1:
-        return 0
-    bits = bound.bit_length()
-    while True:
-        x = rng.getrandbits(bits)
-        if x < bound:
-            return x
+        Draws ``getrandbits`` of (bound - 1)'s bit length until the value is
+        below the bound, so a power-of-two bound never rejects and a bound
+        of 1 draws no bits.
+        """
+        if bound <= 0:
+            raise ValueError("bound must be >= 1")
+        bits = (bound - 1).bit_length()
+        x = self.getrandbits(bits)
+        while x >= bound:
+            x = self.getrandbits(bits)
+        return x
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,11 @@ def sample_low_girth_walk(table: CountTable, rng: RngStream, length: int) -> Wal
 
 def sample_low_girth_walk_from(table: CountTable, rng: RngStream, start: Point, length: int) -> Walk:
     """One exactly-uniform girth-restricted walk of the given length from a source of the table."""
-    return Walk(Point(*start), table.draw_moves(start, length, rng))
+    start = Point(*start)
+    count = table.count_from(start, length)
+    if not count:
+        raise ValueError(f"no girth-restricted walk of length {length} from {start}")
+    return Walk(start, table.unrank(start, length, rng.uniform_int(count)))
 
 
 def sample_saw(
@@ -150,5 +154,5 @@ def sample_length_then_walk(family: Family, rng: RngStream) -> tuple[FamilyEntry
     if not family:
         raise ValueError("the family has no cells")
     cumulative = family.cumulative
-    entry = family[bisect_right(cumulative, uniform_bignat(rng, cumulative[-1]))]
+    entry = family[bisect_right(cumulative, rng.uniform_int(cumulative[-1]))]
     return entry, sample_low_girth_walk_from(entry.table, rng, entry.start, entry.length)

@@ -211,6 +211,22 @@ def test_family_weight_is_omega_at_girth_2(k):
     assert sum(e.count for e in fam) == len(_omega(k, 2))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_family_unranks_onto_omega(k):
+    """Every (cell, index) of the girth-2 family induces its own partition, and together they are Omega."""
+    params = OmegaParams(2, 0.5)
+    parts = []
+    for e in partition_family(k, params, girth=2):
+        (s, _), move = e.label
+        for index in range(e.count):
+            walk = Walk(Point(*s), move + e.table.unrank(e.start, e.length, index))
+            assert walk.is_self_avoiding()
+            parts.append(path_to_partition(k, walk))
+            assert in_omega(parts[-1], params)
+    assert len(set(parts)) == len(parts)
+    assert set(parts) == set(_omega(k, 2))
+
+
 def _wilson(successes, n, confidence):
     z = NormalDist().inv_cdf((1 + confidence) / 2)
     p = successes / n

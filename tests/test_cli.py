@@ -278,3 +278,17 @@ def test_negative_size_exits_1(capsys, tmp_path, argv, message):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and message in captured.err
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("draws", [0, -2])
+def test_verify_calibration_without_draws_exits_1(capsys, tmp_path, monkeypatch, draws):
+    """Fewer than one calibration draw is a typed error raised before any table is built."""
+    def no_table(*args, **kwargs):
+        raise AssertionError("table built before the draws check")
+
+    monkeypatch.setattr("sawkit.acceptance.build_table", no_table)
+    out = tmp_path / "calibration.json"
+    assert main(["verify", "--calibration", "--draws", str(draws), "--write-calibration", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: draws must be >= 1, got {draws}\n"
+    assert captured.out == "" and not out.exists()

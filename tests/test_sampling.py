@@ -18,30 +18,38 @@ from sawkit.sampling import (
     sample_low_girth_walk,
     sample_low_girth_walk_from,
     sample_saw,
-    uniform_bignat,
 )
 
 Z = FullLattice()
 
 
-def test_uniform_bignat_edges():
+def test_uniform_int_edges():
     rng = RngStream(1)
-    assert uniform_bignat(rng, 1) == 0
+    assert rng.uniform_int(1) == 0
     with pytest.raises(ValueError):
-        uniform_bignat(rng, 0)
+        rng.uniform_int(0)
 
 
-def test_uniform_bignat_small_mean():
+def test_uniform_int_small_mean():
     rng = RngStream(2)
     n = 100_000
-    mean = sum(uniform_bignat(rng, 2) for _ in range(n)) / n
+    mean = sum(rng.uniform_int(2) for _ in range(n)) / n
     assert abs(mean - 0.5) < 4 * math.sqrt(0.25 / n)
 
 
-def test_uniform_bignat_huge_bound():
+@pytest.mark.parametrize("m", [0, 1, 2, 7, 8, 31, 32, 64, 100])
+def test_uniform_int_power_of_two_draws_once(m):
+    """A bound of 2**m takes exactly one getrandbits(m): every m-bit value is below it."""
+    for seed in range(20):
+        rng, twin = RngStream(seed), RngStream(seed)
+        assert rng.uniform_int(2**m) == twin.getrandbits(m)
+        assert rng.getrandbits(64) == twin.getrandbits(64)
+
+
+def test_uniform_int_huge_bound():
     rng = RngStream(3)
     bound = 10**100
-    xs = [uniform_bignat(rng, bound) for _ in range(10_000)]
+    xs = [rng.uniform_int(bound) for _ in range(10_000)]
     assert all(0 <= x < bound for x in xs)
     # leading-digit frequencies consistent with uniform on [0, 10^100)
     lead = Counter(str(x).zfill(100)[0] for x in xs)
@@ -149,32 +157,31 @@ def test_family_all_zero():
         sample_length_then_walk([], RngStream(16))
 
 
-def _reference_moves(table: CountTable, start: Point, length: int, rng: RngStream) -> str:
-    """Proportional descent from public calls only, the successor counts summed at every step.
+def _reference_unrank(table: CountTable, start: Point, length: int, index: int) -> str:
+    """Unranking from public calls only, the successor counts recomputed at every step.
 
-    The moves that do not collide with the window are listed in URDL order,
+    The moves that do not collide with the window are taken in URDL order,
     each weighted by ``completion_count`` of its next state (a ValueError is
-    a 0: a step off the region), and one is drawn with ``uniform_bignat``
-    over their sum.
+    a 0: a step off the region); the first whose count the index falls in
+    is taken, less the counts of the moves before it.
     """
     span = 2 * table.girth
     pts, window, moves = [Point(*start)], "", ""
     for t in range(length, 0, -1):
-        options = []
         for m in "URDL":
             q = step(pts[-1], m)
             if q in pts[-span - 1 :]:
                 continue
             w = (window + m)[-span:]
             try:
-                options.append((m, q, w, table.completion_count(q, w, t - 1)))
+                c = table.completion_count(q, w, t - 1)
             except ValueError:
-                options.append((m, q, w, 0))
-        pick = uniform_bignat(rng, sum(c for *_, c in options))
-        for m, q, w, c in options:
-            if pick < c:
+                c = 0
+            if index < c:
                 break
-            pick -= c
+            index -= c
+        else:
+            raise AssertionError(f"successor counts sum below the index at t={t}")
         moves, window = moves + m, w
         pts.append(q)
     return moves
@@ -201,40 +208,57 @@ def _descent_cases(draw):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(_descent_cases(), st.integers(0, 2**32))
-def test_draw_moves_matches_reference_descent(case, seed):
-    """Same seed, same walk and the same random bits used, as a descent that sums successors."""
+@given(_descent_cases())
+def test_unrank_matches_reference_unrank(case):
+    """Every index gives the walk of a descent that sums successor counts at each step."""
     table, start, length = case
-    for stream in range(3):
-        rng, ref = RngStream(seed, stream), RngStream(seed, stream)
-        moves = table.draw_moves(start, length, rng)
-        assert moves == _reference_moves(table, start, length, ref)
-        assert rng.getrandbits(64) == ref.getrandbits(64)
+    for index in range(table.count_from(start, length)):
+        assert table.unrank(start, length, index) == _reference_unrank(table, start, length, index)
 
 
-def test_draw_moves_guard_on_inconsistent_counts():
+def test_unrank_guard_on_inconsistent_counts():
     """A layer whose cells no longer sum to the counts above it fails at the first step."""
     table = build_table(Z, (0, 0), (3, 2), 2, 2)
     length = 9
-    count = table.count_from(table.origin, length)
     broken = copy.copy(table)
     broken._vals = list(table._vals)
     broken._vals[length - 1] = [0] * len(table._vals[length - 1])
-    rng, first_pick = RngStream(5), RngStream(5)
     with pytest.raises(AssertionError):
-        broken.draw_moves(table.origin, length, rng)
-    uniform_bignat(first_pick, count)  # the one draw of the first step
-    assert rng.getrandbits(64) == first_pick.getrandbits(64)
-    assert len(table.draw_moves(table.origin, length, RngStream(5))) == length  # the original is untouched
+        broken.unrank(table.origin, length, 0)
+    assert len(table.unrank(table.origin, length, 0)) == length  # the original is untouched
 
 
-def test_draw_moves_zero_count_raises_value_error():
+def test_unrank_index_out_of_range_raises_value_error():
+    table = build_table(Z, (0, 0), (3, 2), 2, 2)
+    for length in table.lengths:
+        count = table.count_from(table.origin, length)
+        for index in (-1, count):
+            with pytest.raises(ValueError, match="outside"):
+                table.unrank(table.origin, length, index)
+
+
+def test_zero_count_raises_value_error():
     # (1, 0) is missing, so no walk of length 2 joins the two points
     table = CountTable(PointSetRegion([(0, 0), (2, 0), (0, 1)]), (2, 0), 1, [2], sources=[(0, 0)])
     assert table.count_from((0, 0), 2) == 0
     parity = build_table(Z, (0, 0), (1, 1), 1, 1)
     for tab, start, length in ((table, Point(0, 0), 2), (parity, Point(0, 1), 2)):
-        with pytest.raises(ValueError, match="no girth-restricted walk"):
-            tab.draw_moves(start, length, RngStream(1))
+        with pytest.raises(ValueError, match="outside"):
+            tab.unrank(start, length, 0)
         with pytest.raises(ValueError, match="no girth-restricted walk"):
             sample_low_girth_walk_from(tab, RngStream(1), start, length)
+
+
+@pytest.mark.parametrize("region, target, girth, k", [
+    (Z, (1, 1), 1, 2),
+    (Z, (2, 1), 2, 2),
+    (BoxRegion(LatticeBox(Point(-1, -1), Point(2, 2))), (2, 2), 3, 4),
+    (BoxRegion(LatticeBox(Point(0, -1), Point(1, 1))), (1, 0), 1, 4),
+], ids=["z2-l1", "z2-l2", "box-l3", "corridor-l1"])
+def test_unrank_is_the_lexicographic_bijection(region, target, girth, k):
+    """Indices 0..N-1 give every enumerated walk once, in URDL-lexicographic order."""
+    table = build_table(region, (0, 0), target, girth, k)
+    for length in table.lengths:
+        walks = [table.unrank(table.origin, length, i) for i in range(table.count_from(table.origin, length))]
+        support = enumerate_low_girth_walks(region, Point(0, 0), Point(*target), length, girth).items
+        assert walks == sorted((w.moves for w in support), key=lambda m: ["URDL".index(c) for c in m])
