@@ -9,7 +9,8 @@ partition is stored as one bitmask over the sorted dual vertices
 (``_Diamond``), shared with the Glauber chain.
 
 Two facts let Algorithm 4 propose only walks it can accept (tested
-exhaustively on Omega for k <= 4 in tests/test_aztec.py):
+exhaustively on Omega for k <= 4 in tests/test_aztec.py), and a third lets
+``path_to_partition`` label the two classes without a flood fill:
 
 * Boundary.  The interior of a 2-partition's boundary path never touches
   |x|+|y| = k.  A path that visits a boundary point b between its ends
@@ -27,6 +28,17 @@ exhaustively on Omega for k <= 4 in tests/test_aztec.py):
   boundary steps apart, therefore bounds the class on one arc by L + 2m
   edges and the other by L + 2(4k - m).  Whether a partition is within
   the budget is a property of (s, t, L) alone.
+* Labels.  Each dual 4-cycle circles one interior primal point, and a
+  self-avoiding path crosses it twice if it passes that point, else not
+  at all (boundary points are circled by no 4-cycle).  The dual diamond is
+  simply connected, so every dual cycle crosses the cut an even number of
+  times, and a vertex's class is the parity of cut edges on any dual path
+  from the anchor.  The path used runs up the anchor's column to row
+  b = 1, along row 1 to the vertex's column, then up or down that column:
+  a prefix parity inside each column plus one row-1 edge per column pair.
+  With the boundary fact those parity classes are the partition, and the
+  two boundary sizes sum to 8k outer edges plus each of the L cut edges
+  counted from both sides.
 """
 from __future__ import annotations
 
@@ -34,6 +46,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
+from itertools import accumulate
 from math import floor, isfinite
 
 from .counting import DEFAULT_MEMORY_CAP, CountTable, _Frozen
@@ -129,8 +142,17 @@ class _Diamond:
     Bit i of a mask stands for ``verts[i]``, the dual vertices in sorted
     order.  The dual edges (i, i + s) are grouped by their index offset s,
     so one shift of a mask finds every cut edge of a group; each group maps
-    i to the primal edge crossing (i, i + s), and ``primal_to_dual`` maps
-    that primal edge back to (i, i + s).
+    i to the primal edge crossing (i, i + s).
+
+    The vertices of fixed a form column c = (a + 2k - 1) / 2, a run of
+    h = 2k + 1 - |a| bits from the bottom (b = 1 - h) up, so vertical
+    neighbours are adjacent bits.  ``col_masks[c]`` is that run and
+    ``cross_bits[c]`` the bit of (a, -1): the primal edge (x, y)-(x + 1, y),
+    x = c - k, crosses the vertical dual edge whose lower bit is
+    ``cross_bits[x + k] + y``, and the primal edge (x, 0)-(x, 1) the row-1
+    dual edge from column x + k - 1 to column x + k.  ``prefix_steps`` holds,
+    for s = 1, 2, 4, ... < 2k, the bits at least s above their column's
+    bottom: the masks of a prefix XOR that stays inside each column.
     """
 
     _cache: dict[int, "_Diamond"] = {}
@@ -144,7 +166,6 @@ class _Diamond:
         self.anchor_bit = 1 << self.index[anchor_vertex(k)]
         self.nbr_masks = []
         self.outside_deg = []
-        self.primal_to_dual = {}
         by_offset: dict[int, dict[int, tuple[Point, Point]]] = {}
         for i, v in enumerate(self.verts):
             mask = 0
@@ -154,15 +175,22 @@ class _Diamond:
                     continue
                 mask |= 1 << j
                 if i < j:
-                    edge = _dual_edge_to_primal(v, u)
-                    self.primal_to_dual[edge] = (i, j)
-                    by_offset.setdefault(j - i, {})[i] = edge
+                    by_offset.setdefault(j - i, {})[i] = _dual_edge_to_primal(v, u)
             self.nbr_masks.append(mask)
             self.outside_deg.append(4 - mask.bit_count())
         self.edge_groups = [(s, sum(1 << i for i in edges), edges) for s, edges in sorted(by_offset.items())]
         # outer_masks[t]: the vertices with more than t edges leaving the diamond
         self.outer_masks = [
             sum(1 << i for i, od in enumerate(self.outside_deg) if od > t) for t in range(max(self.outside_deg))
+        ]
+        heights = [2 * k + 1 - abs(2 * c - 2 * k + 1) for c in range(2 * k)]
+        starts = list(accumulate(heights, initial=0))[:-1]
+        self.col_masks = [((1 << h) - 1) << b for h, b in zip(heights, starts)]
+        # one spare entry, read only by a step off the diamond (R from x = k, L to index -1) before its range check
+        self.cross_bits = [b + h // 2 - 1 for h, b in zip(heights, starts)] + [0]
+        self.prefix_steps = [
+            (s, sum(((1 << h) - (1 << min(s, h))) << b for h, b in zip(heights, starts)))
+            for s in (1 << i for i in range((2 * k - 1).bit_length()))
         ]
 
     @classmethod
@@ -172,10 +200,9 @@ class _Diamond:
             d = cls._cache[k] = _Diamond(k)
         return d
 
-    def component(self, seed: int, within: int, nbr_masks: list[int] | None = None) -> int:
-        """Bits of ``within`` reachable from the seed bits along ``nbr_masks``."""
-        if nbr_masks is None:
-            nbr_masks = self.nbr_masks
+    def component(self, seed: int, within: int) -> int:
+        """Bits of ``within`` reachable from the seed bits along dual edges."""
+        nbr_masks = self.nbr_masks
         comp = frontier = seed
         while frontier:
             grow = 0
@@ -277,30 +304,67 @@ def path_to_partition(k: int, walk: Walk) -> Partition:
 
     The walk must be a self-avoiding path in A_k' with both endpoints on
     the boundary; removal of the crossed dual edges must leave exactly two
-    components, which become the classes.
+    components, which become the classes.  By the boundary fact of the
+    module docstring that holds exactly when no point strictly between the
+    ends lies on the boundary, and the classes are then the parity classes
+    of the labels fact: no flood fill is run.
     """
-    pts = walk.points()
-    if len(pts) < 2:
+    moves = walk.moves
+    if not moves:
         raise ValueError("walk must have at least one edge")
     d = _Diamond.get(k)
-    if any(abs(x) + abs(y) > k for x, y in pts):
+    cross = d.cross_bits
+    x, y = walk.start
+    r = start_r = abs(x) + abs(y)
+    if r > k:
         raise ValueError("walk leaves the diamond")
-    if len(set(pts)) != len(pts):
+    w = 2 * k + 1
+    seen = {x * w + y}
+    touches = 0  # boundary visits after the start, the end included
+    vcut = 0  # bit i: the vertical dual edge (i, i + 1) is cut
+    hcut = 0  # bit c: the row-1 dual edge from column c - 1 to column c is cut
+    for m in moves:
+        if m == "R":
+            vcut |= 1 << (cross[x + k] + y)
+            x += 1
+        elif m == "L":
+            x -= 1
+            vcut |= 1 << (cross[x + k] + y)
+        elif m == "U":
+            if not y:
+                hcut |= 1 << (x + k)
+            y += 1
+        else:
+            y -= 1
+            if not y:
+                hcut |= 1 << (x + k)
+        r = abs(x) + abs(y)
+        if r >= k:
+            if r > k:
+                raise ValueError("walk leaves the diamond")
+            touches += 1
+        seen.add(x * w + y)
+    if len(seen) <= len(moves):
         raise ValueError("walk must be self-avoiding")
-    for endpoint in (pts[0], pts[-1]):
-        if abs(endpoint.x) + abs(endpoint.y) != k:
-            raise ValueError(f"endpoint {endpoint} not on the diamond boundary")
-    nbr_masks = d.nbr_masks.copy()
-    to_dual = d.primal_to_dual
-    for p, q in zip(pts, pts[1:]):
-        i, j = to_dual[(p, q) if p < q else (q, p)]
-        nbr_masks[i] &= ~(1 << j)
-        nbr_masks[j] &= ~(1 << i)
-    c1 = d.component(d.anchor_bit, d.all_mask, nbr_masks)
-    rest = d.all_mask ^ c1
-    if not rest or d.component(rest & -rest, rest, nbr_masks) != rest:
+    if start_r != k:
+        raise ValueError(f"endpoint {walk.start} not on the diamond boundary")
+    if r != k:
+        raise ValueError(f"endpoint {Point(x, y)} not on the diamond boundary")
+    if touches > 1:
         raise ValueError("walk does not induce a 2-partition")
-    return d.partition(c1)
+    # label each vertex by the cut vertical edges below it in its column ...
+    labels = vcut << 1
+    for s, keep in d.prefix_steps:
+        labels ^= (labels << s) & keep
+    # ... then flip the columns whose row-1 vertex disagrees with the row-1 path from the anchor
+    row1 = labels >> (cross[0] + 1) & 1
+    for c, col in enumerate(d.col_masks):
+        if (labels >> (cross[c] + 1) ^ row1) & 1:
+            labels ^= col
+        row1 ^= hcut >> (c + 1) & 1
+    mask = d.all_mask ^ labels  # the anchor, bit 0, has label 0
+    size = d.boundary_size(mask)
+    return Partition(k, mask, (size, 8 * k + 2 * len(moves) - size))
 
 
 def partition_to_path(p: Partition) -> Walk:

@@ -279,7 +279,8 @@ def _cmd_verify(args) -> int:
     from . import acceptance
 
     if args.calibration:
-        results = acceptance.run_calibration(draws=args.draws)
+        draws = acceptance.CALIBRATION_DRAWS if args.draws is None else args.draws
+        results = acceptance.run_calibration(draws=draws)
         text = json.dumps(results, indent=2, sort_keys=True)
         if args.write_calibration:
             with open(args.write_calibration, "w") as fh:
@@ -288,6 +289,10 @@ def _cmd_verify(args) -> int:
         else:
             print(text)
         return 0
+    stray = [flag for flag, value in (("--draws", args.draws), ("--write-calibration", args.write_calibration))
+             if value is not None]
+    if stray:
+        raise ValueError(f"{', '.join(stray)}: only meaningful with --calibration")
     selected = [int(x) for x in args.criteria.split(",")] if args.criteria else None
     unknown = sorted(set(selected or ()) - {number for number, _, _ in acceptance.CRITERIA})
     if unknown:
@@ -435,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     vf = sub.add_parser("verify", help="run the acceptance suite")
     vf.add_argument("--criteria", default=None, help="comma-separated criterion numbers")
     vf.add_argument("--calibration", action="store_true", help="run the slow calibration instances")
-    vf.add_argument("--draws", type=int, default=2000, help="draws per calibration instance")
+    vf.add_argument("--draws", type=int, default=None, help="with --calibration, draws per instance (default 2000)")
     vf.add_argument(
         "--write-calibration", default=None, dest="write_calibration", metavar="PATH",
         help="with --calibration, write the results as JSON to PATH instead of stdout; "

@@ -205,20 +205,26 @@ def _partitions_by_subsets(k: int, budget: int):
 
 
 def _partitions_by_paths(k: int, budget: int):
+    """Partitions through their boundary paths: self-avoiding walks between
+    boundary points whose interior stays off the boundary.  By the boundary
+    fact of ``aztec``'s docstring a walk through a boundary point induces no
+    2-partition, so the DFS extends from no boundary point but its start."""
     from . import aztec
 
     region = aztec.aztec_region(k)
     bpts = sorted(aztec.boundary_vertices(k))
+    boundary = set(bpts)
     max_len = budget - 4 * k  # cut length + larger outer share (>= 4k) <= budget
+
+    def admit(pts: list[tuple[int, int]], np_: tuple[int, int]) -> bool:
+        return (len(pts) == 1 or pts[-1] not in boundary) and np_ not in pts
+
     seen = set()
     items = []
     for i, s in enumerate(bpts):
         # one DFS per source reports every later target at every length
-        for moves in _walk_dfs(region, s, bpts[i + 1 :], range(1, max_len + 1), _self_avoiding):
-            try:
-                part = aztec.path_to_partition(k, Walk(Point(*s), moves))
-            except ValueError:
-                continue
+        for moves in _walk_dfs(region, s, bpts[i + 1 :], range(1, max_len + 1), admit):
+            part = aztec.path_to_partition(k, Walk(Point(*s), moves))
             if max(part.boundary_sizes) <= budget and part.mask not in seen:
                 seen.add(part.mask)
                 items.append(part)

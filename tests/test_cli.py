@@ -292,3 +292,25 @@ def test_verify_calibration_without_draws_exits_1(capsys, tmp_path, monkeypatch,
     captured = capsys.readouterr()
     assert captured.err == f"error: draws must be >= 1, got {draws}\n"
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra,flags",
+    [
+        (["--draws", "-5", "--write-calibration", "PATH"], "--draws, --write-calibration"),
+        (["--draws", "2000"], "--draws"),
+        (["--write-calibration", "PATH"], "--write-calibration"),
+    ],
+    ids=["both", "draws", "write-calibration"],
+)
+def test_verify_calibration_options_without_calibration_exit_1(capsys, tmp_path, monkeypatch, extra, flags):
+    """The calibration-only options are a typed error without --calibration: no criterion runs, no file."""
+    def no_criteria(*args, **kwargs):
+        raise AssertionError("criteria ran")
+
+    monkeypatch.setattr("sawkit.acceptance.run_criteria", no_criteria)
+    out = tmp_path / "calibration.json"
+    argv = ["verify", "--criteria", "1"] + [str(out) if a == "PATH" else a for a in extra]
+    err = _usage_error(capsys, argv)
+    assert err == f"error: {flags}: only meaningful with --calibration\n"
+    assert not out.exists()

@@ -1,12 +1,18 @@
 """The bitmask partition geometry against brute-force recounts."""
 
+from functools import cache
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sawkit.aztec import (
     OmegaParams,
+    Partition,
     _Diamond,
+    _dual_edge_to_primal,
     aztec_region,
+    boundary_vertices,
     dual_vertices,
     make_partition,
     partition_to_path,
@@ -14,7 +20,8 @@ from sawkit.aztec import (
     staircase_partition,
 )
 from sawkit.glauber import _flip_valid, enumerate_omega, glauber_step, make_chain
-from sawkit.lattice import Point
+from sawkit.lattice import Point, Walk
+from sawkit.oracle import _self_avoiding, _walk_dfs
 from sawkit.sampling import RngStream
 
 OFFSETS = ((2, 0), (-2, 0), (0, 2), (0, -2))
@@ -41,13 +48,128 @@ def _connected(cls) -> bool:
     return len(seen) == len(cls)
 
 
+@cache
+def _primal_to_dual(k):
+    """Every primal edge of A_k', smaller end first, -> the (i, j) bits of the dual edge it crosses."""
+    d = _Diamond.get(k)
+    out = {}
+    for i, v in enumerate(d.verts):
+        for u in ((v[0] + 2, v[1]), (v[0], v[1] + 2)):
+            j = d.index.get(u)
+            if j is not None:
+                out[_dual_edge_to_primal(v, u)] = (i, j)
+    return out
+
+
 def test_every_primal_edge_crosses_one_dual_edge():
+    # the per-column tables name, for every primal edge, the dual edge it crosses
     for k in (1, 2, 3, 4):
         region = aztec_region(k)
-        edges = {(p, q) for p in region.points() for q in (Point(p.x + 1, p.y), Point(p.x, p.y + 1)) if q in region}
         d = _Diamond.get(k)
-        assert set(d.primal_to_dual) == edges
-        assert len(set(d.primal_to_dual.values())) == len(edges)
+        to_dual = _primal_to_dual(k)
+        edges = {(p, q) for p in region.points() for q in (Point(p.x + 1, p.y), Point(p.x, p.y + 1)) if q in region}
+        assert set(to_dual) == edges and len(set(to_dual.values())) == len(edges)
+        assert sum(m.bit_count() for m in d.col_masks) == d.n
+        assert sum(d.col_masks) == d.all_mask
+        for (p, q), (i, j) in to_dual.items():
+            if q.y == p.y:  # crosses a vertical dual edge, bits i and i + 1 of one column
+                assert (i, j) == (d.cross_bits[p.x + k] + p.y, d.cross_bits[p.x + k] + p.y + 1)
+                assert any((m >> i & 1) and (m >> j & 1) for m in d.col_masks)
+            elif p.y == 0:  # the row-1 dual edge between columns p.x + k - 1 and p.x + k
+                assert (i, j) == (d.cross_bits[p.x + k - 1] + 1, d.cross_bits[p.x + k] + 1)
+                assert d.verts[i][1] == d.verts[j][1] == 1
+        for s, keep in d.prefix_steps:
+            for m in d.col_masks:
+                low = m & -m
+                assert keep & m == m & ~(low * ((1 << s) - 1))
+
+
+def _reference_path_to_partition(k: int, walk: Walk) -> Partition:
+    """The flood-fill path_to_partition: cut the crossed dual edges, then fill both sides."""
+    pts = walk.points()
+    if len(pts) < 2:
+        raise ValueError("walk must have at least one edge")
+    d = _Diamond.get(k)
+    if any(abs(x) + abs(y) > k for x, y in pts):
+        raise ValueError("walk leaves the diamond")
+    if len(set(pts)) != len(pts):
+        raise ValueError("walk must be self-avoiding")
+    for endpoint in (pts[0], pts[-1]):
+        if abs(endpoint.x) + abs(endpoint.y) != k:
+            raise ValueError(f"endpoint {endpoint} not on the diamond boundary")
+    nbr_masks = d.nbr_masks.copy()
+    to_dual = _primal_to_dual(k)
+    for p, q in zip(pts, pts[1:]):
+        i, j = to_dual[(p, q) if p < q else (q, p)]
+        nbr_masks[i] &= ~(1 << j)
+        nbr_masks[j] &= ~(1 << i)
+
+    def fill(seed, within):
+        comp = frontier = seed
+        while frontier:
+            grow = 0
+            while frontier:
+                b = frontier & -frontier
+                grow |= nbr_masks[b.bit_length() - 1]
+                frontier ^= b
+            frontier = grow & within & ~comp
+            comp |= frontier
+        return comp
+
+    c1 = fill(d.anchor_bit, d.all_mask)
+    rest = d.all_mask ^ c1
+    if not rest or fill(rest & -rest, rest) != rest:
+        raise ValueError("walk does not induce a 2-partition")
+    return Partition(k, c1, (d.boundary_size(c1), d.boundary_size(rest)))
+
+
+def _outcome(f, k, walk):
+    try:
+        return f(k, walk)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("k, walks", [(1, 12), (2, 524), (3, 53508)])
+def test_path_to_partition_matches_flood_fill_on_every_short_walk(k, walks):
+    # every boundary-to-boundary self-avoiding walk of at most 14 moves, touching the boundary mid-path or not
+    bpts = boundary_vertices(k)
+    region = aztec_region(k)
+    seen = raised = 0
+    for s in bpts:
+        for moves in _walk_dfs(region, s, [t for t in bpts if t != s], range(1, 15), _self_avoiding):
+            walk = Walk(s, moves)
+            got = _outcome(path_to_partition, k, walk)
+            assert got == _outcome(_reference_path_to_partition, k, walk), walk.to_text()
+            seen += 1
+            raised += isinstance(got, str)
+    assert seen == walks
+    assert 0 < raised < walks or k == 1
+
+
+_STEPS = st.lists(st.tuples(st.integers(0, 99), st.booleans()), min_size=1, max_size=60)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(k=st.integers(4, 8), start=st.integers(0, 10**6), on_boundary=st.integers(0, 3), steps=_STEPS)
+def test_path_to_partition_matches_flood_fill_on_random_walks(k, start, on_boundary, steps):
+    """Random walks in A_k': mostly self-avoiding ones that may stop at, or run on past, a boundary point;
+    now and then a step to any neighbour, which may revisit a point or leave the diamond."""
+    pool = boundary_vertices(k) if on_boundary else list(aztec_region(k).points())
+    x, y = first = pool[start % len(pool)]
+    visited = {(x, y)}
+    moves = []
+    for pick, stop in steps:
+        nbrs = [(m, (x + dx, y + dy)) for m, (dx, dy) in zip("URDL", ((0, 1), (1, 0), (0, -1), (-1, 0)))]
+        fresh = [(m, q) for m, q in nbrs if q not in visited and abs(q[0]) + abs(q[1]) <= k]
+        choices = fresh if fresh and pick < 97 else nbrs
+        m, (x, y) = choices[pick % len(choices)]
+        moves.append(m)
+        visited.add((x, y))
+        if abs(x) + abs(y) > k or (stop and abs(x) + abs(y) == k):
+            break
+    walk = Walk(first, "".join(moves))
+    assert _outcome(path_to_partition, k, walk) == _outcome(_reference_path_to_partition, k, walk)
 
 
 def test_boundary_sizes_and_round_trip_exhaustive():

@@ -61,6 +61,35 @@ def test_partition_engines_agree_at_small_k():
         assert subsets == paths
 
 
+def _partitions_by_all_paths(k: int, budget: int):
+    """The unpruned path enumeration: every self-avoiding walk between boundary points, boundary visits and all."""
+    from sawkit.aztec import aztec_region, boundary_vertices, path_to_partition
+    from sawkit.lattice import Walk
+    from sawkit.oracle import _self_avoiding, _walk_dfs
+
+    bpts = sorted(boundary_vertices(k))
+    out = set()
+    for i, s in enumerate(bpts):
+        for moves in _walk_dfs(aztec_region(k), s, bpts[i + 1 :], range(1, budget - 4 * k + 1), _self_avoiding):
+            try:
+                part = path_to_partition(k, Walk(s, moves))
+            except ValueError:
+                continue
+            if max(part.boundary_sizes) <= budget:
+                out.add(part)
+    return out
+
+
+@pytest.mark.parametrize("C", [2, 3])
+def test_pruned_path_engine_matches_unpruned_at_k3(C):
+    from sawkit.oracle import _partitions_by_paths
+
+    budget = OmegaParams(C, 0.5).budget(3)
+    pruned = _partitions_by_paths(3, budget)
+    assert len(set(pruned)) == len(pruned)
+    assert set(pruned) == _partitions_by_all_paths(3, budget)
+
+
 def test_uniformity_test_balanced():
     rep = uniformity_test(["a", "b"] * 500, ["a", "b"])
     assert rep["max_dev_sigmas"] == 0.0
