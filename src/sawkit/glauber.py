@@ -8,8 +8,8 @@ uniform distribution on the state space is stationary.  Conductance and
 the mixing-time lower bound 1/(4*Phi) are computed in exact rational
 arithmetic on exhaustively enumerated state spaces.
 
-Each step costs only the flipped vertex's neighbourhood, by two locality
-facts:
+Each step costs only the flipped vertex's neighbourhood, by three
+locality facts:
 
 * Endpoints.  Flipping face v toggles the cut edges on the sides of v's
   primal square that lie inside the diamond.  An interior face toggles all
@@ -24,6 +24,10 @@ facts:
   neighbourhood; a local path is a real path, so when the flood reaches
   every neighbour the answer is exact, and only otherwise does it flood
   the whole class.
+* Self-loops.  A face with no neighbour in the other class can never
+  join it, so its proposal holds with no further test: one mask test
+  against its neighbour mask decides it.  At k=8 (C=2, eps=0.5) about
+  80% of proposals pick such a face.
 
 Budgets of 8k + 4 or more (k >= 2) admit a class enclosed by the other:
 one interior face has boundary 4 and its complement 8k + 4.  Such a cut
@@ -95,12 +99,19 @@ def _flips(d: _Diamond, budget: int, p: Partition):
             yield d.canonical(p.mask ^ (1 << v))
 
 
+# The most faces one uniform_ints call in advance draws.  It bounds the list
+# advance holds on a long run; the faces drawn do not depend on it.
+_DRAW_BLOCK = 4096
+
+
 @dataclass
 class ChainState:
     """Mutable Glauber chain state; the current partition is always in Omega.
 
     ``odd`` holds the odd-degree points of the cut, its two endpoints, and
-    is replaced (never mutated) when a flip changes them.
+    is replaced (never mutated) when a flip changes them.  ``in_s`` says
+    whether they are ordered (the slow cut S), and ``crossings`` counts
+    the moves that changed it.
     """
 
     diamond: _Diamond
@@ -110,9 +121,11 @@ class ChainState:
     b_mask: int
     b_comp: int
     odd: frozenset[Point]
+    in_s: bool
     rng: RngStream
     step: int = 0
     moves: int = 0
+    crossings: int = 0
 
     @property
     def partition(self) -> Partition:
@@ -124,8 +137,55 @@ class ChainState:
     def endpoints(self) -> tuple[Point, Point]:
         if len(self.odd) != 2:
             raise ValueError("cut does not have exactly two endpoints")
-        a, b = sorted(self.odd)
-        return a, b
+        a, b = self.odd
+        return (a, b) if a < b else (b, a)
+
+    def advance(self, steps: int) -> int:
+        """Run ``steps`` proposals; returns how many of them moved the chain.
+
+        The faces come from ``uniform_ints`` in blocks, the same draws as
+        one ``uniform_int`` per step.  A face with no neighbour across the
+        cut is a self-loop (the module's Self-loops fact) and costs one
+        mask test; only the others go through ``_flip``.
+        """
+        if steps < 0:
+            raise ValueError(f"steps must be >= 0, got {steps}")
+        d = self.diamond
+        nbrs = d.nbr_masks
+        budget = self.budget
+        mask = self.mask
+        b_mask = self.b_mask
+        b_comp = self.b_comp
+        moves = 0
+        left = steps
+        while left > 0:
+            block = _DRAW_BLOCK if left > _DRAW_BLOCK else left
+            left -= block
+            for v in self.rng.uniform_ints(d.n, block):
+                if not nbrs[v] & (~mask if mask >> v & 1 else mask):
+                    continue
+                res = _flip(d, budget, mask, b_mask, b_comp, v)
+                if res is None:
+                    continue
+                mask ^= 1 << v
+                b_mask, b_comp = res
+                moves += 1
+                if d.outside_deg[v]:
+                    # an outer face: its two corners on |x|+|y| = k change parity
+                    a, b = d.verts[v]
+                    sa = 1 if a > 0 else -1
+                    sb = 1 if b > 0 else -1
+                    self.odd = self.odd ^ {Point((a + sa) // 2, (b - sb) // 2), Point((a - sa) // 2, (b + sb) // 2)}
+                    in_s = _ordered(self.endpoints())
+                    if in_s != self.in_s:
+                        self.crossings += 1
+                        self.in_s = in_s
+        self.mask = mask
+        self.b_mask = b_mask
+        self.b_comp = b_comp
+        self.step += steps
+        self.moves += moves
+        return moves
 
 
 def check_open_cuts(k: int, params: OmegaParams) -> None:
@@ -139,10 +199,13 @@ def check_open_cuts(k: int, params: OmegaParams) -> None:
 
 
 def make_chain(k: int, params: OmegaParams, start: Partition, rng: RngStream) -> ChainState:
+    if start.k != k:
+        raise ValueError(f"start partition has order {start.k}, the chain order {k}")
     check_open_cuts(k, params)
     d = _Diamond.get(k)
     if max(start.boundary_sizes) > params.budget(k):
         raise ValueError("start partition outside Omega")
+    ends = d.cut_endpoints(start.mask)
     return ChainState(
         diamond=d,
         params=params,
@@ -150,29 +213,15 @@ def make_chain(k: int, params: OmegaParams, start: Partition, rng: RngStream) ->
         mask=start.mask,
         b_mask=start.boundary_sizes[0],
         b_comp=start.boundary_sizes[1],
-        odd=frozenset(d.cut_endpoints(start.mask)),
+        odd=frozenset(ends),
+        in_s=_ordered(ends),
         rng=rng,
     )
 
 
 def glauber_step(state: ChainState) -> bool:
     """One proposal; returns True when the chain moved (False on self-loop)."""
-    d = state.diamond
-    v = state.rng.uniform_int(d.n)
-    state.step += 1
-    res = _flip(d, state.budget, state.mask, state.b_mask, state.b_comp, v)
-    if res is None:
-        return False
-    state.mask ^= 1 << v
-    state.b_mask, state.b_comp = res
-    state.moves += 1
-    if d.outside_deg[v]:
-        # an outer face: its two corners on |x|+|y| = k change parity
-        a, b = d.verts[v]
-        sa = 1 if a > 0 else -1
-        sb = 1 if b > 0 else -1
-        state.odd = state.odd ^ {Point((a + sa) // 2, (b - sb) // 2), Point((a - sa) // 2, (b + sb) // 2)}
-    return True
+    return state.advance(1) == 1
 
 
 def _ordered(endpoints: tuple[Point, Point]) -> bool:
@@ -275,24 +324,15 @@ def run_chain(
 
     def snapshot() -> tuple:
         a, b = state.endpoints()
-        return (state.step, (tuple(a), tuple(b)), cur_in_s, (state.b_mask, state.b_comp))
+        return (state.step, (tuple(a), tuple(b)), state.in_s, (state.b_mask, state.b_comp))
 
-    cur_in_s = _ordered(state.endpoints())
-    odd = state.odd
-    trace = ChainTrace(k=k, steps=steps, crossings=0, moves=0)
-    trace.records.append(snapshot())
-    for i in range(1, steps + 1):
-        if glauber_step(state) and state.odd is not odd:
-            odd = state.odd
-            new_in_s = _ordered(state.endpoints())
-            if new_in_s != cur_in_s:
-                trace.crossings += 1
-            cur_in_s = new_in_s
-        if i % record_every == 0:
-            trace.records.append(snapshot())
-    trace.moves = state.moves
-    trace.final = state.partition
-    return trace
+    records = [snapshot()]
+    for _ in range(steps // record_every):
+        state.advance(record_every)
+        records.append(snapshot())
+    state.advance(steps % record_every)
+    return ChainTrace(k=k, steps=steps, crossings=state.crossings, moves=state.moves,
+                      records=records, final=state.partition)
 
 
 def transition_counts(omega: list[Partition], params: OmegaParams) -> tuple[list[list[int]], int]:

@@ -1,12 +1,14 @@
 """Exact proportional sampling of girth-restricted walks, rejection to SAWs.
 
 Every random choice is one exactly uniform integer below an exact count,
-never a floating-point weight; ``RngStream.uniform_int`` holds the one
-draw rule.  A walk costs one draw: a uniform index below its start's
-count, unranked down the table by ``CountTable.unrank``, a bijection
-from the indices to the walks.  A family cell costs one more draw, below
-the family's total.  So the sampled distribution is exactly proportional
-to the DP counts, and identical seed and stream id reproduce identical
+never a floating-point weight.  ``RngStream.uniform_ints`` holds the one
+draw rule in block form: ``count`` such integers, with the bits of as
+many single draws in the same order; ``uniform_int`` is its block of
+one.  A walk costs one draw: a uniform index below its start's count,
+unranked down the table by ``CountTable.unrank``, a bijection from the
+indices to the walks.  A family cell costs one more draw, below the
+family's total.  So the sampled distribution is exactly proportional to
+the DP counts, and identical seed and stream id reproduce identical
 output bit for bit.
 """
 
@@ -50,19 +52,30 @@ class RngStream:
         return RngStream(self.seed, stream)
 
     def uniform_int(self, bound: int) -> int:
-        """Exactly uniform integer in [0, bound) for arbitrary-precision bounds.
+        """Exactly uniform integer in [0, bound): ``uniform_ints(bound, 1)[0]``."""
+        return self.uniform_ints(bound, 1)[0]
 
-        Draws ``getrandbits`` of (bound - 1)'s bit length until the value is
-        below the bound, so a power-of-two bound never rejects and a bound
-        of 1 draws no bits.
+    def uniform_ints(self, bound: int, count: int) -> list[int]:
+        """``count`` exactly uniform integers in [0, bound), arbitrary-precision bounds.
+
+        Each draws ``getrandbits`` of (bound - 1)'s bit length until the
+        value is below the bound, so a power-of-two bound never rejects and
+        a bound of 1 draws no bits.  A block therefore draws the same bits,
+        in the same order, as ``count`` blocks of one.
         """
         if bound <= 0:
             raise ValueError("bound must be >= 1")
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
         bits = (bound - 1).bit_length()
-        x = self.getrandbits(bits)
-        while x >= bound:
-            x = self.getrandbits(bits)
-        return x
+        draw = self.getrandbits
+        out = []
+        for _ in range(count):
+            x = draw(bits)
+            while x >= bound:
+                x = draw(bits)
+            out.append(x)
+        return out
 
 
 @dataclass(frozen=True)

@@ -275,6 +275,12 @@ def test_chain_matches_whole_diamond_reference(k, C):
     records, moves, crossings, final = _reference_run(k, params, steps, RngStream(seed), 97)
     assert (trace.records, trace.moves, trace.crossings, trace.final) == (records, moves, crossings, final)
     assert state.partition == final and state.moves == moves
+    # a record per step, and a record_every past the run: all of it is the remainder
+    for record_every, n in [(1, 5_000), (steps + 1, steps)]:
+        trace = run_chain(k, params, n, RngStream(seed), record_every=record_every)
+        want = _reference_run(k, params, n, RngStream(seed), record_every)
+        assert (trace.records, trace.moves, trace.crossings, trace.final) == want
+        assert len(trace.records) == 1 + n // record_every
 
 
 @pytest.mark.parametrize("k, C_open, C_closed", [(2, 5.6, 5.7), (3, 5.7, 5.8), (8, 7.0, 7.1)])
@@ -289,6 +295,25 @@ def test_closed_cut_budgets_are_refused(k, C_open, C_closed):
     with pytest.raises(ValueError, match="admits a class enclosed"):
         run_chain(k, closed_params, 10, RngStream(1))
     check_open_cuts(1, OmegaParams(100, 0.5))  # k=1 has no interior face to enclose
+
+
+def test_advance_is_that_many_glauber_steps():
+    # 10,000 steps span three face-draw blocks
+    block, single = (make_chain(3, PARAMS, staircase_partition(3), RngStream(2)) for _ in range(2))
+    assert block.advance(10_000) == sum(glauber_step(single) for _ in range(10_000)) == block.moves
+    fields = ("mask", "b_mask", "b_comp", "odd", "in_s", "step", "moves", "crossings")
+    assert [getattr(block, f) for f in fields] == [getattr(single, f) for f in fields]
+    assert block.crossings > 0 and block.rng.getrandbits(64) == single.rng.getrandbits(64)
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        block.advance(-1)
+
+
+def test_start_partition_of_another_order_is_refused():
+    params = OmegaParams(2, 0.5)
+    with pytest.raises(ValueError, match="order 4, the chain order 8"):
+        run_chain(8, params, 100, RngStream(1), start=staircase_partition(4))
+    with pytest.raises(ValueError, match="order 8, the chain order 4"):
+        make_chain(4, params, staircase_partition(8), RngStream(1))
 
 
 def test_endpoints_reject_a_closed_cut():

@@ -58,6 +58,38 @@ def test_uniform_int_huge_bound():
     assert all(abs(lead.get(d, 0) / len(xs) - p) < 4 * sigma for d in "0123456789")
 
 
+# the girth-restricted walk count (0,0) -> (100,100) at k=6, l=2: a 233-bit bound
+SAW_N200_COUNT = 10966926098348152475368969683325540961436718313493273299841458638298400
+
+
+def _reference_uniform_int(rng, bound):
+    """The draw rule from its statement: (bound - 1).bit_length() bits until below bound."""
+    bits = (bound - 1).bit_length()
+    while (x := rng.getrandbits(bits)) >= bound:
+        pass
+    return x
+
+
+@pytest.mark.parametrize("bound", [1, 2, 144, 2**64 + 1, SAW_N200_COUNT])
+@pytest.mark.parametrize("count", [0, 1, 1000])
+def test_uniform_ints_is_that_many_uniform_ints(bound, count):
+    block, single, reference = RngStream(8, 3), RngStream(8, 3), RngStream(8, 3)
+    xs = block.uniform_ints(bound, count)
+    assert xs == [single.uniform_int(bound) for _ in range(count)]
+    assert xs == [_reference_uniform_int(reference, bound) for _ in range(count)]
+    # the block consumed exactly the bits of the single draws
+    assert block.getrandbits(64) == single.getrandbits(64) == reference.getrandbits(64)
+
+
+def test_uniform_ints_rejects_bad_arguments():
+    rng = RngStream(1)
+    for bound in (0, -1):
+        with pytest.raises(ValueError, match="bound must be >= 1"):
+            rng.uniform_ints(bound, 5)
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        rng.uniform_ints(144, -1)
+
+
 def test_rng_streams_deterministic_and_independent():
     a1 = [RngStream(9, 4).getrandbits(32) for _ in range(4)]
     a2 = [RngStream(9, 4).getrandbits(32) for _ in range(4)]
