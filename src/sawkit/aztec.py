@@ -46,6 +46,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from math import floor, isfinite
 
@@ -153,6 +154,9 @@ class _Diamond:
     dual edge from column x + k - 1 to column x + k.  ``prefix_steps`` holds,
     for s = 1, 2, 4, ... < 2k, the bits at least s above their column's
     bottom: the masks of a prefix XOR that stays inside each column.
+    ``corner_masks[i]`` holds one ``u|w|x`` mask per corner of face i whose
+    three faces lie in the diamond: two adjacent side-neighbours u and w and
+    x, their common neighbour other than i (built on first use).
     """
 
     _cache: dict[int, "_Diamond"] = {}
@@ -192,6 +196,25 @@ class _Diamond:
             (s, sum(((1 << h) - (1 << min(s, h))) << b for h, b in zip(heights, starts)))
             for s in (1 << i for i in range((2 * k - 1).bit_length()))
         ]
+
+    @cached_property
+    def corner_masks(self) -> list[tuple[int, ...]]:
+        nbrs = self.nbr_masks
+        out = []
+        for i, near in enumerate(nbrs):
+            sides = []
+            while near:
+                sides.append(near & -near)
+                near ^= sides[-1]
+            corners = []
+            for a, u in enumerate(sides):
+                for w in sides[a + 1:]:
+                    # opposite sides share only face i, adjacent ones also their diagonal
+                    x = nbrs[u.bit_length() - 1] & nbrs[w.bit_length() - 1] & ~(1 << i)
+                    if x:
+                        corners.append(u | w | x)
+            out.append(tuple(corners))
+        return out
 
     @classmethod
     def get(cls, k: int) -> "_Diamond":
@@ -412,6 +435,8 @@ class OmegaParams:
             raise ValueError("eps must lie in (0, 1]")
 
     def slack(self, k: int) -> int:
+        if k < 1:
+            raise ValueError("diamond order k must be >= 1")
         return floor(self.C * k ** (1 - self.eps))
 
     def budget(self, k: int) -> int:

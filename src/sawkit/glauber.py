@@ -18,12 +18,22 @@ locality facts:
   sides outside, so only its two corners on |x|+|y| = k change parity:
   they swap into or out of the endpoint set.  No face has one or three
   outer sides.
-* Connectivity.  Removing v from its class keeps the class connected iff
-  v's neighbours in it stay in one component, since any path to v ends
-  through one of them.  The check first floods inside v's radius-2
-  neighbourhood; a local path is a real path, so when the flood reaches
-  every neighbour the answer is exact, and only otherwise does it flood
-  the whole class.
+* Connectivity.  Let v lie in class A with ``same`` >= 2 neighbours in A
+  and at least one in the other class B.  A corner of v is joined when
+  two adjacent side-neighbours u and w and their common neighbour x != v
+  all lie in A.  Then A - {v} stays connected iff exactly same - 1 of
+  v's corners are joined.  A joined corner links its two sides without v.
+  Going round v, a side in B splits the A-neighbours into runs, so any
+  two of them not linked by joined corners are parted, both ways round,
+  by a face in B or off the diamond (a side, or a corner's diagonal).  An
+  A-path between them would close a loop through v with such a face on
+  each side.  B is connected and meets the boundary, and the outside is
+  connected, so no such path exists: A - {v} has same - joined
+  components.  The proof needs both classes connected and the cut open,
+  which every chain state has.  A closed cut breaks it: at k=4, with
+  class 2 = {(1,1), (1,3), (3,1)} and v = (3,3), the rule refuses the
+  flip, yet class 1 stays connected the long way round.  No flip runs a
+  flood fill.
 * Self-loops.  A face with no neighbour in the other class can never
   join it, so its proposal holds with no further test: one mask test
   against its neighbour mask decides it.  At k=8 (C=2, eps=0.5) about
@@ -45,50 +55,38 @@ from .lattice import Point
 from .sampling import RngStream
 
 
-def _flip_valid(d: _Diamond, budget: int, mask: int, b_in: int, b_out: int, v: int) -> tuple[int, int] | None:
-    """Boundary sizes after flipping vertex v, or None when the flip is invalid.
-
-    mask is the class currently containing v's side labeling: b_in is the
-    boundary of the class that contains v, b_out of the other one.
-    """
-    bit = 1 << v
-    leaving = mask if mask & bit else d.all_mask ^ mask
-    joining = d.all_mask ^ leaving
-    if leaving == bit:
-        return None  # class would become empty
-    same = (d.nbr_masks[v] & leaving).bit_count()
-    other = (d.nbr_masks[v] & joining).bit_count()
-    od = d.outside_deg[v]
-    if other == 0:
-        return None  # not adjacent to the class it joins
-    new_b_leave = b_in - (od + other) + same
-    new_b_join = b_out - other + od + same
-    if max(new_b_leave, new_b_join) > budget:
-        return None
-    if same > 1:
-        rest = leaving ^ bit
-        nbrs = d.nbr_masks
-        ring = nbrs[v] & rest
-        near = nbrs[v]
-        f = near
-        while f:
-            b = f & -f
-            near |= nbrs[b.bit_length() - 1]
-            f ^= b
-        if d.component(ring & -ring, rest & near) & ring != ring and not d.connected(rest):
-            return None
-    return new_b_leave, new_b_join
-
-
 def _flip(d: _Diamond, budget: int, mask: int, b_mask: int, b_comp: int, v: int) -> tuple[int, int] | None:
     """New (b_mask, b_comp) after flipping vertex v of mask, or None when invalid.
 
     b_mask is the boundary of the class ``mask``, b_comp of its complement.
+    Connectivity is the corner rule of the module's Connectivity fact, so
+    mask must be a chain state: both classes connected, the cut open.
     """
-    if mask >> v & 1:
-        return _flip_valid(d, budget, mask, b_mask, b_comp, v)
-    res = _flip_valid(d, budget, mask, b_comp, b_mask, v)
-    return None if res is None else (res[1], res[0])
+    bit = 1 << v
+    if mask & bit:
+        leaving, b_leave, b_join = mask, b_mask, b_comp
+    else:
+        leaving, b_leave, b_join = d.all_mask ^ mask, b_comp, b_mask
+    if leaving == bit:
+        return None  # class would become empty
+    near = d.nbr_masks[v]
+    same = (near & leaving).bit_count()
+    other = near.bit_count() - same
+    if other == 0:
+        return None  # not adjacent to the class it joins
+    od = d.outside_deg[v]
+    new_b_leave = b_leave - (od + other) + same
+    new_b_join = b_join - other + od + same
+    if new_b_leave > budget or new_b_join > budget:
+        return None
+    if same > 1:
+        joined = 0
+        for corner in d.corner_masks[v]:
+            if leaving & corner == corner:
+                joined += 1
+        if joined != same - 1:
+            return None
+    return (new_b_leave, new_b_join) if mask & bit else (new_b_join, new_b_leave)
 
 
 def _flips(d: _Diamond, budget: int, p: Partition):
@@ -261,6 +259,7 @@ def conductance_of_cut(omega: list[Partition], params: OmegaParams, cut) -> CutR
     if not omega:
         raise ValueError("empty state space")
     k = omega[0].k
+    check_open_cuts(k, params)
     d = _Diamond.get(k)
     budget = params.budget(k)
     masks = {p.mask: p for p in omega}
@@ -318,6 +317,7 @@ def run_chain(
         raise ValueError(f"steps must be >= 0, got {steps}")
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
+    check_open_cuts(k, params)  # bad k or params are refused before the start is built
     if start is None:
         start = staircase_partition(k)
     state = make_chain(k, params, start, rng)
@@ -340,6 +340,7 @@ def transition_counts(omega: list[Partition], params: OmegaParams) -> tuple[list
     if not omega:
         raise ValueError("empty state space")
     k = omega[0].k
+    check_open_cuts(k, params)
     d = _Diamond.get(k)
     budget = params.budget(k)
     idx = {p.mask: i for i, p in enumerate(omega)}

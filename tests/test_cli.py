@@ -221,19 +221,29 @@ def test_render_partition_without_k_exits_1(capsys):
     assert "--k" in _usage_error(capsys, ["render", "partition", "--walk", "(-1,0)RR"])
 
 
-@pytest.mark.parametrize("C", ["inf", "nan"])
-@pytest.mark.parametrize(
+# the commands that take OmegaParams, without --k and --C
+_omega_commands = pytest.mark.parametrize(
     "argv",
     [
-        ["aztec", "sample", "--k", "2", "--eps", "0.5", "--l", "2", "--seed", "1"],
-        ["glauber", "run", "--k", "2", "--eps", "0.5", "--steps", "10", "--seed", "1"],
-        ["glauber", "conductance", "--k", "2", "--eps", "0.5"],
-        ["oracle", "enumerate", "--kind", "partitions", "--k", "2", "--eps", "0.5"],
+        ["aztec", "sample", "--eps", "0.5", "--l", "2", "--seed", "1"],
+        ["glauber", "run", "--eps", "0.5", "--steps", "10", "--seed", "1"],
+        ["glauber", "conductance", "--eps", "0.5"],
+        ["oracle", "enumerate", "--kind", "partitions", "--eps", "0.5"],
     ],
     ids=["aztec-sample", "glauber-run", "glauber-conductance", "oracle-partitions"],
 )
+
+
+@pytest.mark.parametrize("C", ["inf", "nan"])
+@_omega_commands
 def test_non_finite_C_exits_1(capsys, argv, C):
-    assert "C must be a positive finite number" in _usage_error(capsys, argv + ["--C", C])
+    assert "C must be a positive finite number" in _usage_error(capsys, argv + ["--k", "2", "--C", C])
+
+
+@pytest.mark.parametrize("k", ["-1", "0"])
+@_omega_commands
+def test_diamond_order_below_1_exits_1(capsys, argv, k):
+    assert "diamond order k must be >= 1" in _usage_error(capsys, argv + ["--k", k, "--C", "2"])
 
 
 @pytest.mark.parametrize(

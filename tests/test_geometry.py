@@ -19,7 +19,7 @@ from sawkit.aztec import (
     path_to_partition,
     staircase_partition,
 )
-from sawkit.glauber import _flip_valid, enumerate_omega, glauber_step, make_chain
+from sawkit.glauber import _flip, enumerate_omega, glauber_step, make_chain
 from sawkit.lattice import Point, Walk
 from sawkit.oracle import _self_avoiding, _walk_dfs
 from sawkit.sampling import RngStream
@@ -202,12 +202,11 @@ def test_flip_valid_matches_recount(k, seed, steps):
     assert (state.b_mask, state.b_comp) == (_boundary(d.verts_of(m)), _boundary(d.verts_of(d.all_mask ^ m)))
     for v in range(d.n):
         inside = m >> v & 1
-        b_in, b_out = (state.b_mask, state.b_comp) if inside else (state.b_comp, state.b_mask)
-        res = _flip_valid(d, budget, m, b_in, b_out, v)
+        res = _flip(d, budget, m, state.b_mask, state.b_comp, v)
         leaving = set(d.verts_of(m if inside else d.all_mask ^ m)) - {d.verts[v]}
         joining = set(d.verts) - leaving
         sizes = (_boundary(leaving), _boundary(joining))
         valid = _connected(leaving) and _connected(joining) and max(sizes) <= budget
         assert (res is not None) == valid
         if res is not None:
-            assert res == sizes
+            assert res == (sizes if inside else sizes[::-1])

@@ -9,7 +9,7 @@ from sawkit import oracle
 from sawkit.aztec import OmegaParams, staircase_partition
 from sawkit.glauber import (
     _Diamond,
-    _flip_valid,
+    _flip,
     _ordered,
     check_open_cuts,
     conductance_of_cut,
@@ -51,14 +51,11 @@ def test_disconnecting_flip_is_rejected():
     params = OmegaParams(6, 1.0)  # generous budget so only connectivity can block
     omega = enumerate_omega(2, params)
     d = _Diamond.get(2)
-    from sawkit.glauber import _flip_valid
-
     for p in omega:
         m = d.mask_of(p.class1)
         b1, b2 = p.boundary_sizes
         for v in range(d.n):
-            res = _flip_valid(d, params.budget(2), m, b1 if m >> v & 1 else b2,
-                              b2 if m >> v & 1 else b1, v)
+            res = _flip(d, params.budget(2), m, b1, b2, v)
             if res is None:
                 continue
             # accepted flips must keep both classes connected
@@ -166,7 +163,7 @@ def test_run_chain_records_and_crossings():
 
 
 def _reference_flip_valid(d, budget, mask, b_in, b_out, v):
-    """_flip_valid with the whole-class flood fill as its only connectivity test."""
+    """Flip validity by whole-class flood fill; b_in is the boundary of v's class, b_out of the other."""
     bit = 1 << v
     leaving = mask if mask & bit else d.all_mask ^ mask
     joining = d.all_mask ^ leaving
@@ -186,43 +183,51 @@ def _reference_flip_valid(d, budget, mask, b_in, b_out, v):
     return new_b_leave, new_b_join
 
 
+def _reference_flip(d, budget, mask, b_mask, b_comp, v):
+    """_reference_flip_valid in _flip's argument order: (mask, complement)."""
+    if mask >> v & 1:
+        return _reference_flip_valid(d, budget, mask, b_mask, b_comp, v)
+    res = _reference_flip_valid(d, budget, mask, b_comp, b_mask, v)
+    return None if res is None else res[::-1]
+
+
+def _no_flood_fill(self, *args):
+    raise AssertionError("a flip ran a flood fill")
+
+
 def test_flip_valid_matches_whole_class_flood(monkeypatch):
-    # every partition of Omega and every vertex for k <= 3 at C=3, and at k=2
-    # under budget 24, where one class can enclose the other
-    whole_class_fill = _Diamond.connected
-    fills = Counter()
-    for k, budget in [(1, PARAMS.budget(1)), (2, PARAMS.budget(2)), (3, PARAMS.budget(3)), (2, 24)]:
+    # every partition of Omega and every vertex for k <= 3 at C=3, k=4 at C=2,
+    # and k=2 under budget 24, where one class can enclose the other
+    cases = [(1, PARAMS.budget(1)), (2, PARAMS.budget(2)), (3, PARAMS.budget(3)), (2, 24),
+             (4, OmegaParams(2, 0.5).budget(4))]
+    for k, budget in cases:
         d = _Diamond.get(k)
-        flips = []
-        for p in oracle.enumerate_partitions(k, PARAMS, budget=budget).items:
-            b1, b2 = p.boundary_sizes
-            flips += [(p.mask, b1, b2, v) if p.mask >> v & 1 else (p.mask, b2, b1, v) for v in range(d.n)]
-        want = [_reference_flip_valid(d, budget, *f) for f in flips]
-
-        def counting_fill(self, mask):
-            fills[k, budget] += 1
-            return whole_class_fill(self, mask)
-
-        monkeypatch.setattr(_Diamond, "connected", counting_fill)
-        assert [_flip_valid(d, budget, *f) for f in flips] == want
-        monkeypatch.setattr(_Diamond, "connected", whole_class_fill)
-    assert fills[2, 24] > 0  # the radius-2 flood left some flip to the whole-class fill
+        flips = [(p.mask, *p.boundary_sizes, v)
+                 for p in oracle.enumerate_partitions(k, PARAMS, budget=budget).items for v in range(d.n)]
+        want = [_reference_flip(d, budget, *f) for f in flips]
+        with monkeypatch.context() as m:
+            m.setattr(_Diamond, "component", _no_flood_fill)
+            m.setattr(_Diamond, "connected", _no_flood_fill)
+            assert [_flip(d, budget, *f) for f in flips] == want
+    assert len(flips) == 6_206 * 40
 
 
-def test_whole_class_fill_finds_the_long_way_round(monkeypatch):
-    # class 1 is a one-face-wide ring around a 3x2 block at k=4; v, mid-way along
-    # its bottom side, has ring neighbours left and right joined only around the ring
+def test_corner_rule_needs_an_open_cut():
+    # class 2 is an L of three faces enclosed by class 1 at k=4.  v's
+    # class-1 neighbours (5,3) and (3,5) have their diagonal (5,5) off the
+    # diamond, so the corner rule refuses, yet they meet the long way round
     d = _Diamond.get(4)
-    ring = [(2 * x + 1, 2 * y - 3) for x in range(-2, 3) for y in range(4) if x in (-2, 2) or y in (0, 3)]
-    mask, v = d.mask_of(ring), d.index[(1, -3)]
-    b_in, b_out = d.boundary_size(mask), d.boundary_size(d.all_mask ^ mask)
-    want = _reference_flip_valid(d, 100, mask, b_in, b_out, v)
-    assert want is not None
-    fills = []
-    whole_class_fill = _Diamond.connected
-    monkeypatch.setattr(_Diamond, "connected", lambda self, m: fills.append(m) or whole_class_fill(self, m))
-    assert _flip_valid(d, 100, mask, b_in, b_out, v) == want
-    assert fills == [mask ^ (1 << v)]
+    inner = d.mask_of([(1, 1), (1, 3), (3, 1)])
+    mask, v = d.all_mask ^ inner, d.index[(3, 3)]
+    sizes = (d.boundary_size(mask), d.boundary_size(inner))
+    assert sizes == (40, 8)
+    assert _reference_flip_valid(d, 40, mask, *sizes, v) == (40, 8)
+    assert d.connected(mask ^ (1 << v)) and d.connected(inner | 1 << v)
+    assert _flip(d, 40, mask, *sizes, v) is None
+    closed = OmegaParams(8, 0.5)
+    assert closed.budget(4) == 40
+    with pytest.raises(ValueError, match="admits a class enclosed"):
+        make_chain(4, closed, d.partition(mask), RngStream(1))
 
 
 def _reference_run(k, params, steps, rng, record_every):
@@ -240,11 +245,7 @@ def _reference_run(k, params, steps, rng, record_every):
     records, moves, crossings = [snapshot(0)], 0, 0
     for i in range(1, steps + 1):
         v = rng.uniform_int(d.n)
-        if mask >> v & 1:
-            res = _reference_flip_valid(d, budget, mask, b_mask, b_comp, v)
-        else:
-            res = _reference_flip_valid(d, budget, mask, b_comp, b_mask, v)
-            res = None if res is None else res[::-1]
+        res = _reference_flip(d, budget, mask, b_mask, b_comp, v)
         if res is not None:
             mask ^= 1 << v
             b_mask, b_comp = res
@@ -294,6 +295,11 @@ def test_closed_cut_budgets_are_refused(k, C_open, C_closed):
         check_open_cuts(k, closed_params)
     with pytest.raises(ValueError, match="admits a class enclosed"):
         run_chain(k, closed_params, 10, RngStream(1))
+    # the exact diagnostics flip every face of every state, so they refuse it too
+    with pytest.raises(ValueError, match="admits a class enclosed"):
+        conductance_of_cut([staircase_partition(k)], closed_params, ordered_endpoints)
+    with pytest.raises(ValueError, match="admits a class enclosed"):
+        transition_counts([staircase_partition(k)], closed_params)
     check_open_cuts(1, OmegaParams(100, 0.5))  # k=1 has no interior face to enclose
 
 
