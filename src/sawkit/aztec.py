@@ -83,10 +83,6 @@ class AztecRegion(Region):
         return f"AztecRegion(k={self.k})"
 
 
-def aztec_region(k: int) -> AztecRegion:
-    return AztecRegion(k)
-
-
 def boundary_vertices(k: int) -> list[Point]:
     """The 4k primal points with |x|+|y| = k, sorted."""
     out = set()
@@ -490,7 +486,7 @@ def width_certificate(k: int, params: OmegaParams, p1: Point, p2: Point, ell: in
     endpoint pairs, and the report says whether the pair qualifies.
     """
     p1, p2 = Point(*p1), Point(*p2)
-    region = aztec_region(k)
+    region = AztecRegion(k)
     for q in (p1, p2):
         if abs(q.x) + abs(q.y) != k:
             raise ValueError(f"endpoint {q} not on the diamond boundary")
@@ -625,7 +621,7 @@ class _InteriorRegion(Region):
         return abs(p[0]) + abs(p[1]) < self.k or (p[0], p[1]) == self.target
 
     def points(self):
-        return (p for p in aztec_region(self.k).points() if p in self)
+        return (p for p in AztecRegion(self.k).points() if p in self)
 
 
 def partition_family(

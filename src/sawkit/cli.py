@@ -41,14 +41,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _ints(option: str, spec: str, values: str, form: str) -> tuple[int, ...]:
+    """The comma-separated integers of ``values``, a part of ``spec``, as many as ``form`` names."""
+    try:
+        out = tuple(int(v) for v in values.split(","))
+    except ValueError:
+        out = ()
+    if len(out) != form.count(",") + 1:
+        raise ValueError(f"{option} must be of the form {form}, got {spec!r}")
+    return out
+
+
 def _parse_region(text: str):
     if text in (None, "", "full"):
         return FullLattice()
     kind, _, rest = text.partition(":")
     if kind == "aztec":
-        return AztecRegion(int(rest))
+        (k,) = _ints("--region", text, rest, "aztec:<k>")
+        return AztecRegion(k)
     if kind == "box":
-        x0, y0, x1, y1 = (int(v) for v in rest.split(","))
+        x0, y0, x1, y1 = _ints("--region", text, rest, "box:x0,y0,x1,y1")
         return BoxRegion(LatticeBox(Point(x0, y0), Point(x1, y1)))
     raise ValueError(f"unknown region spec {text!r} (use aztec:<k> or box:x0,y0,x1,y1)")
 
@@ -83,9 +95,12 @@ def _manifest(args, command: tuple[str, str]) -> dict:
     }
 
 
-def _check_count(args) -> None:
+def _check_sampling(args) -> None:
+    """Refuse a sample count or attempt budget no run can meet, before any table is built."""
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
+    if args.max_attempts < 1:
+        raise ValueError(f"--max-attempts must be >= 1, got {args.max_attempts}")
 
 
 def _walk_json(walk: Walk, attempts: int) -> dict:
@@ -112,8 +127,7 @@ def _cmd_count_low_girth(args) -> int:
     if args.origin is None:
         origin = Point(0, 0)
     else:
-        ox, oy = (int(v) for v in args.origin.split(","))
-        origin = Point(ox, oy)
+        origin = Point(*_ints("--origin", args.origin, args.origin, "x,y"))
     table = build_table(region, origin, Point(args.n1, args.n2), args.l, args.k,
                         memory_cap=args.memory_cap)
     for length, count in sorted(table.counts().items()):
@@ -135,7 +149,9 @@ def _cmd_paths_bump(args) -> int:
 
 
 def _cmd_sample_saw(args) -> int:
-    _check_count(args)
+    _check_sampling(args)
+    if args.n1 < 0 or args.n2 < 0:
+        raise ValueError(f"--n1 and --n2 must be >= 0, got {args.n1} and {args.n2}")
     n = args.n1 + args.n2
     _regime_warning(n, args.k, args.l)
     region = _parse_region(args.region)
@@ -155,7 +171,7 @@ def _cmd_sample_saw(args) -> int:
             lines.append(json.dumps(_walk_json(rep.walk, rep.attempts), sort_keys=True))
         else:
             lines.append(rep.walk.to_text())
-    body = "\n".join(lines) + "\n"
+    body = "".join(line + "\n" for line in lines)
     name = {"svg": "samples.jsonl", "json": "samples.jsonl", "udlr": "samples.txt"}[args.format]
     if args.out:
         files[name] = body
@@ -168,7 +184,7 @@ def _cmd_sample_saw(args) -> int:
 
 
 def _cmd_aztec_sample(args) -> int:
-    _check_count(args)
+    _check_sampling(args)
     params = OmegaParams(args.C, args.eps)
     rng = RngStream(args.seed)
     family = partition_family(args.k, params, args.l, cache_dir=args.cache_dir,
@@ -193,7 +209,7 @@ def _cmd_aztec_sample(args) -> int:
         lines.append(json.dumps(record, sort_keys=True))
         if args.format == "svg":
             files[f"partition_{i:04d}.svg"] = render_partition_svg(part)
-    body = "\n".join(lines) + "\n"
+    body = "".join(line + "\n" for line in lines)
     if args.out:
         files["partitions.jsonl"] = body
         _write_outputs(args.out, manifest, files)
@@ -279,8 +295,7 @@ def _cmd_verify(args) -> int:
     from . import acceptance
 
     if args.calibration:
-        draws = acceptance.CALIBRATION_DRAWS if args.draws is None else args.draws
-        results = acceptance.run_calibration(draws=draws)
+        results = acceptance.run_calibration()
         text = json.dumps(results, indent=2, sort_keys=True)
         if args.write_calibration:
             with open(args.write_calibration, "w") as fh:
@@ -289,10 +304,8 @@ def _cmd_verify(args) -> int:
         else:
             print(text)
         return 0
-    stray = [flag for flag, value in (("--draws", args.draws), ("--write-calibration", args.write_calibration))
-             if value is not None]
-    if stray:
-        raise ValueError(f"{', '.join(stray)}: only meaningful with --calibration")
+    if args.write_calibration is not None:
+        raise ValueError("--write-calibration: only meaningful with --calibration")
     selected = [int(x) for x in args.criteria.split(",")] if args.criteria else None
     unknown = sorted(set(selected or ()) - {number for number, _, _ in acceptance.CRITERIA})
     if unknown:
@@ -440,11 +453,10 @@ def build_parser() -> argparse.ArgumentParser:
     vf = sub.add_parser("verify", help="run the acceptance suite")
     vf.add_argument("--criteria", default=None, help="comma-separated criterion numbers")
     vf.add_argument("--calibration", action="store_true", help="run the slow calibration instances")
-    vf.add_argument("--draws", type=int, default=None, help="with --calibration, draws per instance (default 2000)")
     vf.add_argument(
         "--write-calibration", default=None, dest="write_calibration", metavar="PATH",
         help="with --calibration, write the results as JSON to PATH instead of stdout; "
-        "criterion 4 reads src/sawkit/data/calibration.json, written at the default --draws",
+        "criterion 4 reads src/sawkit/data/calibration.json",
     )
     vf.set_defaults(run=_cmd_verify)
 

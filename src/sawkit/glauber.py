@@ -113,7 +113,6 @@ class ChainState:
     """
 
     diamond: _Diamond
-    params: OmegaParams
     budget: int
     mask: int
     b_mask: int
@@ -206,7 +205,6 @@ def make_chain(k: int, params: OmegaParams, start: Partition, rng: RngStream) ->
     ends = d.cut_endpoints(start.mask)
     return ChainState(
         diamond=d,
-        params=params,
         budget=params.budget(k),
         mask=start.mask,
         b_mask=start.boundary_sizes[0],

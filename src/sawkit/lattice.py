@@ -17,7 +17,6 @@ from typing import Iterator, NamedTuple
 DIRECTIONS = "URDL"
 
 _DISPLACEMENT = {"U": (0, 1), "R": (1, 0), "D": (0, -1), "L": (-1, 0)}
-_REVERSE = {"U": "D", "D": "U", "L": "R", "R": "L"}
 _MOVE_SET = frozenset(_DISPLACEMENT)
 
 _WALK_TEXT = re.compile(r"^\((-?\d+),(-?\d+)\)([URDL]*)$")
@@ -32,14 +31,6 @@ def displacement(direction: str) -> tuple[int, int]:
     """Unit displacement of a direction character."""
     try:
         return _DISPLACEMENT[direction]
-    except KeyError:
-        raise ValueError(f"unknown direction {direction!r}") from None
-
-
-def reverse(direction: str) -> str:
-    """Opposite direction: U<->D, L<->R."""
-    try:
-        return _REVERSE[direction]
     except KeyError:
         raise ValueError(f"unknown direction {direction!r}") from None
 
@@ -165,9 +156,6 @@ class LatticeBox:
             for y in range(self.lo.y, self.hi.y + 1):
                 yield Point(x, y)
 
-    def size(self) -> int:
-        return (self.hi.x - self.lo.x + 1) * (self.hi.y - self.lo.y + 1)
-
 
 class Region:
     """Membership predicate over lattice points.
@@ -251,15 +239,3 @@ def boundary_points_in_box(region: Region, box: LatticeBox) -> int:
     """|boundary(region) ∩ box|."""
     return sum(1 for p in boundary(region) if p in box)
 
-
-def reflect_walk(walk: Walk, flip_x: bool, flip_y: bool) -> Walk:
-    """Mirror a walk across the coordinate axes (x -> -x and/or y -> -y)."""
-    sx, sy = walk.start
-    moves = walk.moves
-    if flip_x:
-        sx = -sx
-        moves = moves.translate(str.maketrans("LR", "RL"))
-    if flip_y:
-        sy = -sy
-        moves = moves.translate(str.maketrans("UD", "DU"))
-    return Walk(Point(sx, sy), moves)

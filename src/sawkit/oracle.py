@@ -211,7 +211,7 @@ def _partitions_by_paths(k: int, budget: int):
     2-partition, so the DFS extends from no boundary point but its start."""
     from . import aztec
 
-    region = aztec.aztec_region(k)
+    region = aztec.AztecRegion(k)
     bpts = sorted(aztec.boundary_vertices(k))
     boundary = set(bpts)
     max_len = budget - 4 * k  # cut length + larger outer share (>= 4k) <= budget

@@ -1,17 +1,14 @@
 """Shortest-path statistics, bumping, base paths, and good-edge mappings.
 
 Move indices in this module are 1-based (matching b_1..b_n notation);
-edge indices inside a GoodEdgeMap are 0-based (edge j joins points j and
+edge indices in a good-edge map are 0-based (edge j joins points j and
 j+1).  All base-path operations assume the canonical frame: walks start
-at the origin and end at a point with nonnegative coordinates; use
-``to_first_quadrant`` to normalize arbitrary walks.
+at the origin and end at a point with nonnegative coordinates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .lattice import Point, Region, Walk
+from .lattice import Point, Walk
 
 
 class GoodEdgeMapError(ValueError):
@@ -120,10 +117,10 @@ def _require_canonical(walk: Walk) -> list[Point]:
 def _base_path_data(walk: Walk):
     """Base-path moves plus the anchor bookkeeping the good-edge map needs.
 
-    Returns (moves, anchors, rbar, q_idx, vertical_first) where anchors is
-    the list of (index-in-walk, point) for R_0..R_m, q_idx indexes the first
-    point of the final stretch touching the decisive target line, and
-    vertical_first tells whether that line was y = n2.
+    Returns (moves, anchors, rbar, q_idx) where anchors is the list of
+    (index-in-walk, point) for R_0..R_m, q_idx indexes the first point of
+    the final stretch touching a target line, and rbar is the corner where
+    the base path bends onto that line.
     """
     pts = _require_canonical(walk)
     target = pts[-1]
@@ -132,7 +129,7 @@ def _base_path_data(walk: Walk):
     i = 0
     cur = pts[0]
     if cur == target:
-        return "", anchors, cur, 0, True
+        return "", anchors, cur, 0
     while True:
         j = None
         for m in range(i + 1, len(pts)):
@@ -152,23 +149,14 @@ def _base_path_data(walk: Walk):
             cur, i = nxt, j
             continue
         # final stretch: which target line does the walk touch first?
-        q_idx = None
-        vertical_first = True
-        for m in range(i, len(pts)):
-            if pts[m].y == target.y:
-                q_idx, vertical_first = m, True
-                break
-            if pts[m].x == target.x:
-                q_idx, vertical_first = m, False
-                break
-        assert q_idx is not None
-        if vertical_first:
+        q_idx = next(m for m in range(i, len(pts)) if pts[m].y == target.y or pts[m].x == target.x)
+        if pts[q_idx].y == target.y:
             rbar = Point(cur.x, target.y)
             moves.append("U" * (target.y - cur.y) + "R" * (target.x - cur.x))
         else:
             rbar = Point(target.x, cur.y)
             moves.append("R" * (target.x - cur.x) + "U" * (target.y - cur.y))
-        return "".join(moves), anchors, rbar, q_idx, vertical_first
+        return "".join(moves), anchors, rbar, q_idx
 
 
 def base_path(walk: Walk) -> Walk:
@@ -179,40 +167,8 @@ def base_path(walk: Walk) -> Walk:
     target, extending along the box boundary; the final stretch bends at
     the corner on whichever target line the walk touches first.
     """
-    moves, _, _, _, _ = _base_path_data(walk)
+    moves, _, _, _ = _base_path_data(walk)
     return Walk(Point(0, 0), moves)
-
-
-@dataclass(frozen=True)
-class GoodEdgeMap:
-    """Strictly increasing injection of base-path edges into walk edges.
-
-    entries[j] is the walk edge index assigned to base edge j; every
-    assigned walk edge is super-parallel to its base edge (same direction,
-    same coordinate slice).
-    """
-
-    entries: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, j: int) -> int:
-        return self.entries[j]
-
-    def validate(self, walk: Walk, base: Walk) -> bool:
-        if len(self.entries) != len(base.moves):
-            return False
-        if len(set(self.entries)) != len(self.entries):
-            return False
-        if any(b <= a for a, b in zip(self.entries, self.entries[1:])):
-            return False
-        apts = walk.points()
-        bpts = base.points()
-        for j, k in enumerate(self.entries):
-            if not _super_parallel(bpts[j], base.moves[j], apts[k], walk.moves[k]):
-                return False
-        return True
 
 
 def _super_parallel(bpt: Point, bmove: str, apt: Point, amove: str) -> bool:
@@ -225,15 +181,18 @@ def _super_parallel(bpt: Point, bmove: str, apt: Point, amove: str) -> bool:
     return False
 
 
-def good_edge_map(walk: Walk) -> GoodEdgeMap:
+def good_edge_map(walk: Walk) -> tuple[int, ...]:
     """Segment-wise least-index construction of a good edge mapping.
 
-    For each base edge, in order, the least not-yet-used walk edge that is
-    super-parallel to it is selected inside the walk stretch between the
-    enclosing anchors (the final stretch is split at the first target-line
-    touch).  Raises GoodEdgeMapError if some base edge cannot be matched.
+    Entry j is the walk edge assigned to base edge j; the entries strictly
+    increase, and each assigned walk edge is super-parallel to its base
+    edge (same direction, same coordinate slice).  For each base edge, in
+    order, the least not-yet-used walk edge that is super-parallel to it is
+    selected inside the walk stretch between the enclosing anchors (the
+    final stretch is split at the first target-line touch).  Raises
+    GoodEdgeMapError if some base edge cannot be matched.
     """
-    bmoves, anchors, rbar, q_idx, _ = _base_path_data(walk)
+    bmoves, anchors, rbar, q_idx = _base_path_data(walk)
     apts = walk.points()
     amoves = walk.moves
     bpts = Walk(Point(0, 0), bmoves).points()
@@ -266,50 +225,13 @@ def good_edge_map(walk: Walk) -> GoodEdgeMap:
             )
         entries.append(found)
         prev = found
-    return GoodEdgeMap(tuple(entries))
+    return tuple(entries)
 
 
-def bumpable_good_edges(walk: Walk, region: Region) -> tuple[int, ...]:
-    """Good-edge move indices (1-based) whose single bump stays a SAW in region.
+def bumpable_good_edges(walk: Walk) -> tuple[int, ...]:
+    """Good-edge move indices (1-based) whose single bump stays self-avoiding.
 
     Each candidate is checked by direct simulation: perform the bump and
-    test self-avoidance plus region membership of the result.
+    test self-avoidance of the result.
     """
-    gem = good_edge_map(walk)
-    out = []
-    unbounded = not region.bounded
-    for k in gem.entries:
-        bumped = bump(walk, (k + 1,))
-        if not bumped.is_self_avoiding():
-            continue
-        if unbounded or all(p in region for p in bumped.points()):
-            out.append(k + 1)
-    return tuple(out)
-
-
-# -- frame normalization --------------------------------------------------------
-
-
-def to_first_quadrant(walk: Walk) -> tuple[Walk, tuple[int, int, bool, bool]]:
-    """Translate the start to the origin and reflect the end into (n1,n2) >= 0.
-
-    Returns the normalized walk plus the transform (dx, dy, flip_x, flip_y)
-    accepted by from_first_quadrant.
-    """
-    dx, dy = -walk.start.x, -walk.start.y
-    shifted = Walk(Point(0, 0), walk.moves)
-    end = shifted.end
-    flip_x = end.x < 0
-    flip_y = end.y < 0
-    from .lattice import reflect_walk
-
-    return reflect_walk(shifted, flip_x, flip_y), (dx, dy, flip_x, flip_y)
-
-
-def from_first_quadrant(walk: Walk, transform: tuple[int, int, bool, bool]) -> Walk:
-    """Invert to_first_quadrant."""
-    dx, dy, flip_x, flip_y = transform
-    from .lattice import reflect_walk
-
-    undone = reflect_walk(walk, flip_x, flip_y)
-    return Walk(Point(undone.start.x - dx, undone.start.y - dy), undone.moves)
+    return tuple(k + 1 for k in good_edge_map(walk) if bump(walk, (k + 1,)).is_self_avoiding())

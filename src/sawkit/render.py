@@ -6,106 +6,80 @@ inputs produce byte-identical files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .aztec import Partition, partition_to_path
 from .lattice import Walk
 
 
-@dataclass(frozen=True)
-class SvgStyle:
-    scale: int = 16
-    margin: int = 1
-    background: str = "#ffffff"
-    stroke: str = "#d1495b"
-    stroke_width: int = 2
-    start_fill: str = "#1d3557"
-    end_fill: str = "#e07a1f"
-    endpoint_radius: int = 4
-    grid: bool = False
-    grid_stroke: str = "#e0e0e0"
-    class1_fill: str = "#f2c57c"
-    class2_fill: str = "#6d9dc5"
-    cell_stroke: str = "#909090"
-
-
-DEFAULT_STYLE = SvgStyle()
+SCALE = 16  # pixels per lattice unit
+MARGIN = 1  # lattice units of padding around the drawing
+BACKGROUND = "#ffffff"
+STROKE = "#d1495b"
+STROKE_WIDTH = 2
+START_FILL = "#1d3557"
+END_FILL = "#e07a1f"
+ENDPOINT_RADIUS = 4
+CLASS1_FILL = "#f2c57c"
+CLASS2_FILL = "#6d9dc5"
+CELL_STROKE = "#909090"
 
 
 class _Canvas:
-    def __init__(self, min_x: int, min_y: int, max_x: int, max_y: int, style: SvgStyle):
-        self.style = style
-        self.min_x, self.min_y, self.max_x, self.max_y = min_x, min_y, max_x, max_y
-        self.width = (max_x - min_x + 2 * style.margin) * style.scale
-        self.height = (max_y - min_y + 2 * style.margin) * style.scale
+    def __init__(self, min_x: int, min_y: int, max_x: int, max_y: int):
+        self.min_x, self.max_y = min_x, max_y
+        self.width = (max_x - min_x + 2 * MARGIN) * SCALE
+        self.height = (max_y - min_y + 2 * MARGIN) * SCALE
         self.parts: list[str] = []
 
     def sx(self, x: float) -> int:
-        return round((x - self.min_x + self.style.margin) * self.style.scale)
+        return round((x - self.min_x + MARGIN) * SCALE)
 
     def sy(self, y: float) -> int:
-        return round((self.max_y - y + self.style.margin) * self.style.scale)
+        return round((self.max_y - y + MARGIN) * SCALE)
 
     def document(self) -> str:
         head = (
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
             f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">\n'
-            f'<rect width="{self.width}" height="{self.height}" fill="{self.style.background}"/>\n'
+            f'<rect width="{self.width}" height="{self.height}" fill="{BACKGROUND}"/>\n'
         )
         return head + "".join(self.parts) + "</svg>\n"
 
 
-def _grid(c: _Canvas) -> None:
-    s = c.style
-    for x in range(c.min_x, c.max_x + 1):
-        c.parts.append(
-            f'<line x1="{c.sx(x)}" y1="{c.sy(c.min_y)}" x2="{c.sx(x)}" y2="{c.sy(c.max_y)}" '
-            f'stroke="{s.grid_stroke}" stroke-width="1"/>\n'
-        )
-    for y in range(c.min_y, c.max_y + 1):
-        c.parts.append(
-            f'<line x1="{c.sx(c.min_x)}" y1="{c.sy(y)}" x2="{c.sx(c.max_x)}" y2="{c.sy(y)}" '
-            f'stroke="{s.grid_stroke}" stroke-width="1"/>\n'
-        )
-
-
-def render_walk_svg(walk: Walk, style: SvgStyle = DEFAULT_STYLE) -> str:
+def render_walk_svg(walk: Walk) -> str:
     """SVG document with the walk polyline and marked endpoints."""
     pts = walk.points()
     xs = [p.x for p in pts]
     ys = [p.y for p in pts]
-    c = _Canvas(min(xs), min(ys), max(xs), max(ys), style)
-    if style.grid:
-        _grid(c)
+    c = _Canvas(min(xs), min(ys), max(xs), max(ys))
     coords = " ".join(f"{c.sx(p.x)},{c.sy(p.y)}" for p in pts)
     c.parts.append(
-        f'<polyline points="{coords}" fill="none" stroke="{style.stroke}" '
-        f'stroke-width="{style.stroke_width}" stroke-linecap="round" stroke-linejoin="round"/>\n'
+        f'<polyline points="{coords}" fill="none" stroke="{STROKE}" '
+        f'stroke-width="{STROKE_WIDTH}" stroke-linecap="round" stroke-linejoin="round"/>\n'
     )
-    for p, fill in ((pts[0], style.start_fill), (pts[-1], style.end_fill)):
+    for p, fill in ((pts[0], START_FILL), (pts[-1], END_FILL)):
         c.parts.append(
-            f'<circle cx="{c.sx(p.x)}" cy="{c.sy(p.y)}" r="{style.endpoint_radius}" fill="{fill}"/>\n'
+            f'<circle cx="{c.sx(p.x)}" cy="{c.sy(p.y)}" r="{ENDPOINT_RADIUS}" fill="{fill}"/>\n'
         )
     return c.document()
 
 
-def render_partition_svg(partition: Partition, style: SvgStyle = DEFAULT_STYLE) -> str:
+def render_partition_svg(partition: Partition) -> str:
     """SVG document with the two dual-cell classes and the boundary path overlay."""
     k = partition.k
-    c = _Canvas(-k, -k, k, k, style)
-    for verts, fill in ((partition.class1, style.class1_fill), (partition.class2, style.class2_fill)):
+    c = _Canvas(-k, -k, k, k)
+    for verts, fill in ((partition.class1, CLASS1_FILL), (partition.class2, CLASS2_FILL)):
         for (a, b) in sorted(verts):
             # dual vertex (a/2, b/2) is the unit cell centered there
             x0 = c.sx((a - 1) // 2)
             y0 = c.sy((b + 1) // 2)
             c.parts.append(
-                f'<rect x="{x0}" y="{y0}" width="{style.scale}" height="{style.scale}" '
-                f'fill="{fill}" stroke="{style.cell_stroke}" stroke-width="1"/>\n'
+                f'<rect x="{x0}" y="{y0}" width="{SCALE}" height="{SCALE}" '
+                f'fill="{fill}" stroke="{CELL_STROKE}" stroke-width="1"/>\n'
             )
     walk = partition_to_path(partition)
     coords = " ".join(f"{c.sx(p.x)},{c.sy(p.y)}" for p in walk.points())
     c.parts.append(
-        f'<polyline points="{coords}" fill="none" stroke="{style.stroke}" '
-        f'stroke-width="{style.stroke_width + 1}" stroke-linecap="round" stroke-linejoin="round"/>\n'
+        f'<polyline points="{coords}" fill="none" stroke="{STROKE}" '
+        f'stroke-width="{STROKE_WIDTH + 1}" stroke-linecap="round" stroke-linejoin="round"/>\n'
     )
     return c.document()

@@ -9,12 +9,12 @@ from statistics import NormalDist
 import pytest
 
 from sawkit.aztec import (
+    AztecRegion,
     OmegaParams,
     _cache_path,
     _load_cached_table,
     anchor_vertex,
     arc_gap,
-    aztec_region,
     boundary_vertices,
     dual_vertices,
     in_omega,
@@ -34,10 +34,10 @@ from sawkit.sampling import RngStream
 
 
 def test_region_counts():
-    assert len(list(aztec_region(1).points())) == 5
-    assert len(boundary(aztec_region(1))) == 4
-    assert len(list(aztec_region(2).points())) == 13
-    assert len(boundary(aztec_region(2))) == 8
+    assert len(list(AztecRegion(1).points())) == 5
+    assert len(boundary(AztecRegion(1))) == 4
+    assert len(list(AztecRegion(2).points())) == 13
+    assert len(boundary(AztecRegion(2))) == 8
 
 
 def test_dual_vertex_counts():

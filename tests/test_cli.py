@@ -1,5 +1,4 @@
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -290,37 +289,72 @@ def test_negative_size_exits_1(capsys, tmp_path, argv, message):
     assert captured.out == "" and not out.exists()
 
 
-@pytest.mark.parametrize("draws", [0, -2])
-def test_verify_calibration_without_draws_exits_1(capsys, tmp_path, monkeypatch, draws):
-    """Fewer than one calibration draw is a typed error raised before any table is built."""
-    def no_table(*args, **kwargs):
-        raise AssertionError("table built before the draws check")
-
-    monkeypatch.setattr("sawkit.acceptance.build_table", no_table)
-    out = tmp_path / "calibration.json"
-    assert main(["verify", "--calibration", "--draws", str(draws), "--write-calibration", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == f"error: draws must be >= 1, got {draws}\n"
-    assert captured.out == "" and not out.exists()
-
-
-@pytest.mark.parametrize(
-    "extra,flags",
-    [
-        (["--draws", "-5", "--write-calibration", "PATH"], "--draws, --write-calibration"),
-        (["--draws", "2000"], "--draws"),
-        (["--write-calibration", "PATH"], "--write-calibration"),
-    ],
-    ids=["both", "draws", "write-calibration"],
-)
-def test_verify_calibration_options_without_calibration_exit_1(capsys, tmp_path, monkeypatch, extra, flags):
-    """The calibration-only options are a typed error without --calibration: no criterion runs, no file."""
+@pytest.mark.parametrize("flag", ["--write-calibration"], ids=["write-calibration"])
+def test_verify_calibration_options_without_calibration_exit_1(capsys, tmp_path, monkeypatch, flag):
+    """The calibration-only option is a typed error without --calibration: no criterion runs, no file."""
     def no_criteria(*args, **kwargs):
         raise AssertionError("criteria ran")
 
     monkeypatch.setattr("sawkit.acceptance.run_criteria", no_criteria)
     out = tmp_path / "calibration.json"
-    argv = ["verify", "--criteria", "1"] + [str(out) if a == "PATH" else a for a in extra]
-    err = _usage_error(capsys, argv)
-    assert err == f"error: {flags}: only meaningful with --calibration\n"
+    err = _usage_error(capsys, ["verify", "--criteria", "1", flag, str(out)])
+    assert err == f"error: {flag}: only meaningful with --calibration\n"
     assert not out.exists()
+
+
+def test_verify_has_no_draws_flag():
+    assert main(["verify", "--calibration", "--draws", "2000"]) == 1
+
+
+_SAMPLE_SAW = ["sample", "saw", "--n1", "2", "--n2", "2", "--k", "1", "--l", "2", "--seed", "1"]
+_AZTEC_SAMPLE = ["aztec", "sample", "--k", "2", "--C", "3", "--eps", "0.5", "--l", "2", "--seed", "1"]
+_samplers = pytest.mark.parametrize("argv", [_SAMPLE_SAW, _AZTEC_SAMPLE], ids=["sample-saw", "aztec-sample"])
+
+
+@pytest.mark.parametrize("attempts", ["0", "-4"])
+@_samplers
+def test_max_attempts_below_1_exits_1(capsys, tmp_path, monkeypatch, argv, attempts):
+    """An attempt budget no draw can meet is refused before any table is built."""
+    def no_table(*args, **kwargs):
+        raise AssertionError("table built before the --max-attempts check")
+
+    monkeypatch.setattr("sawkit.cli.build_table", no_table)
+    monkeypatch.setattr("sawkit.cli.partition_family", no_table)
+    out = tmp_path / "run"
+    err = _usage_error(capsys, argv + ["--max-attempts", attempts, "--out", str(out)])
+    assert err == f"error: --max-attempts must be >= 1, got {attempts}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["udlr", "json", "svg"])
+def test_sample_saw_count_0_writes_nothing(capsys, tmp_path, fmt):
+    assert main(_SAMPLE_SAW + ["--count", "0", "--format", fmt]) == 0
+    assert capsys.readouterr().out == ""
+    out = tmp_path / "run"
+    assert main(_SAMPLE_SAW + ["--count", "0", "--format", fmt, "--out", str(out)]) == 0
+    name = "samples.txt" if fmt == "udlr" else "samples.jsonl"
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", name]
+    assert (out / name).read_text() == ""
+
+
+def test_aztec_sample_count_0_writes_nothing(capsys, tmp_path):
+    assert main(_AZTEC_SAMPLE + ["--count", "0"]) == 0
+    assert capsys.readouterr().out == ""
+    out = tmp_path / "run"
+    assert main(_AZTEC_SAMPLE + ["--count", "0", "--out", str(out)]) == 0
+    assert (out / "partitions.jsonl").read_text() == ""
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["sample", "saw", "--n1", "-3", "--n2", "3", "--k", "1", "--l", "2", "--seed", "1"],
+         "--n1 and --n2 must be >= 0"),
+        (_SAMPLE_SAW + ["--region", "box:0,0,3"], "box:x0,y0,x1,y1"),
+        (["count", "low-girth", "--n1", "1", "--n2", "1", "--k", "1", "--l", "2", "--origin", "1"], "x,y"),
+    ],
+    ids=["negative-n1", "short-box", "short-origin"],
+)
+def test_malformed_arguments_name_the_rule(capsys, argv, message):
+    err = _usage_error(capsys, argv)
+    assert message in err and "unpack" not in err and "not covered" not in err

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sawkit.aztec import (
+    AztecRegion,
     OmegaParams,
     Partition,
     _Diamond,
     _dual_edge_to_primal,
-    aztec_region,
     boundary_vertices,
     dual_vertices,
     make_partition,
@@ -64,7 +64,7 @@ def _primal_to_dual(k):
 def test_every_primal_edge_crosses_one_dual_edge():
     # the per-column tables name, for every primal edge, the dual edge it crosses
     for k in (1, 2, 3, 4):
-        region = aztec_region(k)
+        region = AztecRegion(k)
         d = _Diamond.get(k)
         to_dual = _primal_to_dual(k)
         edges = {(p, q) for p in region.points() for q in (Point(p.x + 1, p.y), Point(p.x, p.y + 1)) if q in region}
@@ -134,7 +134,7 @@ def _outcome(f, k, walk):
 def test_path_to_partition_matches_flood_fill_on_every_short_walk(k, walks):
     # every boundary-to-boundary self-avoiding walk of at most 14 moves, touching the boundary mid-path or not
     bpts = boundary_vertices(k)
-    region = aztec_region(k)
+    region = AztecRegion(k)
     seen = raised = 0
     for s in bpts:
         for moves in _walk_dfs(region, s, [t for t in bpts if t != s], range(1, 15), _self_avoiding):
@@ -155,7 +155,7 @@ _STEPS = st.lists(st.tuples(st.integers(0, 99), st.booleans()), min_size=1, max_
 def test_path_to_partition_matches_flood_fill_on_random_walks(k, start, on_boundary, steps):
     """Random walks in A_k': mostly self-avoiding ones that may stop at, or run on past, a boundary point;
     now and then a step to any neighbour, which may revisit a point or leave the diamond."""
-    pool = boundary_vertices(k) if on_boundary else list(aztec_region(k).points())
+    pool = boundary_vertices(k) if on_boundary else list(AztecRegion(k).points())
     x, y = first = pool[start % len(pool)]
     visited = {(x, y)}
     moves = []

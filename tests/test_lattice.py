@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sawkit.aztec import aztec_region
+from sawkit.aztec import AztecRegion
 from sawkit.lattice import (
     BoxRegion,
     FullLattice,
@@ -13,8 +13,6 @@ from sawkit.lattice import (
     boundary,
     boundary_points_in_box,
     moves_between,
-    reflect_walk,
-    reverse,
     step,
 )
 
@@ -23,12 +21,6 @@ def test_step_unit_displacements():
     assert step(Point(0, 0), "R") == (1, 0)
     assert step(Point(2, 3), "D") == (2, 2)
     assert step(Point(-1, 0), "L") == (-2, 0)
-
-
-def test_step_reverse_round_trip():
-    for d in "URDL":
-        for p in (Point(0, 0), Point(3, -7), Point(-2, 5)):
-            assert step(step(p, d), reverse(d)) == p
 
 
 def test_points_of():
@@ -76,32 +68,25 @@ def test_boundary_unbounded_errors():
 
 
 def test_boundary_aztec_2():
-    bd = boundary(aztec_region(2))
-    assert bd == {p for p in aztec_region(2).points() if abs(p.x) + abs(p.y) == 2}
+    bd = boundary(AztecRegion(2))
+    assert bd == {p for p in AztecRegion(2).points() if abs(p.x) + abs(p.y) == 2}
     assert len(bd) == 8
 
 
 def test_boundary_points_in_box():
-    region = aztec_region(2)
+    region = AztecRegion(2)
     assert boundary_points_in_box(region, LatticeBox(Point(-2, 0), Point(2, 0))) == 2
     assert boundary_points_in_box(region, LatticeBox(Point(0, 0), Point(2, 2))) == 3
     assert boundary_points_in_box(region, LatticeBox(Point(0, 0), Point(0, 0))) == 0
 
 
 def test_non_boundary_points_have_all_neighbors_inside():
-    region = aztec_region(3)
+    region = AztecRegion(3)
     bd = boundary(region)
     for p in region.points():
         if p not in bd:
             assert all(q in region for q in
                        (Point(p.x+1, p.y), Point(p.x-1, p.y), Point(p.x, p.y+1), Point(p.x, p.y-1)))
-
-
-def test_reflect_walk():
-    w = Walk(Point(1, 2), "RRU")
-    assert reflect_walk(w, True, False).to_text() == "(-1,2)LLU"
-    assert reflect_walk(w, False, True).to_text() == "(1,-2)RRD"
-    assert reflect_walk(reflect_walk(w, True, True), True, True).to_text() == w.to_text()
 
 
 def test_box_validation():

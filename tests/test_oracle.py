@@ -63,14 +63,14 @@ def test_partition_engines_agree_at_small_k():
 
 def _partitions_by_all_paths(k: int, budget: int):
     """The unpruned path enumeration: every self-avoiding walk between boundary points, boundary visits and all."""
-    from sawkit.aztec import aztec_region, boundary_vertices, path_to_partition
+    from sawkit.aztec import AztecRegion, boundary_vertices, path_to_partition
     from sawkit.lattice import Walk
     from sawkit.oracle import _self_avoiding, _walk_dfs
 
     bpts = sorted(boundary_vertices(k))
     out = set()
     for i, s in enumerate(bpts):
-        for moves in _walk_dfs(aztec_region(k), s, bpts[i + 1 :], range(1, budget - 4 * k + 1), _self_avoiding):
+        for moves in _walk_dfs(AztecRegion(k), s, bpts[i + 1 :], range(1, budget - 4 * k + 1), _self_avoiding):
             try:
                 part = path_to_partition(k, Walk(s, moves))
             except ValueError:
