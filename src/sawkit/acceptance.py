@@ -420,16 +420,13 @@ def criterion_10() -> tuple[bool, str]:
 
 def criterion_11() -> tuple[bool, str]:
     params = aztec.OmegaParams(3, 0.5)
-    ratios = {}
-    for k in (2, 3, 4):
-        omega = glauber.enumerate_omega(k, params)
-        rep = glauber.conductance_of_cut(omega, params, glauber.ordered_endpoints)
-        ratios[k] = rep.ratio
+    omegas = {k: glauber.enumerate_omega(k, params) for k in (2, 3, 4)}
+    reps = {k: glauber.conductance_of_cut(omega, params, glauber.ordered_endpoints) for k, omega in omegas.items()}
+    ratios = {k: rep.ratio for k, rep in reps.items()}
     if not ratios[2] > ratios[3] > ratios[4]:
         return False, f"conductance not strictly decreasing: {ratios}"
-    omega2 = glauber.enumerate_omega(2, params)
-    tmix = glauber.exact_mixing_time(omega2, params)
-    bound = glauber.conductance_of_cut(omega2, params, glauber.ordered_endpoints).mixing_lower_bound
+    tmix = glauber.exact_mixing_time(omegas[2], params)
+    bound = reps[2].mixing_lower_bound
     if Fraction(tmix) < bound:
         return False, f"t_mix {tmix} below conductance bound {bound}"
     slow = aztec.OmegaParams(1, 0.5)

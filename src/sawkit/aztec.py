@@ -611,17 +611,12 @@ def arc_gap(k: int, s: Point, t: Point) -> int:
 class _InteriorRegion(Region):
     """The interior {|x|+|y| <= k-1} of A_k' plus one boundary point, the target."""
 
-    bounded = True
-
     def __init__(self, k: int, target: Point):
         self.k = k
         self.target = Point(*target)
 
     def __contains__(self, p: tuple) -> bool:
         return abs(p[0]) + abs(p[1]) < self.k or (p[0], p[1]) == self.target
-
-    def points(self):
-        return (p for p in AztecRegion(self.k).points() if p in self)
 
 
 def partition_family(

@@ -143,7 +143,10 @@ def _cmd_paths_base(args) -> int:
 
 def _cmd_paths_bump(args) -> int:
     walk = Walk.from_text(args.walk)
-    indices = [int(x) for x in args.at.split(",") if x]
+    try:
+        indices = [int(x) for x in args.at.split(",") if x]
+    except ValueError:
+        raise ValueError(f"--at must be comma-separated 1-based move indices, got {args.at!r}") from None
     print(bump(walk, indices).to_text())
     return 0
 
@@ -153,10 +156,10 @@ def _cmd_sample_saw(args) -> int:
     if args.n1 < 0 or args.n2 < 0:
         raise ValueError(f"--n1 and --n2 must be >= 0, got {args.n1} and {args.n2}")
     n = args.n1 + args.n2
-    _regime_warning(n, args.k, args.l)
     region = _parse_region(args.region)
     table = build_table(region, Point(0, 0), Point(args.n1, args.n2), args.l, args.k,
                         memory_cap=args.memory_cap)
+    _regime_warning(n, args.k, args.l)
     rng = RngStream(args.seed)
     length = n + 2 * args.k
     reports = [sample_saw(table, rng.substream(i), length, args.max_attempts) for i in range(args.count)]

@@ -13,13 +13,6 @@ from fractions import Fraction
 from math import comb, factorial
 
 
-def binomial(n: int, k: int) -> int:
-    """C(n, k) for nonnegative integers; 0 when k > n."""
-    if n < 0 or k < 0:
-        raise ValueError("binomial requires nonnegative arguments")
-    return comb(n, k)
-
-
 def walk_count(n1: int, n2: int, t: int) -> int:
     """Number of length-(n1+n2+2t) lattice walks from (0,0) to (n1,n2).
 

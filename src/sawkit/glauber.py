@@ -6,7 +6,8 @@ inside the perimeter budget, else the chain holds (self-loop).  This
 symmetric-proposal variant has a symmetric transition matrix, so the
 uniform distribution on the state space is stationary.  Conductance and
 the mixing-time lower bound 1/(4*Phi) are computed in exact rational
-arithmetic on exhaustively enumerated state spaces.
+arithmetic on exhaustively enumerated state spaces, and the mixing time
+by an integer doubling search over powers of the transition counts.
 
 Each step costs only the flipped vertex's neighbourhood, by three
 locality facts:
@@ -359,55 +360,52 @@ def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 
 
 def _mat_pow(m: list[list[int]], e: int) -> list[list[int]]:
-    n = len(m)
-    result = [[int(i == j) for j in range(n)] for i in range(n)]
-    base = m
-    while e:
-        if e & 1:
-            result = _mat_mul(result, base)
-        base = _mat_mul(base, base) if e > 1 else base
-        e >>= 1
-    return result
+    """M^e for e >= 1 by repeated squaring."""
+    if e == 1:
+        return m
+    half = _mat_pow(m, e // 2)
+    sq = _mat_mul(half, half)
+    return _mat_mul(sq, m) if e & 1 else sq
 
 
-def _tv_ok_exact(mat: list[list[int]], vdeg: int, t: int) -> bool:
-    """max-over-starts TV(P^t(s,.), uniform) <= 1/4, checked in integers."""
-    n = len(mat)
-    mt = _mat_pow(mat, t)
-    d_tot = vdeg**t
-    half = n * d_tot  # compare 2*sum|n*mt - D| <= n*D
-    for row in mt:
-        s = sum(abs(n * x - d_tot) for x in row)
-        if 2 * s > half:
-            return False
-    return True
+def _tv_ok(mt: list[list[int]]) -> bool:
+    """max-over-starts TV(P^t(s,.), uniform) <= 1/4 for P^t = M^t/|V|^t, in integers."""
+    n = len(mt)
+    d_tot = sum(mt[0])  # every row of M^t sums to |V|^t
+    return all(2 * sum(abs(n * x - d_tot) for x in row) <= n * d_tot for row in mt)
 
 
-def exact_mixing_time(omega: list[Partition], params: OmegaParams, t_cap: int = 200_000) -> int:
-    """Smallest t with worst-start total-variation distance <= 1/4, exactly.
+def _tv_ok_exact(mat: list[list[int]], t: int) -> bool:
+    """The worst-start TV test at step t >= 1 by one matrix power: the reference for the search."""
+    return _tv_ok(_mat_pow(mat, t))
 
-    A float iteration locates the candidate step; the verdict at the
-    candidate and its predecessor is then certified with exact integer
-    matrix powers.
+
+def exact_mixing_time(omega: list[Partition], params: OmegaParams) -> int:
+    """Smallest t >= 1 with worst-start total-variation distance d(t) <= 1/4, exactly.
+
+    M = |V|*P is symmetric, so one reachability pass from state 0 decides
+    irreducibility.  A reducible chain, or one with no self-loop (so possibly
+    periodic), is refused with ValueError; otherwise d(t) -> 0.  M is squared
+    until d(2^j) <= 1/4, then t is bisected below 2^j by products of the
+    cached squares.  Bisection is exact because d(t) is nonincreasing for any
+    chain: P^(t+1)(x,.) - pi averages P^t(y,.) - pi over y ~ P(x,.).
     """
-    import numpy as np
-
-    mat, vdeg = transition_counts(omega, params)
+    mat, _ = transition_counts(omega, params)
     n = len(mat)
-    p = np.array(mat, dtype=float) / vdeg
-    pt = np.eye(n)
-    t = 0
-    while t < t_cap:
-        pt = pt @ p
-        t += 1
-        tv = 0.5 * np.abs(pt - 1.0 / n).sum(axis=1).max()
-        if tv <= 0.25:
-            break
-    else:
-        raise RuntimeError(f"mixing time exceeds cap {t_cap}")
-    # certify exactly, walking the boundary if float was off by a step
-    while not _tv_ok_exact(mat, vdeg, t):
-        t += 1
-    while t > 1 and _tv_ok_exact(mat, vdeg, t - 1):
-        t -= 1
-    return t
+    seen, todo = {0}, [0]
+    while todo:
+        todo += [j for j, x in enumerate(mat[todo.pop()]) if x and j not in seen]
+        seen.update(todo)
+    if len(seen) < n:
+        raise ValueError(f"chain is reducible: {n - len(seen)} of {n} states unreachable from the first")
+    if not any(row[i] for i, row in enumerate(mat)):
+        raise ValueError("chain has no self-loop, so it may be periodic")
+    squares = [mat]  # squares[i] = M^(2^i)
+    while not _tv_ok(squares[-1]):
+        squares.append(_mat_mul(squares[-1], squares[-1]))
+    t, m = 0, None  # the largest t found with d(t) > 1/4, high bit first, and M^t (None at t = 0)
+    for i in range(len(squares) - 2, -1, -1):
+        cand = squares[i] if m is None else _mat_mul(m, squares[i])
+        if not _tv_ok(cand):
+            t, m = t + (1 << i), cand
+    return t + 1

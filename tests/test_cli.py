@@ -352,9 +352,14 @@ def test_aztec_sample_count_0_writes_nothing(capsys, tmp_path):
          "--n1 and --n2 must be >= 0"),
         (_SAMPLE_SAW + ["--region", "box:0,0,3"], "box:x0,y0,x1,y1"),
         (["count", "low-girth", "--n1", "1", "--n2", "1", "--k", "1", "--l", "2", "--origin", "1"], "x,y"),
+        (["paths", "bump", "--walk", "(0,0)UU", "--at", "x"], "--at must be comma-separated 1-based move indices"),
+        # refused by the table build, before the l*delta regime warning could print
+        (["sample", "saw", "--n1", "2", "--n2", "2", "--k", "1", "--l", "0", "--seed", "1"],
+         "girth parameter must be >= 1"),
     ],
-    ids=["negative-n1", "short-box", "short-origin"],
+    ids=["negative-n1", "short-box", "short-origin", "bump-at", "girth-0"],
 )
 def test_malformed_arguments_name_the_rule(capsys, argv, message):
     err = _usage_error(capsys, argv)
-    assert message in err and "unpack" not in err and "not covered" not in err
+    assert message in err and "unpack" not in err and "not covered" not in err and "int()" not in err
+    assert "warning" not in err

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from sawkit.combinatorics import (
-    binomial,
     binomial_bound_check,
     closed_walk_count,
     compare_with_exp,
@@ -11,15 +10,6 @@ from sawkit.combinatorics import (
 )
 from sawkit.lattice import FullLattice, Point
 from sawkit.oracle import enumerate_walks
-
-
-def test_binomial_values():
-    assert binomial(4, 2) == 6
-    assert binomial(7, 0) == 1
-    assert binomial(52, 5) == 2598960
-    assert binomial(3, 5) == 0
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
 
 
 def test_walk_count_examples():

@@ -121,17 +121,22 @@ def test_conductance_decreasing_k2_k3():
     assert r2 > r3
 
 
-def test_exact_mixing_time_bounds():
-    omega = enumerate_omega(2, PARAMS)
-    tmix = exact_mixing_time(omega, PARAMS)
-    rep = conductance_of_cut(omega, PARAMS, ordered_endpoints)
+@pytest.mark.parametrize(
+    "k,C,expected", [(1, 3, 2), (2, 3, 87), (2, 4, 87), (2, 5, 57)], ids=["k1-C3", "k2-C3", "k2-C4", "k2-C5"]
+)
+def test_exact_mixing_time_bounds(k, C, expected):
+    params = OmegaParams(C, 0.5)
+    omega = enumerate_omega(k, params)
+    tmix = exact_mixing_time(omega, params)
+    assert tmix == expected
+    rep = conductance_of_cut(omega, params, ordered_endpoints)
     assert Fraction(tmix) >= rep.mixing_lower_bound
-    # t-1 must not mix yet (minimality)
+    # mixed at t, not yet at t-1 (minimality), each by one direct matrix power
     from sawkit.glauber import _tv_ok_exact
 
-    mat, vdeg = transition_counts(omega, PARAMS)
-    assert _tv_ok_exact(mat, vdeg, tmix)
-    assert not _tv_ok_exact(mat, vdeg, tmix - 1)
+    mat, _ = transition_counts(omega, params)
+    assert _tv_ok_exact(mat, tmix)
+    assert not _tv_ok_exact(mat, tmix - 1)
 
 
 def test_reducible_space_at_tight_budget():
@@ -141,6 +146,15 @@ def test_reducible_space_at_tight_budget():
     mat, _ = transition_counts(omega, params)
     isolated = [i for i, row in enumerate(mat) if all(mat[i][j] == 0 for j in range(len(mat)) if j != i)]
     assert len(isolated) == 4
+    with pytest.raises(ValueError, match="reducible"):
+        exact_mixing_time(omega, params)
+
+
+def test_periodic_chain_refused(monkeypatch):
+    # a two-state flip-flop is irreducible but has period 2: its TV never falls below 1/2
+    monkeypatch.setattr("sawkit.glauber.transition_counts", lambda omega, params: ([[0, 1], [1, 0]], 1))
+    with pytest.raises(ValueError, match="self-loop"):
+        exact_mixing_time([], PARAMS)
 
 
 def test_ordered_endpoints_floor():

@@ -3,6 +3,7 @@ import pytest
 from sawkit.aztec import OmegaParams
 from sawkit.lattice import BoxRegion, FullLattice, LatticeBox, Point
 from sawkit.oracle import (
+    _chi2_sf,
     enumerate_low_girth_walks,
     enumerate_partitions,
     enumerate_saws,
@@ -105,3 +106,22 @@ def test_uniformity_test_flags_concentration():
 def test_uniformity_test_rejects_outside_support():
     with pytest.raises(ValueError):
         uniformity_test(["a", "c"], ["a", "b"])
+
+
+# (x, dof, P(X >= x)) from scipy.stats.chi2.sf, the tail the closed form replaced
+@pytest.mark.parametrize(
+    "x,dof,p",
+    [
+        (3.84, 1, 0.05004352124870519),
+        (914.0, 1, 8.880038904154943e-201),
+        (5.0, 2, 0.0820849986238988),
+        (7.0, 3, 0.07189777249646509),
+        (200.0, 199, 0.4667457435013782),
+        (282.0, 199, 9.803585328035877e-05),
+        (1000.0, 999, 0.48513148927490146),
+        (3014.0, 999, 8.78249176167669e-201),
+    ],
+)
+def test_chi2_tail_matches_pinned_values(x, dof, p):
+    assert _chi2_sf(x, dof) == pytest.approx(p, rel=1e-9)
+
