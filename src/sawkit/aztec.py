@@ -153,6 +153,10 @@ class _Diamond:
     ``corner_masks[i]`` holds one ``u|w|x`` mask per corner of face i whose
     three faces lie in the diamond: two adjacent side-neighbours u and w and
     x, their common neighbour other than i (built on first use).
+    ``flip_blocks[i]`` is ``(lo, win, verdicts)``: face i's 3x3 block (i, its
+    side-neighbours and their corners' diagonals) is ``win << lo``, and
+    ``verdicts`` is the Glauber chain's cache of i's flip verdict keyed by
+    ``mask >> lo & win`` (built empty on first use, filled by the chain).
     """
 
     _cache: dict[int, "_Diamond"] = {}
@@ -210,6 +214,17 @@ class _Diamond:
                     if x:
                         corners.append(u | w | x)
             out.append(tuple(corners))
+        return out
+
+    @cached_property
+    def flip_blocks(self) -> list[tuple[int, int, dict[int, int | None]]]:
+        out = []
+        for i, corners in enumerate(self.corner_masks):
+            block = 1 << i | self.nbr_masks[i]
+            for corner in corners:
+                block |= corner
+            lo = (block & -block).bit_length() - 1
+            out.append((lo, block >> lo, {}))
         return out
 
     @classmethod

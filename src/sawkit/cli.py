@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 
 from . import __version__
 from .aztec import AztecRegion, OmegaParams, partition_family, partition_to_path, sample_partition
@@ -227,9 +228,10 @@ def _cmd_glauber_run(args) -> int:
 
     params = OmegaParams(args.C, args.eps)
     rng = RngStream(args.seed)
-    trace = run_chain(args.k, params, args.steps, rng, record_every=args.record_every)
-    if args.trace:
-        with open(args.trace, "w") as fh:
+    # the trace file is opened before the chain runs, so a bad path costs no steps
+    with open(args.trace, "w") if args.trace else nullcontext() as fh:
+        trace = run_chain(args.k, params, args.steps, rng, record_every=args.record_every)
+        if fh is not None:
             for step, endpoints, in_s, bounds in trace.records:
                 fh.write(json.dumps({
                     "step": step, "endpoints": [list(endpoints[0]), list(endpoints[1])],

@@ -517,6 +517,10 @@ class CountTable:
         count = self.count_from(start, length)
         if not 0 <= index < count:
             raise ValueError(f"index {index} outside [0, {count}) for walks of length {length} from {start}")
+        return self._unrank(start, length, index)
+
+    def _unrank(self, start: Point, length: int, index: int) -> str:
+        """``unrank``'s descent, for a caller that has already counted the start: 0 <= index < count."""
         trans, nbr, band, all_rows, all_vals = self.auto.trans, self._nbr, self._band, self._rows, self._vals
         p, c = self._pid[start], self.auto.empty_class
         moves = []

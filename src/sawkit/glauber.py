@@ -35,10 +35,17 @@ locality facts:
   class 2 = {(1,1), (1,3), (3,1)} and v = (3,3), the rule refuses the
   flip, yet class 1 stays connected the long way round.  No flip runs a
   flood fill.
-* Self-loops.  A face with no neighbour in the other class can never
-  join it, so its proposal holds with no further test: one mask test
-  against its neighbour mask decides it.  At k=8 (C=2, eps=0.5) about
-  80% of proposals pick such a face.
+* Read set.  ``_flip`` reads only v's 3x3 block of the mask: v, its
+  side-neighbours, and the diagonals in its corner masks.  Its one test
+  of the whole class, that v is not alone in it, is local in a chain
+  state: v's class is connected, so it is {v} exactly when v has no
+  neighbour in it (same == 0).  The boundary changes, 2*same - 4 for v's
+  class and 4 - 2*other for the other, are local as well; only the budget
+  test reads the sizes.  So before the budget test a verdict is a function
+  of v and at most 2^9 block bits, and ``_verdict`` caches it per face
+  under those bits.  A step is one lookup and the budget test, which also
+  settles self-loops: at k=8 (C=2, eps=0.5) about 80% of proposals pick a
+  face with no neighbour in the other class, which holds.
 
 Budgets of 8k + 4 or more (k >= 2) admit a class enclosed by the other:
 one interior face has boundary 4 and its complement 8k + 4.  Such a cut
@@ -90,11 +97,30 @@ def _flip(d: _Diamond, budget: int, mask: int, b_mask: int, b_comp: int, v: int)
     return (new_b_leave, new_b_join) if mask & bit else (new_b_join, new_b_leave)
 
 
+def _verdict(d: _Diamond, mask: int, v: int) -> int | None:
+    """``_flip``'s verdict on face v of chain state mask, before the budget test.
+
+    None when no budget admits the flip, else the changes (dm, dc) of the
+    mask's and the complement's boundary sizes packed as
+    ``(dm + 4) << 4 | (dc + 4)``; each change lies in -4..4.  It is cached
+    in ``d.flip_blocks[v]`` under v's block bits (the Read set fact).  A
+    miss is filled by ``_flip`` itself from sizes 0 under budget 4, which
+    every change meets, so ``_flip`` stays the one flip rule.
+    """
+    lo, win, verdicts = d.flip_blocks[v]
+    key = mask >> lo & win
+    if key not in verdicts:
+        res = _flip(d, 4, mask, 0, 0, v)
+        verdicts[key] = None if res is None else (res[0] + 4) << 4 | (res[1] + 4)
+    return verdicts[key]
+
+
 def _flips(d: _Diamond, budget: int, p: Partition):
     """Canonical masks of the partitions one valid flip away from p, one per vertex."""
     b1, b2 = p.boundary_sizes
     for v in range(d.n):
-        if _flip(d, budget, p.mask, b1, b2, v) is not None:
+        r = _verdict(d, p.mask, v)
+        if r is not None and b1 + (r >> 4) - 4 <= budget and b2 + (r & 15) - 4 <= budget:
             yield d.canonical(p.mask ^ (1 << v))
 
 
@@ -142,14 +168,19 @@ class ChainState:
         """Run ``steps`` proposals; returns how many of them moved the chain.
 
         The faces come from ``uniform_ints`` in blocks, the same draws as
-        one ``uniform_int`` per step.  A face with no neighbour across the
-        cut is a self-loop (the module's Self-loops fact) and costs one
-        mask test; only the others go through ``_flip``.
+        one ``uniform_int`` per step.  Below 257 faces (k <= 10) a block
+        reads its faces from the top bytes of 32-bit words, as many words
+        per round as faces still needed, which are the words the single
+        draws take (the ``sampling`` module docstring).  Each proposal looks
+        up ``_verdict``'s cache under the face's block bits (the module's
+        Read set fact), then makes the budget test.
         """
         if steps < 0:
             raise ValueError(f"steps must be >= 0, got {steps}")
+        if steps == 0:
+            return 0  # leaves the verdict caches unbuilt
         d = self.diamond
-        nbrs = d.nbr_masks
+        blocks = d.flip_blocks
         budget = self.budget
         mask = self.mask
         b_mask = self.b_mask
@@ -160,13 +191,19 @@ class ChainState:
             block = _DRAW_BLOCK if left > _DRAW_BLOCK else left
             left -= block
             for v in self.rng.uniform_ints(d.n, block):
-                if not nbrs[v] & (~mask if mask >> v & 1 else mask):
+                lo, win, verdicts = blocks[v]
+                try:
+                    r = verdicts[mask >> lo & win]
+                except KeyError:
+                    r = _verdict(d, mask, v)
+                if r is None:
                     continue
-                res = _flip(d, budget, mask, b_mask, b_comp, v)
-                if res is None:
+                new_b_mask = b_mask + (r >> 4) - 4
+                new_b_comp = b_comp + (r & 15) - 4
+                if new_b_mask > budget or new_b_comp > budget:
                     continue
                 mask ^= 1 << v
-                b_mask, b_comp = res
+                b_mask, b_comp = new_b_mask, new_b_comp
                 moves += 1
                 if d.outside_deg[v]:
                     # an outer face: its two corners on |x|+|y| = k change parity

@@ -111,6 +111,17 @@ def test_glauber_commands(tmp_path, capsys):
     assert "ratio=" in out and "t_mix_lower_bound=" in out
 
 
+def test_glauber_run_bad_trace_path_fails_before_the_chain(capsys, tmp_path, monkeypatch):
+    def no_chain(*args, **kwargs):
+        raise AssertionError("the chain ran")
+
+    monkeypatch.setattr("sawkit.glauber.run_chain", no_chain)
+    bad = tmp_path / "missing" / "x.jsonl"
+    err = _usage_error(capsys, ["glauber", "run", "--k", "3", "--C", "2", "--eps", "0.5", "--steps", "10",
+                                "--seed", "1", "--trace", str(bad)])
+    assert str(bad) in err and not bad.exists()
+
+
 def test_oracle_enumerate(capsys):
     rc = main(["oracle", "enumerate", "--kind", "saw", "--n1", "1", "--n2", "1", "--length", "4"])
     assert rc == 0

@@ -11,6 +11,7 @@ from sawkit.glauber import (
     _Diamond,
     _flip,
     _ordered,
+    _verdict,
     check_open_cuts,
     conductance_of_cut,
     enumerate_omega,
@@ -326,6 +327,49 @@ def test_advance_is_that_many_glauber_steps():
     assert block.crossings > 0 and block.rng.getrandbits(64) == single.rng.getrandbits(64)
     with pytest.raises(ValueError, match="steps must be >= 0"):
         block.advance(-1)
+
+
+@pytest.mark.parametrize("k,C", [(2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3)])
+def test_cached_verdict_is_flip(k, C):
+    # a fresh diamond, so the states below fill its caches and then read them back
+    params = OmegaParams(C, 0.5)
+    budget = params.budget(k)
+    d = _Diamond(k)
+    for p in enumerate_omega(k, params):
+        b_mask, b_comp = p.boundary_sizes
+        for v in range(d.n):
+            r = _verdict(d, p.mask, v)
+            got = None
+            if r is not None:
+                got = (b_mask + (r >> 4) - 4, b_comp + (r & 15) - 4)
+                if max(got) > budget:
+                    got = None
+            assert got == _flip(d, budget, p.mask, b_mask, b_comp, v)
+
+
+def test_verdict_caches_are_lazy_and_bounded(monkeypatch):
+    monkeypatch.setattr(_Diamond, "_cache", {})
+    params = OmegaParams(2, 0.5)
+    trace = run_chain(8, params, 0, RngStream(1))
+    d = _Diamond.get(8)
+    assert "flip_blocks" not in vars(d)  # a run of no steps builds no cache
+    state = make_chain(8, params, trace.final, RngStream(1))
+    assert "flip_blocks" not in vars(d)
+    state.advance(200_000)
+    for lo, win, verdicts in d.flip_blocks:
+        assert win & 1 and win.bit_count() <= 9
+        assert all(key & ~win == 0 for key in verdicts) and len(verdicts) <= 512
+    assert sum(len(verdicts) for _, _, verdicts in d.flip_blocks) > d.n
+
+
+def test_chain_past_256_faces_matches_reference():
+    # k=11 has 264 faces, so advance draws them one word at a time, not from word blocks
+    params = OmegaParams(2, 0.5)
+    assert _Diamond.get(11).n == 264
+    trace = run_chain(11, params, 5_000, RngStream(11), record_every=97)
+    want = _reference_run(11, params, 5_000, RngStream(11), 97)
+    assert (trace.records, trace.moves, trace.crossings, trace.final) == want
+    assert trace.moves > 0
 
 
 def test_start_partition_of_another_order_is_refused():

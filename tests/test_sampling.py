@@ -70,7 +70,7 @@ def _reference_uniform_int(rng, bound):
     return x
 
 
-@pytest.mark.parametrize("bound", [1, 2, 144, 2**64 + 1, SAW_N200_COUNT])
+@pytest.mark.parametrize("bound", [1, 2, 3, 144, 255, 256, 257, 2**64 + 1, SAW_N200_COUNT])
 @pytest.mark.parametrize("count", [0, 1, 1000])
 def test_uniform_ints_is_that_many_uniform_ints(bound, count):
     block, single, reference = RngStream(8, 3), RngStream(8, 3), RngStream(8, 3)
@@ -153,6 +153,21 @@ def test_family_single_entry():
     family = make_family([("only", table, Point(0, 0), 4)])
     entry, walk = sample_length_then_walk(family, RngStream(13))
     assert entry.label == "only" and len(walk) == 4
+
+
+def test_one_count_per_walk_draw(monkeypatch):
+    """A walk draw counts its start once; a family draw takes the cell's stored count instead."""
+    table = build_table(Z, (0, 0), (2, 1), 2, 2)
+    family = make_family([(length, table, Point(0, 0), length) for length in table.lengths])
+    want = [sample_length_then_walk(family, RngStream(5)) for _ in range(2)]
+    want_walk = sample_low_girth_walk(table, RngStream(6), table.lengths[-1])
+    calls = []
+    count_from = CountTable.count_from
+    monkeypatch.setattr(CountTable, "count_from", lambda self, *a: calls.append(a) or count_from(self, *a))
+    assert [sample_length_then_walk(family, RngStream(5)) for _ in range(2)] == want
+    assert calls == []
+    assert sample_low_girth_walk(table, RngStream(6), table.lengths[-1]) == want_walk
+    assert len(calls) == 1
 
 
 def test_family_proportional_weights():
