@@ -28,17 +28,22 @@ exhaustively on Omega for k <= 4 in tests/test_aztec.py), and a third lets
   boundary steps apart, therefore bounds the class on one arc by L + 2m
   edges and the other by L + 2(4k - m).  Whether a partition is within
   the budget is a property of (s, t, L) alone.
-* Labels.  Each dual 4-cycle circles one interior primal point, and a
-  self-avoiding path crosses it twice if it passes that point, else not
-  at all (boundary points are circled by no 4-cycle).  The dual diamond is
-  simply connected, so every dual cycle crosses the cut an even number of
-  times, and a vertex's class is the parity of cut edges on any dual path
-  from the anchor.  The path used runs up the anchor's column to row
-  b = 1, along row 1 to the vertex's column, then up or down that column:
-  a prefix parity inside each column plus one row-1 edge per column pair.
-  With the boundary fact those parity classes are the partition, and the
-  two boundary sizes sum to 8k outer edges plus each of the L cut edges
-  counted from both sides.
+* Ray.  Close the cut from s to t by an outline arc into a Jordan curve J
+  (the boundary fact); the classes are the faces inside and outside J.  A
+  ray from a face down its column c runs at x = c - k + 1/2, missing every
+  lattice point.  It crosses the cut's horizontal edges below the face,
+  that is the cut vertical dual edges below it in the column, then leaves
+  through the outline segment between the lower boundary points at
+  x = c - k and c - k + 1, which is on J iff it is on the arc.  The parity
+  of those crossings says inside or outside.  Unroll the outline from just
+  above (-k, 0), the lower half by x and then the upper half, and close
+  with the stretch between s and t: its lower segments are the c from
+  min(v(s), v(t)) to max(v(s), v(t)) - 1, v(p) = x + k if y <= 0 else 2k.
+  The other arc holds the other lower segments and flips every parity, so
+  both arcs give the same classes with the labels swapped; class 1 is the
+  anchor's.  Each of the L cut edges joins the two classes and no other
+  interior dual edge does, so a class's boundary is L plus its outer
+  edges, and the two sizes sum to 8k + 2L.
 """
 from __future__ import annotations
 
@@ -143,8 +148,9 @@ class _Diamond:
 
     The vertices of fixed a form column c = (a + 2k - 1) / 2, a run of
     h = 2k + 1 - |a| bits from the bottom (b = 1 - h) up, so vertical
-    neighbours are adjacent bits.  ``col_masks[c]`` is that run and
-    ``cross_bits[c]`` the bit of (a, -1): the primal edge (x, y)-(x + 1, y),
+    neighbours are adjacent bits.  ``col_prefix[c]`` holds columns 0 to
+    c - 1 (so column c is ``col_prefix[c + 1] ^ col_prefix[c]``), and
+    ``cross_bits[c]`` is the bit of (a, -1): the primal edge (x, y)-(x + 1, y),
     x = c - k, crosses the vertical dual edge whose lower bit is
     ``cross_bits[x + k] + y``, and the primal edge (x, 0)-(x, 1) the row-1
     dual edge from column x + k - 1 to column x + k.  ``prefix_steps`` holds,
@@ -188,10 +194,9 @@ class _Diamond:
             sum(1 << i for i, od in enumerate(self.outside_deg) if od > t) for t in range(max(self.outside_deg))
         ]
         heights = [2 * k + 1 - abs(2 * c - 2 * k + 1) for c in range(2 * k)]
-        starts = list(accumulate(heights, initial=0))[:-1]
-        self.col_masks = [((1 << h) - 1) << b for h, b in zip(heights, starts)]
-        # one spare entry, read only by a step off the diamond (R from x = k, L to index -1) before its range check
-        self.cross_bits = [b + h // 2 - 1 for h, b in zip(heights, starts)] + [0]
+        starts = list(accumulate(heights, initial=0))  # each column's first bit, then n
+        self.col_prefix = [(1 << b) - 1 for b in starts]
+        self.cross_bits = [b + h // 2 - 1 for h, b in zip(heights, starts)]
         self.prefix_steps = [
             (s, sum(((1 << h) - (1 << min(s, h))) << b for h, b in zip(heights, starts)))
             for s in (1 << i for i in range((2 * k - 1).bit_length()))
@@ -340,15 +345,16 @@ def path_to_partition(k: int, walk: Walk) -> Partition:
     the boundary; removal of the crossed dual edges must leave exactly two
     components, which become the classes.  By the boundary fact of the
     module docstring that holds exactly when no point strictly between the
-    ends lies on the boundary, and the classes are then the parity classes
-    of the labels fact: no flood fill is run.
+    ends lies on the boundary, and the classes are then the inside and
+    outside of the ray fact: no flood fill is run.  The walk's range is
+    checked at each point before the edge into it is read.
     """
     moves = walk.moves
     if not moves:
         raise ValueError("walk must have at least one edge")
     d = _Diamond.get(k)
     cross = d.cross_bits
-    x, y = walk.start
+    sx, sy = x, y = walk.start
     r = start_r = abs(x) + abs(y)
     if r > k:
         raise ValueError("walk leaves the diamond")
@@ -356,27 +362,26 @@ def path_to_partition(k: int, walk: Walk) -> Partition:
     seen = {x * w + y}
     touches = 0  # boundary visits after the start, the end included
     vcut = 0  # bit i: the vertical dual edge (i, i + 1) is cut
-    hcut = 0  # bit c: the row-1 dual edge from column c - 1 to column c is cut
+    col = -1  # column of the vertical dual edge the last move crossed, -1 after U or D
     for m in moves:
         if m == "R":
-            vcut |= 1 << (cross[x + k] + y)
+            col = x + k
             x += 1
         elif m == "L":
             x -= 1
-            vcut |= 1 << (cross[x + k] + y)
+            col = x + k
         elif m == "U":
-            if not y:
-                hcut |= 1 << (x + k)
             y += 1
         else:
             y -= 1
-            if not y:
-                hcut |= 1 << (x + k)
         r = abs(x) + abs(y)
         if r >= k:
             if r > k:
                 raise ValueError("walk leaves the diamond")
             touches += 1
+        if col >= 0:
+            vcut |= 1 << (cross[col] + y)
+            col = -1
         seen.add(x * w + y)
     if len(seen) <= len(moves):
         raise ValueError("walk must be self-avoiding")
@@ -386,18 +391,13 @@ def path_to_partition(k: int, walk: Walk) -> Partition:
         raise ValueError(f"endpoint {Point(x, y)} not on the diamond boundary")
     if touches > 1:
         raise ValueError("walk does not induce a 2-partition")
-    # label each vertex by the cut vertical edges below it in its column ...
+    # the ray fact: cut edges below each vertex in its column, then the exit segments on the closing arc
     labels = vcut << 1
     for s, keep in d.prefix_steps:
         labels ^= (labels << s) & keep
-    # ... then flip the columns whose row-1 vertex disagrees with the row-1 path from the anchor
-    row1 = labels >> (cross[0] + 1) & 1
-    for c, col in enumerate(d.col_masks):
-        if (labels >> (cross[c] + 1) ^ row1) & 1:
-            labels ^= col
-        row1 ^= hcut >> (c + 1) & 1
-    mask = d.all_mask ^ labels  # the anchor, bit 0, has label 0
-    size = d.boundary_size(mask)
+    labels ^= d.col_prefix[sx + k if sy <= 0 else 2 * k] ^ d.col_prefix[x + k if y <= 0 else 2 * k]
+    mask = d.canonical(labels)
+    size = len(moves) + sum((mask & outer).bit_count() for outer in d.outer_masks)
     return Partition(k, mask, (size, 8 * k + 2 * len(moves) - size))
 
 
@@ -705,8 +705,8 @@ def sample_partition(
     Draws a cell of ``family`` (``partition_family(k, params, girth)``)
     proportional to its exact girth-restricted walk count, samples the
     rest of a walk from the cell's start and prepends the first move, so
-    ``rep.walk`` runs from s to t.  It rejects non-self-avoiding walks,
-    walks that do not induce a 2-partition and partitions over budget.
+    ``rep.walk`` runs from s to t.  It rejects the walks ``path_to_partition``
+    refuses (it checks self-avoidance, once) and partitions over budget.
 
     By the module docstring's two facts, the family leaves out only walks
     that would be rejected: a path touching the boundary between its ends
@@ -716,17 +716,16 @@ def sample_partition(
     three checks only self-avoidance can then reject; the other two stay
     as guards of the two facts.
     """
+    budget = params.budget(k)
     for attempt in range(1, max_attempts + 1):
         entry, rest = sample_length_then_walk(family, rng)
         (s, _), move = entry.label
         walk = Walk(Point(*s), move + rest.moves)
-        if not walk.is_self_avoiding():
-            continue
         try:
             part = path_to_partition(k, walk)
         except ValueError:
             continue
-        if not in_omega(part, params):
+        if max(part.boundary_sizes) > budget:
             continue
         return part, SampleReport(len(walk), attempt, walk)
     raise SamplingBudgetError(max_attempts, f"no partition accepted in {max_attempts} attempts (k={k})")

@@ -231,6 +231,12 @@ def test_render_partition_without_k_exits_1(capsys):
     assert "--k" in _usage_error(capsys, ["render", "partition", "--walk", "(-1,0)RR"])
 
 
+def test_render_partition_off_the_lower_left_edge_exits_1(capsys):
+    # (-1,-1)L steps to (-2,-1), off A_2' below its leftmost column
+    err = _usage_error(capsys, ["render", "partition", "--k", "2", "--walk", "(-1,-1)L"])
+    assert err.strip() == "error: walk leaves the diamond"
+
+
 # the commands that take OmegaParams, without --k and --C
 _omega_commands = pytest.mark.parametrize(
     "argv",

@@ -69,17 +69,23 @@ def test_every_primal_edge_crosses_one_dual_edge():
         to_dual = _primal_to_dual(k)
         edges = {(p, q) for p in region.points() for q in (Point(p.x + 1, p.y), Point(p.x, p.y + 1)) if q in region}
         assert set(to_dual) == edges and len(set(to_dual.values())) == len(edges)
-        assert sum(m.bit_count() for m in d.col_masks) == d.n
-        assert sum(d.col_masks) == d.all_mask
+        # column c is col_prefix[c + 1] ^ col_prefix[c]: the prefixes are nested and run from 0 to all_mask
+        assert len(d.col_prefix) == 2 * k + 1 and d.col_prefix[0] == 0 and d.col_prefix[-1] == d.all_mask
+        assert all(lo & hi == lo for lo, hi in zip(d.col_prefix, d.col_prefix[1:]))
+        cols = [hi ^ lo for lo, hi in zip(d.col_prefix, d.col_prefix[1:])]
+        assert sum(m.bit_count() for m in cols) == d.n
+        assert sum(cols) == d.all_mask
+        for c, m in enumerate(cols):
+            assert d.verts_of(m) == [v for v in d.verts if v[0] == 2 * (c - k) + 1]
         for (p, q), (i, j) in to_dual.items():
             if q.y == p.y:  # crosses a vertical dual edge, bits i and i + 1 of one column
                 assert (i, j) == (d.cross_bits[p.x + k] + p.y, d.cross_bits[p.x + k] + p.y + 1)
-                assert any((m >> i & 1) and (m >> j & 1) for m in d.col_masks)
+                assert any((m >> i & 1) and (m >> j & 1) for m in cols)
             elif p.y == 0:  # the row-1 dual edge between columns p.x + k - 1 and p.x + k
                 assert (i, j) == (d.cross_bits[p.x + k - 1] + 1, d.cross_bits[p.x + k] + 1)
                 assert d.verts[i][1] == d.verts[j][1] == 1
         for s, keep in d.prefix_steps:
-            for m in d.col_masks:
+            for m in cols:
                 low = m & -m
                 assert keep & m == m & ~(low * ((1 << s) - 1))
 
@@ -145,6 +151,32 @@ def test_path_to_partition_matches_flood_fill_on_every_short_walk(k, walks):
             raised += isinstance(got, str)
     assert seen == walks
     assert 0 < raised < walks or k == 1
+
+
+def test_path_to_partition_matches_flood_fill_on_every_one_and_two_move_walk():
+    # from every point, boundary or not, in every direction: steps off each edge of the diamond included
+    for k in (1, 2, 3, 4):
+        for start in AztecRegion(k).points():
+            for moves in [a + b for a in "URDL" for b in ("", *"URDL")]:
+                walk = Walk(start, moves)
+                got = _outcome(path_to_partition, k, walk)
+                assert got == _outcome(_reference_path_to_partition, k, walk), (k, walk.to_text())
+
+
+def test_path_to_partition_inverts_partition_to_path_both_ways():
+    # the closing arc differs with the walk's direction and with the halves its ends lie on
+    params = OmegaParams(3, 0.5)
+    for k in (1, 2, 3, 4):
+        omega = enumerate_omega(k, params)
+        lower_ends = 0
+        for p in omega:
+            walk = partition_to_path(p)
+            back = Walk(walk.end, walk.moves[::-1].translate(str.maketrans("URDL", "DLUR")))
+            assert back.points() == walk.points()[::-1]
+            assert path_to_partition(k, walk) == p
+            assert path_to_partition(k, back) == p
+            lower_ends += (walk.start.y <= 0) + (walk.end.y <= 0)
+        assert 0 < lower_ends < 2 * len(omega)
 
 
 _STEPS = st.lists(st.tuples(st.integers(0, 99), st.booleans()), min_size=1, max_size=60)
