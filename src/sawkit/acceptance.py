@@ -28,7 +28,7 @@ from math import comb
 from . import aztec, glauber, oracle
 from .combinatorics import binomial_bound_check, closed_walk_count, walk_count
 from .counting import build_table
-from .lattice import FullLattice, Point
+from .lattice import DIRECTIONS, FullLattice, Point, step
 from .paths import (
     base_path,
     bump,
@@ -350,12 +350,7 @@ def _bfs_distance(k: int, a: Point, b: Point) -> int:
     while frontier:
         nxt = []
         for p in frontier:
-            for q in (
-                Point(p.x + 1, p.y),
-                Point(p.x - 1, p.y),
-                Point(p.x, p.y + 1),
-                Point(p.x, p.y - 1),
-            ):
+            for q in (step(p, m) for m in DIRECTIONS):
                 if q in region and q not in dist:
                     dist[q] = dist[p] + 1
                     if q == b:

@@ -56,7 +56,7 @@ from itertools import accumulate
 from math import floor, isfinite
 
 from .counting import DEFAULT_MEMORY_CAP, CountTable, _Frozen
-from .lattice import DIRECTIONS, LatticeBox, Point, Region, Walk, boundary_points_in_box, manhattan, step, walk_through
+from .lattice import DIRECTIONS, LatticeBox, Point, Region, Walk, manhattan, step, walk_through
 from .sampling import Family, RngStream, SampleReport, SamplingBudgetError, make_family, sample_length_then_walk
 
 _CACHE_MAGIC = "sawkit-aztec-table"
@@ -67,8 +67,6 @@ _CACHE_VERSION = 6
 class AztecRegion(Region):
     """Primal Aztec diamond A_k': integer points with |x|+|y| <= k."""
 
-    bounded = True
-
     def __init__(self, k: int):
         if k < 1:
             raise ValueError("diamond order k must be >= 1")
@@ -76,13 +74,6 @@ class AztecRegion(Region):
 
     def __contains__(self, p: tuple) -> bool:
         return abs(p[0]) + abs(p[1]) <= self.k
-
-    def points(self):
-        k = self.k
-        for x in range(-k, k + 1):
-            r = k - abs(x)
-            for y in range(-r, r + 1):
-                yield Point(x, y)
 
     def __repr__(self) -> str:
         return f"AztecRegion(k={self.k})"
@@ -501,13 +492,13 @@ def width_certificate(k: int, params: OmegaParams, p1: Point, p2: Point, ell: in
     endpoint pairs, and the report says whether the pair qualifies.
     """
     p1, p2 = Point(*p1), Point(*p2)
-    region = AztecRegion(k)
+    slack = params.slack(k)  # refuses k < 1
     for q in (p1, p2):
         if abs(q.x) + abs(q.y) != k:
             raise ValueError(f"endpoint {q} not on the diamond boundary")
-    slack = params.slack(k)
     box = LatticeBox.spanning(p1, p2).expand(ell)
-    count = boundary_points_in_box(region, box)
+    # the points |x|+|y| = k are exactly those of A_k' with a neighbour outside it
+    count = sum(1 for q in boundary_vertices(k) if q in box)
     return WidthReport(
         k=k,
         ell=ell,
@@ -727,5 +718,5 @@ def sample_partition(
             continue
         if max(part.boundary_sizes) > budget:
             continue
-        return part, SampleReport(len(walk), attempt, walk)
+        return part, SampleReport(attempt, walk)
     raise SamplingBudgetError(max_attempts, f"no partition accepted in {max_attempts} attempts (k={k})")

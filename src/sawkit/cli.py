@@ -22,7 +22,8 @@ from contextlib import nullcontext
 from . import __version__
 from .aztec import AztecRegion, OmegaParams, partition_family, partition_to_path, sample_partition
 from .counting import DEFAULT_MEMORY_CAP, ResourceLimitError, build_table
-from .lattice import BoxRegion, FullLattice, LatticeBox, Point, Walk
+from .lattice import FullLattice, LatticeBox, Point, Walk
+from .oracle import DEFAULT_PARTITION_CAP, DEFAULT_WALK_CAP
 from .render import render_partition_svg, render_walk_svg
 from .sampling import RngStream, SamplingBudgetError, sample_saw
 from .paths import base_path, bump
@@ -62,7 +63,7 @@ def _parse_region(text: str):
         return AztecRegion(k)
     if kind == "box":
         x0, y0, x1, y1 = _ints("--region", text, rest, "box:x0,y0,x1,y1")
-        return BoxRegion(LatticeBox(Point(x0, y0), Point(x1, y1)))
+        return LatticeBox(Point(x0, y0), Point(x1, y1))
     raise ValueError(f"unknown region spec {text!r} (use aztec:<k> or box:x0,y0,x1,y1)")
 
 
@@ -77,23 +78,27 @@ def _regime_warning(n: int, k: int, girth: int) -> None:
             )
 
 
-def _write_outputs(out_dir: str, manifest: dict, files: dict[str, str]) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    for name, content in files.items():
-        with open(os.path.join(out_dir, name), "w") as fh:
-            fh.write(content)
-
-
-def _manifest(args, command: tuple[str, str]) -> dict:
-    return {
+def _emit(args, command: tuple[str, str], files: dict[str, str], name: str, lines: list[str], note: str = "") -> None:
+    """Print the output lines; with --out, write them as file ``name`` next to ``files`` and manifest.json."""
+    body = "".join(line + "\n" for line in lines)
+    if not args.out:
+        sys.stdout.write(body)
+        return
+    files[name] = body
+    manifest = {
         "tool": "sawkit",
         "version": __version__,
         "command": list(command),
         "params": {key: getattr(args, key) for key in _MANIFEST_PARAMS[command]},
     }
+    os.makedirs(args.out, exist_ok=True)
+    with open(os.path.join(args.out, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    for file_name, content in files.items():
+        with open(os.path.join(args.out, file_name), "w") as fh:
+            fh.write(content)
+    print(f"wrote {len(files)} files to {args.out}{note}")
 
 
 def _check_sampling(args) -> None:
@@ -164,7 +169,6 @@ def _cmd_sample_saw(args) -> int:
     rng = RngStream(args.seed)
     length = n + 2 * args.k
     reports = [sample_saw(table, rng.substream(i), length, args.max_attempts) for i in range(args.count)]
-    manifest = _manifest(args, ("sample", "saw"))
     files: dict[str, str] = {}
     lines = []
     for i, rep in enumerate(reports):
@@ -175,15 +179,9 @@ def _cmd_sample_saw(args) -> int:
             lines.append(json.dumps(_walk_json(rep.walk, rep.attempts), sort_keys=True))
         else:
             lines.append(rep.walk.to_text())
-    body = "".join(line + "\n" for line in lines)
-    name = {"svg": "samples.jsonl", "json": "samples.jsonl", "udlr": "samples.txt"}[args.format]
-    if args.out:
-        files[name] = body
-        _write_outputs(args.out, manifest, files)
-        total = sum(r.attempts for r in reports)
-        print(f"wrote {len(files)} files to {args.out} (acceptance {args.count}/{total})")
-    else:
-        sys.stdout.write(body)
+    name = "samples.txt" if args.format == "udlr" else "samples.jsonl"
+    total = sum(r.attempts for r in reports)
+    _emit(args, ("sample", "saw"), files, name, lines, f" (acceptance {args.count}/{total})")
     return 0
 
 
@@ -198,7 +196,6 @@ def _cmd_aztec_sample(args) -> int:
         part, rep = sample_partition(args.k, params, args.l, rng.substream(i),
                                      family=family, max_attempts=args.max_attempts)
         results.append((part, rep))
-    manifest = _manifest(args, ("aztec", "sample"))
     files: dict[str, str] = {}
     lines = []
     for i, (part, rep) in enumerate(results):
@@ -213,13 +210,7 @@ def _cmd_aztec_sample(args) -> int:
         lines.append(json.dumps(record, sort_keys=True))
         if args.format == "svg":
             files[f"partition_{i:04d}.svg"] = render_partition_svg(part)
-    body = "".join(line + "\n" for line in lines)
-    if args.out:
-        files["partitions.jsonl"] = body
-        _write_outputs(args.out, manifest, files)
-        print(f"wrote {len(files)} files to {args.out}")
-    else:
-        sys.stdout.write(body)
+    _emit(args, ("aztec", "sample"), files, "partitions.jsonl", lines)
     return 0
 
 
@@ -257,9 +248,10 @@ def _cmd_glauber_conductance(args) -> int:
 def _cmd_oracle_enumerate(args) -> int:
     from . import oracle
 
+    capped = {} if args.cap is None else {"cap": args.cap}  # each kind keeps its own default
     if args.kind == "partitions":
         params = OmegaParams(args.C, args.eps)
-        res = oracle.enumerate_partitions(args.k, params)
+        res = oracle.enumerate_partitions(args.k, params, **capped)
         for p in res.items:
             print(json.dumps({"k": p.k, "class1": sorted([a, b] for (a, b) in p.class1),
                               "boundaries": list(p.boundary_sizes)}, sort_keys=True))
@@ -267,11 +259,11 @@ def _cmd_oracle_enumerate(args) -> int:
     region = _parse_region(args.region)
     start, end = Point(0, 0), Point(args.n1, args.n2)
     if args.kind == "saw":
-        res = oracle.enumerate_saws(region, start, end, args.length, cap=args.cap)
+        res = oracle.enumerate_saws(region, start, end, args.length, **capped)
     elif args.kind == "lowgirth":
-        res = oracle.enumerate_low_girth_walks(region, start, end, args.length, args.l, cap=args.cap)
+        res = oracle.enumerate_low_girth_walks(region, start, end, args.length, args.l, **capped)
     else:
-        res = oracle.enumerate_walks(region, start, end, args.length, cap=args.cap)
+        res = oracle.enumerate_walks(region, start, end, args.length, **capped)
     for w in res.items:
         print(json.dumps({"start": [w.start.x, w.start.y], "moves": w.moves}, sort_keys=True))
     print(json.dumps({"count": res.count, "instance": res.instance}, sort_keys=True), file=sys.stderr)
@@ -311,7 +303,10 @@ def _cmd_verify(args) -> int:
         return 0
     if args.write_calibration is not None:
         raise ValueError("--write-calibration: only meaningful with --calibration")
-    selected = [int(x) for x in args.criteria.split(",")] if args.criteria else None
+    try:
+        selected = [int(x) for x in args.criteria.split(",")] if args.criteria else None
+    except ValueError:
+        raise ValueError(f"--criteria must be comma-separated criterion numbers, got {args.criteria!r}") from None
     unknown = sorted(set(selected or ()) - {number for number, _, _ in acceptance.CRITERIA})
     if unknown:
         raise ValueError(f"unknown criteria {unknown}; the criteria are numbered 1..{len(acceptance.CRITERIA)}")
@@ -445,7 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
     oe.add_argument("--C", type=float, default=2.0)
     oe.add_argument("--eps", type=float, default=0.5)
     oe.add_argument("--region", default="full")
-    oe.add_argument("--cap", type=int, default=16)
+    oe.add_argument("--cap", type=int, default=None,
+                    help=f"largest walk length (walk kinds, default {DEFAULT_WALK_CAP}) or diamond order "
+                         f"(partitions, default {DEFAULT_PARTITION_CAP}) to enumerate")
     oe.set_defaults(run=_cmd_oracle_enumerate)
 
     rn = sub.add_parser("render", help="render a walk or partition to SVG")

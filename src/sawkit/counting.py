@@ -30,11 +30,10 @@ from __future__ import annotations
 import sys
 from array import array
 
-from .lattice import LatticeBox, Point, Region, manhattan
+from .lattice import DIRECTIONS, MOVES, LatticeBox, Point, Region, manhattan
 
-MOVE_CHARS = "URDL"
-_DX = (0, 1, 0, -1)
-_DY = (1, 0, -1, 0)
+_DX = tuple(dx for _, dx, _ in MOVES)
+_DY = tuple(dy for _, _, dy in MOVES)
 
 DEFAULT_MEMORY_CAP = 2 * 1024**3
 # Pointer bytes per cell of one layer update: the previous slab, an index
@@ -374,7 +373,6 @@ class CountTable:
             return d & 1, d
 
         pts = sorted((p for p in self.box.points() if p in region), key=parity_distance)
-        self._pts = pts
         self._pid = pid = {p: i for i, p in enumerate(pts)}
         self._target_pid = pid[self.target]
         self._dist_target = array("l", [abs(p[0] - tx) + abs(p[1] - ty) for p in pts])
@@ -480,7 +478,7 @@ class CountTable:
         layer t has no row for.
         """
         point = Point(*point)
-        codes = tuple(MOVE_CHARS.index(c) for c in window_moves)
+        codes = tuple(DIRECTIONS.index(c) for c in window_moves)
         wid = self.auto.index.get(codes)
         if wid is None:
             raise ValueError(f"invalid window {window_moves!r} (self-intersecting or too long)")
@@ -506,9 +504,10 @@ class CountTable:
         """The moves of walk number ``index`` among the walks start -> target of that length.
 
         The walks are numbered 0 .. count_from(start, length) - 1 in
-        lexicographic order of their moves, U < R < D < L.  Each step takes
-        the first successor, in ``auto.trans`` order, whose count the index
-        falls in, and subtracts the counts of the successors before it.
+        lexicographic order of their moves, the moves ordered as in
+        ``lattice.MOVES`` (U < R < D < L).  Each step takes the first
+        successor, in ``auto.trans`` order, whose count the index falls in,
+        and subtracts the counts of the successors before it.
         The index is never used up by the successors, as every state's
         count is the sum of theirs; a table that breaks this raises
         AssertionError.  An index outside [0, count) raises ValueError.
@@ -536,7 +535,7 @@ class CountTable:
                     index -= count
             else:
                 raise AssertionError(f"successors of state (pid {p}, class {c}, t {t + 1}) sum below its count")
-            moves.append(MOVE_CHARS[d])
+            moves.append(DIRECTIONS[d])
             p, c = nb[d], c2
         return "".join(moves)
 

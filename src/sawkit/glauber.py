@@ -268,9 +268,9 @@ def ordered_endpoints(p: Partition) -> bool:
     return _ordered(_Diamond.get(p.k).cut_endpoints(p.mask))
 
 
-def enumerate_omega(k: int, params: OmegaParams, budget: int | None = None, cap: int = 4) -> list[Partition]:
+def enumerate_omega(k: int, params: OmegaParams, cap: int = 4) -> list[Partition]:
     """All partitions in Omega, label symmetry quotiented by the anchor vertex."""
-    return oracle.enumerate_partitions(k, params, budget=budget, cap=cap).items
+    return oracle.enumerate_partitions(k, params, cap=cap).items
 
 
 @dataclass(frozen=True)
@@ -325,7 +325,6 @@ def conductance_of_cut(omega: list[Partition], params: OmegaParams, cut) -> CutR
 class ChainTrace:
     """Recorded observables of one chain run."""
 
-    k: int
     steps: int
     crossings: int
     moves: int
@@ -367,7 +366,7 @@ def run_chain(
         state.advance(record_every)
         records.append(snapshot())
     state.advance(steps % record_every)
-    return ChainTrace(k=k, steps=steps, crossings=state.crossings, moves=state.moves,
+    return ChainTrace(steps=steps, crossings=state.crossings, moves=state.moves,
                       records=records, final=state.partition)
 
 

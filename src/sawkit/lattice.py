@@ -1,10 +1,13 @@
-"""Points, directions, walks, and regions of the square lattice Z^2.
+"""Points, moves, walks, and regions of the square lattice Z^2.
 
-Walks are stored as a start point plus a move string over ``URDL``; the
-visited points are recomputed on demand.  Regions are membership
-predicates with a handful of built-ins (full lattice, box, explicit point
-set); bounded regions additionally expose their finite vertex set so that
-boundaries can be computed.
+``MOVES`` is the one move table: each move's character and unit step
+(dx, dy), in the order U, R, D, L.  That order fixes the index order of
+``CountTable.unrank`` and the DFS order of the oracle, so every seeded
+output rests on it; ``DIRECTIONS`` and the per-character step map are
+derived from it.  Walks are stored as a start point plus a move string over
+``URDL``; the visited points are recomputed on demand.  A region is a
+membership predicate and nothing more: the full lattice, a box and an
+explicit point set here, the Aztec diamond in ``aztec``.
 """
 
 from __future__ import annotations
@@ -14,12 +17,13 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator, NamedTuple
 
-DIRECTIONS = "URDL"
+MOVES = (("U", 0, 1), ("R", 1, 0), ("D", 0, -1), ("L", -1, 0))
+DIRECTIONS = "".join(m for m, _, _ in MOVES)
 
-_DISPLACEMENT = {"U": (0, 1), "R": (1, 0), "D": (0, -1), "L": (-1, 0)}
+_DISPLACEMENT = {m: (dx, dy) for m, dx, dy in MOVES}
 _MOVE_SET = frozenset(_DISPLACEMENT)
 
-_WALK_TEXT = re.compile(r"^\((-?\d+),(-?\d+)\)([URDL]*)$")
+_WALK_TEXT = re.compile(rf"^\((-?\d+),(-?\d+)\)([{DIRECTIONS}]*)$")
 
 
 class Point(NamedTuple):
@@ -27,17 +31,12 @@ class Point(NamedTuple):
     y: int
 
 
-def displacement(direction: str) -> tuple[int, int]:
-    """Unit displacement of a direction character."""
-    try:
-        return _DISPLACEMENT[direction]
-    except KeyError:
-        raise ValueError(f"unknown direction {direction!r}") from None
-
-
 def step(point: Point, direction: str) -> Point:
     """The point one unit step away in the given direction."""
-    dx, dy = displacement(direction)
+    try:
+        dx, dy = _DISPLACEMENT[direction]
+    except KeyError:
+        raise ValueError(f"unknown direction {direction!r}") from None
     return Point(point[0] + dx, point[1] + dy)
 
 
@@ -124,8 +123,15 @@ def walk_through(points: list[Point]) -> Walk:
     return Walk(Point(*points[0]), moves_between([Point(*p) for p in points]))
 
 
+class Region:
+    """Membership predicate over lattice points; membership is pure and deterministic."""
+
+    def __contains__(self, p: tuple) -> bool:
+        raise NotImplementedError
+
+
 @dataclass(frozen=True)
-class LatticeBox:
+class LatticeBox(Region):
     """Axis-aligned integer rectangle {p : lo <= p <= hi} (componentwise)."""
 
     lo: Point
@@ -157,26 +163,8 @@ class LatticeBox:
                 yield Point(x, y)
 
 
-class Region:
-    """Membership predicate over lattice points.
-
-    Bounded regions report a finite vertex set via :meth:`points`;
-    membership is pure and deterministic.
-    """
-
-    bounded: bool = False
-
-    def __contains__(self, p: tuple) -> bool:
-        raise NotImplementedError
-
-    def points(self) -> Iterator[Point]:
-        raise ValueError("unbounded region has no finite vertex set")
-
-
 class FullLattice(Region):
     """All of Z^2."""
-
-    bounded = False
 
     def __contains__(self, p: tuple) -> bool:
         return True
@@ -185,28 +173,8 @@ class FullLattice(Region):
         return "FullLattice()"
 
 
-class BoxRegion(Region):
-    """Region induced by a lattice box."""
-
-    bounded = True
-
-    def __init__(self, box: LatticeBox):
-        self.box = box
-
-    def __contains__(self, p: tuple) -> bool:
-        return p in self.box
-
-    def points(self) -> Iterator[Point]:
-        return self.box.points()
-
-    def __repr__(self) -> str:
-        return f"BoxRegion({self.box.lo} .. {self.box.hi})"
-
-
 class PointSetRegion(Region):
     """Region given by an explicit finite point set."""
-
-    bounded = True
 
     def __init__(self, pts):
         self._pts = frozenset(Point(*p) for p in pts)
@@ -215,27 +183,3 @@ class PointSetRegion(Region):
 
     def __contains__(self, p: tuple) -> bool:
         return Point(p[0], p[1]) in self._pts
-
-    def points(self) -> Iterator[Point]:
-        return iter(sorted(self._pts))
-
-
-def neighbors(p: Point) -> list[Point]:
-    return [Point(p[0], p[1] + 1), Point(p[0] + 1, p[1]), Point(p[0], p[1] - 1), Point(p[0] - 1, p[1])]
-
-
-def boundary(region: Region) -> frozenset[Point]:
-    """Member points with at least one of their 4 lattice neighbors outside."""
-    if not region.bounded:
-        raise ValueError("boundary requires bounded region")
-    out = []
-    for p in region.points():
-        if any(q not in region for q in neighbors(p)):
-            out.append(p)
-    return frozenset(out)
-
-
-def boundary_points_in_box(region: Region, box: LatticeBox) -> int:
-    """|boundary(region) ∩ box|."""
-    return sum(1 for p in boundary(region) if p in box)
-

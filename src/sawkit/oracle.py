@@ -1,8 +1,8 @@
 """Brute-force enumerators and statistical testers.
 
 Everything here is intentionally naive: depth-first enumeration with
-visited-set pruning, in the fixed move order U, R, D, L so output is
-deterministic and diffable.  These are the ground truth the dynamic
+visited-set pruning, in the move order of ``lattice.MOVES`` so output
+is deterministic and diffable.  These are the ground truth the dynamic
 program and the samplers are tested against.  Caps are hard errors, never
 silent truncation.
 """
@@ -13,9 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .lattice import FullLattice, Point, Region, Walk
-
-_MOVES = (("U", 0, 1), ("R", 1, 0), ("D", 0, -1), ("L", -1, 0))
+from .lattice import MOVES, FullLattice, Point, Region, Walk
 
 DEFAULT_WALK_CAP = 16
 DEFAULT_PARTITION_CAP = 4
@@ -78,7 +76,7 @@ def _walk_dfs(
         if n == max_len or gap > max_len - n:
             return
         x, y = p
-        for m, dx, dy in _MOVES:
+        for m, dx, dy in MOVES:
             np_ = (x + dx, y + dy)
             if not full and not contains(np_):
                 continue

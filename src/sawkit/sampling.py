@@ -118,7 +118,6 @@ def _byte_tables(bound: int) -> tuple[bytes, bytes]:
 class SampleReport:
     """One accepted sample plus the rejection bookkeeping that produced it."""
 
-    requested_length: int
     attempts: int
     walk: Walk
 
@@ -155,7 +154,7 @@ def sample_saw(
     for attempt in range(1, max_attempts + 1):
         walk = sample_low_girth_walk(table, rng, length)
         if walk.is_self_avoiding():
-            return SampleReport(length, attempt, walk)
+            return SampleReport(attempt, walk)
     raise SamplingBudgetError(
         max_attempts,
         f"no self-avoiding walk accepted in {max_attempts} attempts (length {length})",

@@ -29,15 +29,16 @@ from sawkit.aztec import (
 )
 from sawkit.counting import ResourceLimitError
 from sawkit.glauber import enumerate_omega
-from sawkit.lattice import Point, Walk, boundary
+from sawkit.lattice import LatticeBox, Point, Walk
 from sawkit.sampling import RngStream
 
 
 def test_region_counts():
-    assert len(list(AztecRegion(1).points())) == 5
-    assert len(boundary(AztecRegion(1))) == 4
-    assert len(list(AztecRegion(2).points())) == 13
-    assert len(boundary(AztecRegion(2))) == 8
+    box = LatticeBox(Point(-3, -3), Point(3, 3))
+    assert sum(p in AztecRegion(1) for p in box.points()) == 5
+    assert len(boundary_vertices(1)) == 4
+    assert sum(p in AztecRegion(2) for p in box.points()) == 13
+    assert len(boundary_vertices(2)) == 8
 
 
 def test_dual_vertex_counts():
@@ -130,6 +131,24 @@ def test_width_certificate_aligned_pair():
     rep = width_certificate(8, params, Point(1, -7), Point(1, 7), 0)
     assert rep.admissible and rep.certified
     assert rep.boundary_points <= 4 * params.slack(8) + 4
+
+
+def test_width_certificate_counts_the_diamond_boundary_in_the_box():
+    params = OmegaParams(2, 0.5)
+    for k in (1, 2, 3, 5):
+        bpts = boundary_vertices(k)
+        for p1 in bpts:
+            for p2 in bpts:
+                for ell in range(3):
+                    lo = (min(p1.x, p2.x) - ell, min(p1.y, p2.y) - ell)
+                    hi = (max(p1.x, p2.x) + ell, max(p1.y, p2.y) + ell)
+                    want = sum(
+                        1
+                        for x in range(lo[0], hi[0] + 1)
+                        for y in range(lo[1], hi[1] + 1)
+                        if abs(x) + abs(y) == k
+                    )
+                    assert width_certificate(k, params, p1, p2, ell).boundary_points == want, (k, p1, p2, ell)
 
 
 def test_width_certificate_inadmissible_pair():

@@ -129,6 +129,11 @@ def test_oracle_enumerate(capsys):
     assert len(lines) == 4
 
 
+def test_oracle_enumerate_partitions_honours_cap(capsys):
+    err = _usage_error(capsys, ["oracle", "enumerate", "--kind", "partitions", "--k", "2", "--cap", "1"])
+    assert "capped at k=1" in err
+
+
 def test_render_walk(tmp_path):
     out = tmp_path / "walk.svg"
     rc = main(["render", "walk", "--walk", "(0,0)RRUU", "-o", str(out)])
@@ -373,8 +378,9 @@ def test_aztec_sample_count_0_writes_nothing(capsys, tmp_path):
         # refused by the table build, before the l*delta regime warning could print
         (["sample", "saw", "--n1", "2", "--n2", "2", "--k", "1", "--l", "0", "--seed", "1"],
          "girth parameter must be >= 1"),
+        (["verify", "--criteria", "1,x"], "--criteria must be comma-separated criterion numbers"),
     ],
-    ids=["negative-n1", "short-box", "short-origin", "bump-at", "girth-0"],
+    ids=["negative-n1", "short-box", "short-origin", "bump-at", "girth-0", "verify-criteria"],
 )
 def test_malformed_arguments_name_the_rule(capsys, argv, message):
     err = _usage_error(capsys, argv)

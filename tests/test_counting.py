@@ -12,7 +12,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sawkit.counting import (
-    MOVE_CHARS,
     CountTable,
     ResourceLimitError,
     TableDomainError,
@@ -20,7 +19,7 @@ from sawkit.counting import (
     build_table,
     window_automaton,
 )
-from sawkit.lattice import BoxRegion, FullLattice, LatticeBox, Point, PointSetRegion
+from sawkit.lattice import DIRECTIONS, FullLattice, LatticeBox, Point, PointSetRegion
 from sawkit.oracle import enumerate_low_girth_walks, enumerate_saws
 
 Z = FullLattice()
@@ -75,7 +74,7 @@ def test_completion_count_validation():
         table.completion_count((0, 0), "", 7)  # t beyond the longest length
     # a short window that is not a prefix of walks from the origin is counted too
     assert table.completion_count((2, 1), "U", 3) == _reference_counts(
-        BoxRegion(table.box), None, (2, 2), 2, 3, history=((2, 0), (2, 1))
+        table.box, None, (2, 2), 2, 3, history=((2, 0), (2, 1))
     )
     # the one state a layer has no row for: 3 steps left, 5 steps from the origin
     with pytest.raises(TableDomainError):
@@ -150,7 +149,7 @@ def _reference_counts(region, origin, target, girth, length, memo=None, history=
 
 @pytest.mark.parametrize("n1,n2,k,girth", [(1, 0, 2, 1), (1, 1, 2, 2), (2, 1, 1, 1), (2, 2, 1, 3), (0, 3, 1, 2)])
 def test_against_recursive_reference(n1, n2, k, girth):
-    box = BoxRegion(LatticeBox(Point(-k, -k), Point(max(n1, 1) + k, max(n2, 1) + k)))
+    box = LatticeBox(Point(-k, -k), Point(max(n1, 1) + k, max(n2, 1) + k))
     table = build_table(box, (0, 0), (n1, n2), girth, k)
     for j in range(k + 1):
         length = n1 + n2 + 2 * j
@@ -189,13 +188,13 @@ def test_sandwich_and_monotone_in_girth():
 
 
 def test_region_restricted_counts():
-    corridor = BoxRegion(LatticeBox(Point(0, -1), Point(1, 1)))
+    corridor = LatticeBox(Point(0, -1), Point(1, 1))
     table = build_table(corridor, (0, 0), (1, 0), 1, 2)
     assert table.counts() == {1: 1, 3: 2, 5: 2}
 
 
 def test_count_from_trivial_zeros_before_domain():
-    corridor = BoxRegion(LatticeBox(Point(0, -1), Point(1, 1)))
+    corridor = LatticeBox(Point(0, -1), Point(1, 1))
     table = build_table(corridor, (0, 0), (1, 0), 1, 2)
     assert table.count_from((0, 1), 3) == 0  # distance 2, odd length: wrong parity
     assert table.count_from((5, 5), 3) == 0  # outside the region
@@ -210,7 +209,7 @@ def test_count_from_trivial_zeros_before_domain():
 
 
 def test_all_sources_table():
-    region = BoxRegion(LatticeBox(Point(0, 0), Point(3, 3)))
+    region = LatticeBox(Point(0, 0), Point(3, 3))
     table = CountTable(region, Point(3, 3), 2, (2, 4, 6), sources=region.points())
     for start in (Point(3, 1), Point(1, 1), Point(0, 3)):
         for length in (2, 4, 6):
@@ -219,7 +218,7 @@ def test_all_sources_table():
 
 
 def test_sources_must_be_nonempty_and_in_region():
-    region = BoxRegion(LatticeBox(Point(0, 0), Point(3, 3)))
+    region = LatticeBox(Point(0, 0), Point(3, 3))
     with pytest.raises(ValueError, match="at least one source"):
         CountTable(region, Point(3, 3), 2, (2,), sources=[])
     with pytest.raises(ValueError, match="outside region"):
@@ -266,7 +265,7 @@ def _dp_instances(draw):
     w, h = draw(st.integers(0, 3)), draw(st.integers(1, 3))
     box_pts = [(x, y) for x in range(w + 1) for y in range(h + 1)]
     if draw(st.booleans()):
-        region = BoxRegion(LatticeBox(Point(0, 0), Point(w, h)))
+        region = LatticeBox(Point(0, 0), Point(w, h))
         pts = box_pts
     else:
         keep = draw(st.lists(st.booleans(), min_size=len(box_pts), max_size=len(box_pts)))
@@ -315,7 +314,7 @@ def test_dp_matches_oracle_on_small_regions(inst):
             history = [(x + dx, y + dy) for dx, dy in reversed(auto.offsets[wid])]
             if not all(p in region for p in history):
                 continue
-            moves = "".join(MOVE_CHARS[d] for d in w)
+            moves = "".join(DIRECTIONS[d] for d in w)
             for t in range(table.max_length + 1):
                 try:
                     got = table.completion_count((x, y), moves, t)

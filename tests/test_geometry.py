@@ -20,7 +20,7 @@ from sawkit.aztec import (
     staircase_partition,
 )
 from sawkit.glauber import _flip, enumerate_omega, glauber_step, make_chain
-from sawkit.lattice import Point, Walk
+from sawkit.lattice import LatticeBox, Point, Walk
 from sawkit.oracle import _self_avoiding, _walk_dfs
 from sawkit.sampling import RngStream
 
@@ -48,6 +48,11 @@ def _connected(cls) -> bool:
     return len(seen) == len(cls)
 
 
+def _diamond_points(k) -> list[Point]:
+    """The points of A_k', x-major as a box scan lists them."""
+    return [p for p in LatticeBox((-k, -k), (k, k)).points() if p in AztecRegion(k)]
+
+
 @cache
 def _primal_to_dual(k):
     """Every primal edge of A_k', smaller end first, -> the (i, j) bits of the dual edge it crosses."""
@@ -67,7 +72,7 @@ def test_every_primal_edge_crosses_one_dual_edge():
         region = AztecRegion(k)
         d = _Diamond.get(k)
         to_dual = _primal_to_dual(k)
-        edges = {(p, q) for p in region.points() for q in (Point(p.x + 1, p.y), Point(p.x, p.y + 1)) if q in region}
+        edges = {(p, q) for p in _diamond_points(k) for q in (Point(p.x + 1, p.y), Point(p.x, p.y + 1)) if q in region}
         assert set(to_dual) == edges and len(set(to_dual.values())) == len(edges)
         # column c is col_prefix[c + 1] ^ col_prefix[c]: the prefixes are nested and run from 0 to all_mask
         assert len(d.col_prefix) == 2 * k + 1 and d.col_prefix[0] == 0 and d.col_prefix[-1] == d.all_mask
@@ -156,7 +161,7 @@ def test_path_to_partition_matches_flood_fill_on_every_short_walk(k, walks):
 def test_path_to_partition_matches_flood_fill_on_every_one_and_two_move_walk():
     # from every point, boundary or not, in every direction: steps off each edge of the diamond included
     for k in (1, 2, 3, 4):
-        for start in AztecRegion(k).points():
+        for start in _diamond_points(k):
             for moves in [a + b for a in "URDL" for b in ("", *"URDL")]:
                 walk = Walk(start, moves)
                 got = _outcome(path_to_partition, k, walk)
@@ -187,7 +192,7 @@ _STEPS = st.lists(st.tuples(st.integers(0, 99), st.booleans()), min_size=1, max_
 def test_path_to_partition_matches_flood_fill_on_random_walks(k, start, on_boundary, steps):
     """Random walks in A_k': mostly self-avoiding ones that may stop at, or run on past, a boundary point;
     now and then a step to any neighbour, which may revisit a point or leave the diamond."""
-    pool = boundary_vertices(k) if on_boundary else list(AztecRegion(k).points())
+    pool = boundary_vertices(k) if on_boundary else _diamond_points(k)
     x, y = first = pool[start % len(pool)]
     visited = {(x, y)}
     moves = []

@@ -1,4 +1,5 @@
-"""Tooling guards: no module of the package can load a serialized Python object or import scipy."""
+"""Tooling guards: no module of the package can load a serialized Python object or import scipy, and
+only ``lattice`` spells out the move order."""
 
 import ast
 from pathlib import Path
@@ -30,3 +31,28 @@ def test_no_object_serialization_imports():
 
 def test_no_scipy_imports():
     assert _imports(NOT_DEPENDED_ON) == []
+
+
+# literals that spell the U, R, D, L move order, whose one home is lattice.MOVES
+MOVE_ORDER_LITERALS = ("URDL", (0, 1, 0, -1), (1, 0, -1, 0))
+
+
+def _move_order_literals(package_dir: Path) -> list[str]:
+    found = []
+    for path in sorted(package_dir.rglob("*.py")):
+        if path.name == "lattice.py":
+            continue
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)) or node.value is None:
+                continue
+            try:
+                value = ast.literal_eval(node.value)
+            except (ValueError, TypeError, SyntaxError):
+                continue
+            if value in MOVE_ORDER_LITERALS or (isinstance(value, (tuple, list)) and ("U", 0, 1) in value):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_move_order_is_spelled_only_in_lattice():
+    assert _move_order_literals(Path(sawkit.__file__).parent) == []

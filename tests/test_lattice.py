@@ -4,14 +4,12 @@ from hypothesis import strategies as st
 
 from sawkit.aztec import AztecRegion
 from sawkit.lattice import (
-    BoxRegion,
     FullLattice,
     LatticeBox,
     Point,
     PointSetRegion,
+    Region,
     Walk,
-    boundary,
-    boundary_points_in_box,
     moves_between,
     step,
 )
@@ -52,41 +50,16 @@ def test_codec_round_trip():
         Walk.from_text("0,0 RU")
 
 
-def test_boundary_of_box():
-    region = BoxRegion(LatticeBox(Point(0, 0), Point(2, 2)))
-    bd = boundary(region)
-    assert len(bd) == 8 and Point(1, 1) not in bd
-
-
-def test_boundary_single_point():
-    assert boundary(PointSetRegion([(0, 0)])) == {Point(0, 0)}
-
-
-def test_boundary_unbounded_errors():
-    with pytest.raises(ValueError):
-        boundary(FullLattice())
-
-
-def test_boundary_aztec_2():
-    bd = boundary(AztecRegion(2))
-    assert bd == {p for p in AztecRegion(2).points() if abs(p.x) + abs(p.y) == 2}
-    assert len(bd) == 8
-
-
-def test_boundary_points_in_box():
-    region = AztecRegion(2)
-    assert boundary_points_in_box(region, LatticeBox(Point(-2, 0), Point(2, 0))) == 2
-    assert boundary_points_in_box(region, LatticeBox(Point(0, 0), Point(2, 2))) == 3
-    assert boundary_points_in_box(region, LatticeBox(Point(0, 0), Point(0, 0))) == 0
-
-
-def test_non_boundary_points_have_all_neighbors_inside():
-    region = AztecRegion(3)
-    bd = boundary(region)
-    for p in region.points():
-        if p not in bd:
-            assert all(q in region for q in
-                       (Point(p.x+1, p.y), Point(p.x-1, p.y), Point(p.x, p.y+1), Point(p.x, p.y-1)))
+def test_regions_answer_membership():
+    regions = (FullLattice(), LatticeBox(Point(0, -1), Point(2, 1)), PointSetRegion([(0, 0), (2, 1)]), AztecRegion(2))
+    assert all(isinstance(r, Region) for r in regions)
+    probes = [(0, 0), (2, 1), (1, 1), (2, 2), (-2, 0), (3, 0)]
+    assert [[p in r for p in probes] for r in regions] == [
+        [True] * 6,
+        [True, True, True, False, False, False],
+        [True, True, False, False, False, False],
+        [True, False, True, False, True, False],
+    ]
 
 
 def test_box_validation():

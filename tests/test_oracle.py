@@ -1,7 +1,7 @@
 import pytest
 
 from sawkit.aztec import OmegaParams
-from sawkit.lattice import BoxRegion, FullLattice, LatticeBox, Point
+from sawkit.lattice import FullLattice, LatticeBox, Point
 from sawkit.oracle import (
     _chi2_sf,
     enumerate_low_girth_walks,
@@ -48,7 +48,7 @@ def test_cap_is_a_hard_error():
 
 
 def test_region_restriction():
-    corridor = BoxRegion(LatticeBox(Point(0, -1), Point(1, 1)))
+    corridor = LatticeBox(Point(0, -1), Point(1, 1))
     assert enumerate_saws(corridor, Point(0, 0), Point(1, 0), 5).count == 0
     assert enumerate_low_girth_walks(corridor, Point(0, 0), Point(1, 0), 5, 1).count == 2
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sawkit.aztec import OmegaParams, partition_family
 from sawkit.counting import CountTable, build_table
-from sawkit.lattice import BoxRegion, FullLattice, LatticeBox, Point, PointSetRegion, step
+from sawkit.lattice import FullLattice, LatticeBox, Point, PointSetRegion, step
 from sawkit.oracle import enumerate_low_girth_walks, uniformity_test
 from sawkit.sampling import (
     RngStream,
@@ -134,7 +134,7 @@ def test_sample_saw_accepts_first_when_window_covers_length():
 
 def test_sample_saw_budget_exhaustion():
     # corridor where no SAW of length 5 exists but low-girth walks do
-    corridor = BoxRegion(LatticeBox(Point(0, -1), Point(1, 1)))
+    corridor = LatticeBox(Point(0, -1), Point(1, 1))
     table = build_table(corridor, (0, 0), (1, 0), 1, 2)
     with pytest.raises(SamplingBudgetError) as exc:
         sample_saw(table, RngStream(12), 5, max_attempts=64)
@@ -197,7 +197,7 @@ def test_family_union_uniformity():
 
 
 def test_family_all_zero():
-    corridor = BoxRegion(LatticeBox(Point(0, -1), Point(1, 1)))
+    corridor = LatticeBox(Point(0, -1), Point(1, 1))
     table = build_table(corridor, (0, 0), (1, 0), 1, 2)
     assert make_family([("x", table, Point(0, 1), 3)]) == []
     with pytest.raises(ValueError):
@@ -248,7 +248,7 @@ def _descent_cases(draw):
     if draw(st.booleans()):
         lo = Point(min(0, target.x) - draw(st.integers(0, 2)), min(0, target.y) - draw(st.integers(0, 2)))
         hi = Point(max(0, target.x) + draw(st.integers(0, 2)), max(0, target.y) + draw(st.integers(0, 2)))
-        region = BoxRegion(LatticeBox(lo, hi))
+        region = LatticeBox(lo, hi)
     table = build_table(region, Point(0, 0), target, girth, draw(st.integers(0, 3)))
     length = draw(st.sampled_from([L for L in table.lengths if table.count_from(table.origin, L)]))
     return table, table.origin, length
@@ -299,8 +299,8 @@ def test_zero_count_raises_value_error():
 @pytest.mark.parametrize("region, target, girth, k", [
     (Z, (1, 1), 1, 2),
     (Z, (2, 1), 2, 2),
-    (BoxRegion(LatticeBox(Point(-1, -1), Point(2, 2))), (2, 2), 3, 4),
-    (BoxRegion(LatticeBox(Point(0, -1), Point(1, 1))), (1, 0), 1, 4),
+    (LatticeBox(Point(-1, -1), Point(2, 2)), (2, 2), 3, 4),
+    (LatticeBox(Point(0, -1), Point(1, 1)), (1, 0), 1, 4),
 ], ids=["z2-l1", "z2-l2", "box-l3", "corridor-l1"])
 def test_unrank_is_the_lexicographic_bijection(region, target, girth, k):
     """Indices 0..N-1 give every enumerated walk once, in URDL-lexicographic order."""
