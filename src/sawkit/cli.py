@@ -426,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--k", type=int, required=True)
     gc.add_argument("--C", type=float, required=True)
     gc.add_argument("--eps", type=float, required=True)
-    gc.add_argument("--cap", type=int, default=4)
+    gc.add_argument("--cap", type=int, default=DEFAULT_PARTITION_CAP,
+                    help=f"largest diamond order to enumerate Omega for (default {DEFAULT_PARTITION_CAP})")
     gc.set_defaults(run=_cmd_glauber_conductance)
 
     orc = sub.add_parser("oracle", help="brute-force enumeration").add_subparsers(dest="sub", required=True)

@@ -19,10 +19,12 @@ The table is filled iteratively by remaining-steps layer (layer t reads
 only layer t-1).  Layer t is one dense slab of exact Python integers: a
 row for every point the rule puts in the layer, a column for every class,
 and one zero row and one zero column that every miss is sent to (a step
-off the region, a colliding step, a point the layer does not hold).  A
-layer update is four gathers of the previous slab and three adds.  A
-finished layer is one flat list of ints; fixed-width bytes (``_Frozen``)
-are its serialized form only.
+off the region, a colliding step, a point the layer does not hold).  The
+plan gives each layer t >= 1 its successor rows: for each row and move,
+the row of layer t-1 the move leads to, the zero row for a miss.  A layer
+update is four gathers of the previous slab through them and three adds,
+and each step of ``unrank`` reads them too.  A finished layer is one flat
+list of ints; fixed-width bytes (``_Frozen``) are its serialized form only.
 """
 
 from __future__ import annotations
@@ -35,13 +37,18 @@ from .lattice import DIRECTIONS, MOVES, LatticeBox, Point, Region, manhattan
 _DX = tuple(dx for _, dx, _ in MOVES)
 _DY = tuple(dy for _, _, dy in MOVES)
 
+# Move code d -> its letter, for ``bytes.translate``.
+_MOVE_CHARS = bytes.maketrans(bytes(range(4)), DIRECTIONS.encode())
+# Successor rows and the plan's pid-indexed row maps: C ints (numpy reads the same code as intc).
+_ROW_CODE = "i"
+
 DEFAULT_MEMORY_CAP = 2 * 1024**3
 # Pointer bytes per cell of one layer update: the previous slab, an index
 # array, a gather, the running sum and the new padded slab, 8 bytes each.
 _SLAB_BYTES = 40
 # Bytes per region point of the geometry (its Point, pid-dict entry, neighbour
-# tuple and distances; about 300 measured) and per layer of the plan besides
-# its row map (two numpy arrays and a list header).
+# row and distances) and per layer of the plan besides its row map and
+# successor rows (array and list headers).
 _POINT_BYTES = 400
 _LAYER_BYTES = 512
 # Cells encoded per join when a layer is serialized as fixed-width bytes.
@@ -213,9 +220,11 @@ class CountTable:
 
     Every cell of a layer t >= 1 is the sum of its successors' cells in
     layer t - 1, one per non-colliding move, with a step off the region or
-    onto a point layer t - 1 does not hold counting 0: the four gathers of
-    the build read exactly those cells.  ``unrank`` rests on this, as
-    each step splits its state's count among the successors.
+    onto a point layer t - 1 does not hold counting 0.  The successor rows
+    ``_succ[t]`` name the row of layer t - 1 each move leads to (the zero
+    row for such a step), so the four gathers of the build read exactly
+    those cells.  ``unrank`` reads the same rows, as each step splits its
+    state's count among the successors.
 
     Finished layers have one storage form, a flat list of ints, whether
     built or passed in (``layers``, as ``_Frozen``).  A table whose
@@ -270,10 +279,9 @@ class CountTable:
                 f"estimated table size {est_bytes/1e9:.2f} GB exceeds memory cap "
                 f"{memory_cap/1e9:.2f} GB (girth l={girth}, {cells} cells)"
             )
-        self._build_geometry()
-        active = self._plan_rows()
+        self._plan_rows(self._build_geometry())
         if layers is None:
-            self._build_layers(active)
+            self._build_layers()
         else:
             self.import_layers(layers)
 
@@ -347,16 +355,22 @@ class CountTable:
         """Upper bound on the heap bytes of the build.
 
         Each stored cell costs a list pointer plus an int of at most
-        ``_count_bits(t)`` bits.  Each point adds its geometry and each
-        layer its row map over the band.  On top comes the largest working
-        set of one layer update: the numpy slabs and index arrays.
+        ``_count_bits(t)`` bits.  Each point adds its geometry, and an
+        entry in each of the plan's two live pid-indexed row maps; the
+        neighbour lookup's grid adds 8 bytes per cell of the box and its
+        ring.  Each layer adds its row map over the band and its successor
+        rows.  On top comes the largest working set of one layer update:
+        the numpy slabs and index arrays.
         """
-        total = _POINT_BYTES * self._npts
+        item = array(_ROW_CODE).itemsize
+        (x0, y0), (x1, y1) = self.box.lo, self.box.hi
+        total = _POINT_BYTES * self._npts + 2 * item * (self._npts + 1) + 8 * (x1 - x0 + 3) * (y1 - y0 + 3)
         work = prev_cells = 0
         for t in range(self.max_length + 1):
             cells = self._cells(t)
             lo, hi = self._band[t]
             total += _LAYER_BYTES + 8 * (hi - lo + 1) + (8 + _int_bytes(64)) * self._nrows[t]
+            total += 4 * item * (self._nrows[t] + 1)
             total += cells * (8 + _int_bytes(_count_bits(t)))
             work = max(work, max(cells, prev_cells) * _SLAB_BYTES)
             prev_cells = cells
@@ -364,7 +378,14 @@ class CountTable:
 
     # -- geometry ------------------------------------------------------------
 
-    def _build_geometry(self) -> None:
+    def _build_geometry(self):
+        """Number the region's points and measure their distances; return their neighbour pids.
+
+        Row p of the returned npts x 4 array holds the pid of p's
+        neighbour per move, npts standing for a step off the region.
+        """
+        import numpy as np  # loaded by the first table, not by every sawkit import
+
         region = self.region
         tx, ty = self.target
 
@@ -375,68 +396,88 @@ class CountTable:
         pts = sorted((p for p in self.box.points() if p in region), key=parity_distance)
         self._pid = pid = {p: i for i, p in enumerate(pts)}
         self._target_pid = pid[self.target]
-        self._dist_target = array("l", [abs(p[0] - tx) + abs(p[1] - ty) for p in pts])
-        self._dist_source = array("l", [self._source_distance(x, y) for x, y in pts])
-        # neighbour pid per direction; len(pts) stands for a step off the region
         n = len(pts)
-        self._nbr = [tuple(pid.get((x + _DX[d], y + _DY[d]), n) for d in range(4)) for (x, y) in pts]
+        xs, ys = np.array(pts, dtype=np.intp).reshape(n, 2).T
+        self._dist_target = np.abs(xs - tx) + np.abs(ys - ty)
+        (sx, sy), *rest = self.sources
+        self._dist_source = d_s = np.abs(xs - sx) + np.abs(ys - sy)
+        for sx, sy in rest:
+            np.minimum(d_s, np.abs(xs - sx) + np.abs(ys - sy), out=d_s)
+        (x0, y0), (x1, y1) = self.box.lo, self.box.hi
+        xs, ys = xs - (x0 - 1), ys - (y0 - 1)
+        grid = np.full((x1 - x0 + 3, y1 - y0 + 3), n, dtype=np.intp)  # the box in a ring of off-region cells
+        grid[xs, ys] = np.arange(n)
+        return np.stack([grid[xs + dx, ys + dy] for dx, dy in zip(_DX, _DY)], axis=1)
 
-    def _plan_rows(self) -> list:
-        """Each layer's row pids, and its row map ``_rows[t]``.
+    def _plan_rows(self, nbr) -> None:
+        """Each layer's row map ``_rows[t]`` and successor rows ``_succ[t]``.
 
-        ``_rows[t][pid - lo]`` is the flat offset of pid's row for a pid in
-        the band [lo, hi) of layer t; its last entry, and the entry of a
-        band point the layer does not hold, is the zero row's offset.
+        Layer t's rows are its points in pid order, then its zero row,
+        row ``_nrows[t]``.  ``_rows[t][pid - lo]`` is pid's row for a pid
+        in the band [lo, hi) of layer t; its last entry, and the entry of
+        a band point the layer does not hold, is the zero row.
+
+        ``_succ[t]`` (t >= 1, ``_succ[0]`` is None) holds 4 entries per
+        row of layer t, the zero row included: entry ``4*r + d`` is the
+        row of layer t - 1 that move d leads to from row r.  A step off
+        the region, or onto a point layer t - 1 does not hold, leads to
+        layer t - 1's zero row, and so does every move from the zero row.
+        Both are filled from a pid-indexed row map per layer, entry npts
+        (the off-region pid) the zero row; only two are alive at a time.
         """
-        import numpy as np  # loaded by the first table, not by every sawkit import
+        import numpy as np
 
-        d_s = np.asarray(self._dist_source)
-        active, self._rows = [], []
+        n, d_s = self._npts, self._dist_source
+        row_maps = np.empty((2, n + 1), dtype=_ROW_CODE)
+        self._rows, self._succ = [], [None]
         for t in range(self.max_length + 1):
             lo, hi = self._band[t]
-            rows = np.arange(lo, hi)
-            rows = rows[d_s[lo:hi] <= self.max_length - t]
-            stride = self.auto.classes + 1
-            row_of = np.full(hi - lo + 1, len(rows) * stride, dtype=np.intp)
-            row_of[rows - lo] = np.arange(len(rows)) * stride
-            active.append(rows)
-            self._rows.append(row_of.tolist())
-        return active
+            rows = np.flatnonzero(d_s[lo:hi] <= self.max_length - t)
+            rows += lo
+            nr = len(rows)
+            row_of, prev_of = row_maps[t % 2], row_maps[1 - t % 2]
+            row_of.fill(nr)
+            row_of[rows] = np.arange(nr)
+            self._rows.append(row_of[lo : hi + 1].tolist())
+            if t:
+                succ = array(_ROW_CODE, prev_of.take(nbr.take(rows, axis=0)).tobytes())
+                succ.extend([prev_of[n]] * 4)  # the zero row's moves
+                self._succ.append(succ)
 
     # -- build ---------------------------------------------------------------
 
-    def _build_layers(self, active: list) -> None:
+    def _build_layers(self) -> None:
         import numpy as np
 
         nc = self.auto.classes
-        nbr = np.array(self._nbr, dtype=np.intp)
-        succ = np.array(self.auto.step, dtype=np.intp)
+        stride = nc + 1
+        step = np.array(self.auto.step, dtype=np.intp).T  # step[d][c]: the class after move d
         self._vals = []
-        prev = prev_lo = prev_row = None
+        prev = None
         for t in range(self.max_length + 1):
-            rows = active[t]
-            nr = len(rows)
-            cur = np.zeros((nr + 1, nc + 1), dtype=object)
+            nr = self._nrows[t]
+            cur = np.zeros((nr + 1, stride), dtype=object)
             if t == 0:
                 cur[:nr, :nc] = 1  # the target's row: the empty walk has arrived
             else:
+                succ = np.frombuffer(self._succ[t], dtype=_ROW_CODE).reshape(nr + 1, 4)[:nr]
+                succ = succ.astype(np.intp) * stride
                 acc = None
                 for d in range(4):
-                    r = nbr[rows, d] - prev_lo
-                    r[(r < 0) | (r >= len(prev_row))] = -1  # outside the band: the zero row
-                    g = prev[prev_row[r][:, None] + succ[None, :, d]]
+                    g = prev[succ[:, d, None] + step[d]]
                     acc = g if acc is None else np.add(acc, g, out=acc)
                 cur[:nr, :nc] = acc
             prev = cur.ravel()
-            prev_lo = self._band[t][0]
-            prev_row = np.asarray(self._rows[t], dtype=np.intp)
             self._vals.append(prev.tolist())
 
     # -- queries ---------------------------------------------------------------
 
-    def _cell(self, t: int, p: int, c: int) -> int:
+    def _row(self, t: int, p: int) -> int:
         rows, i = self._rows[t], p - self._band[t][0]
-        return self._vals[t][(rows[i] if 0 <= i < len(rows) else rows[-1]) + c]
+        return rows[i] if 0 <= i < len(rows) else rows[-1]
+
+    def _cell(self, t: int, p: int, c: int) -> int:
+        return self._vals[t][self._row(t, p) * (self.auto.classes + 1) + c]
 
     def counts(self) -> dict[int, int]:
         """Walk count for every covered length, from the table's one source."""
@@ -520,24 +561,22 @@ class CountTable:
 
     def _unrank(self, start: Point, length: int, index: int) -> str:
         """``unrank``'s descent, for a caller that has already counted the start: 0 <= index < count."""
-        trans, nbr, band, all_rows, all_vals = self.auto.trans, self._nbr, self._band, self._rows, self._vals
-        p, c = self._pid[start], self.auto.empty_class
-        moves = []
-        for t in range(length - 1, -1, -1):
-            rows, vals, lo = all_rows[t], all_vals[t], band[t][0]
-            nr, nb = len(rows), nbr[p]
+        trans, all_succ, all_vals, stride = self.auto.trans, self._succ, self._vals, self.auto.classes + 1
+        row, c = self._row(length, self._pid[start]), self.auto.empty_class
+        codes = bytearray()
+        for t in range(length, 0, -1):
+            nxt, below = all_succ[t], all_vals[t - 1]
             for d, c2 in trans[c]:
-                i = nb[d] - lo
-                if 0 <= i < nr:  # a point outside the band has count 0
-                    count = vals[rows[i] + c2]
-                    if index < count:
-                        break
-                    index -= count
+                r = nxt[4 * row + d]
+                count = below[r * stride + c2]
+                if index < count:
+                    break
+                index -= count
             else:
-                raise AssertionError(f"successors of state (pid {p}, class {c}, t {t + 1}) sum below its count")
-            moves.append(DIRECTIONS[d])
-            p, c = nb[d], c2
-        return "".join(moves)
+                raise AssertionError(f"successors of state (row {row}, class {c}, t {t}) sum below its count")
+            codes.append(d)
+            row, c = r, c2
+        return codes.translate(_MOVE_CHARS).decode()
 
     # -- persistence -----------------------------------------------------------
 

@@ -268,7 +268,7 @@ def ordered_endpoints(p: Partition) -> bool:
     return _ordered(_Diamond.get(p.k).cut_endpoints(p.mask))
 
 
-def enumerate_omega(k: int, params: OmegaParams, cap: int = 4) -> list[Partition]:
+def enumerate_omega(k: int, params: OmegaParams, cap: int = oracle.DEFAULT_PARTITION_CAP) -> list[Partition]:
     """All partitions in Omega, label symmetry quotiented by the anchor vertex."""
     return oracle.enumerate_partitions(k, params, cap=cap).items
 

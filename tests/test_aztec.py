@@ -27,7 +27,7 @@ from sawkit.aztec import (
     staircase_partition,
     width_certificate,
 )
-from sawkit.counting import ResourceLimitError
+from sawkit.counting import CountTable, ResourceLimitError
 from sawkit.glauber import enumerate_omega
 from sawkit.lattice import LatticeBox, Point, Walk
 from sawkit.sampling import RngStream
@@ -279,6 +279,22 @@ def test_table_cache_round_trip(tmp_path):
     assert files and all(f.suffix == ".layers" for f in files)
     fam2 = partition_family(2, params, girth=2, cache_dir=str(tmp_path))
     assert _family_key(fam1) == _family_key(fam2)
+
+
+def test_cached_tables_unrank_as_cold_ones(tmp_path, monkeypatch):
+    """A family loaded from the disk cache gives every index of every cell the cold family's walk."""
+    params = OmegaParams(2, 0.5)
+    cold = partition_family(3, params, girth=2, cache_dir=str(tmp_path))
+
+    def no_build(self):
+        raise AssertionError("a table was built, not loaded")
+
+    monkeypatch.setattr(CountTable, "_build_layers", no_build)
+    warm = partition_family(3, params, girth=2, cache_dir=str(tmp_path))
+    assert _family_key(warm) == _family_key(cold)
+    for a, b in zip(cold, warm):
+        for index in range(a.count):
+            assert b.table.unrank(b.start, b.length, index) == a.table.unrank(a.start, a.length, index)
 
 
 def _plant(f, plant):

@@ -1,3 +1,4 @@
+import inspect
 import json
 from pathlib import Path
 
@@ -6,6 +7,8 @@ import pytest
 from sawkit import __version__
 from sawkit.cli import main
 from sawkit.counting import CountTable
+from sawkit.glauber import enumerate_omega
+from sawkit.oracle import DEFAULT_PARTITION_CAP
 
 
 def test_count_walks(capsys):
@@ -132,6 +135,14 @@ def test_oracle_enumerate(capsys):
 def test_oracle_enumerate_partitions_honours_cap(capsys):
     err = _usage_error(capsys, ["oracle", "enumerate", "--kind", "partitions", "--k", "2", "--cap", "1"])
     assert "capped at k=1" in err
+
+
+def test_glauber_conductance_cap_is_the_partition_cap(capsys):
+    assert inspect.signature(enumerate_omega).parameters["cap"].default == DEFAULT_PARTITION_CAP
+    assert main(["glauber", "conductance", "--help"]) == 0
+    assert f"(default {DEFAULT_PARTITION_CAP})" in capsys.readouterr().out
+    err = _usage_error(capsys, ["glauber", "conductance", "--k", "5", "--C", "2", "--eps", "0.5"])
+    assert "capped at k=4" in err
 
 
 def test_render_walk(tmp_path):

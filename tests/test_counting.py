@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sawkit.aztec import OmegaParams, partition_family
 from sawkit.counting import (
     CountTable,
     ResourceLimitError,
@@ -19,7 +20,7 @@ from sawkit.counting import (
     build_table,
     window_automaton,
 )
-from sawkit.lattice import DIRECTIONS, FullLattice, LatticeBox, Point, PointSetRegion
+from sawkit.lattice import DIRECTIONS, MOVES, FullLattice, LatticeBox, Point, PointSetRegion
 from sawkit.oracle import enumerate_low_girth_walks, enumerate_saws
 
 Z = FullLattice()
@@ -223,6 +224,50 @@ def test_sources_must_be_nonempty_and_in_region():
         CountTable(region, Point(3, 3), 2, (2,), sources=[])
     with pytest.raises(ValueError, match="outside region"):
         CountTable(region, Point(3, 3), 2, (2,), sources=[(3, 1), (4, 3)])
+
+
+def _reference_succ(table, t):
+    """Layer t's successor rows by a plain loop over the pid map, the row maps and the bands."""
+    point = {pid: p for p, pid in table._pid.items()}
+
+    def held(s):  # layer s's row of each pid it holds, and its zero row
+        lo, _ = table._band[s]
+        zero = table._rows[s][-1]
+        return {lo + i: r for i, r in enumerate(table._rows[s][:-1]) if r != zero}, zero
+
+    here, zero_here = held(t)
+    below, zero_below = held(t - 1)
+    assert sorted(here.values()) == list(range(zero_here)) and zero_here == table._nrows[t]
+    out = [zero_below] * (4 * (zero_here + 1))
+    for pid, r in here.items():
+        x, y = point[pid]
+        for d, (_, dx, dy) in enumerate(MOVES):
+            out[4 * r + d] = below.get(table._pid.get((x + dx, y + dy)), zero_below)
+    return out
+
+
+def _family_table_with_most_sources():
+    fam = partition_family(3, OmegaParams(2, 0.5), girth=2)
+    return max((e.table for e in fam), key=lambda table: len(table.sources))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_table(Z, (0, 0), (3, 2), 2, 2),
+        lambda: CountTable(
+            PointSetRegion([p for p in LatticeBox(Point(0, 0), Point(4, 3)).points() if p not in {(1, 1), (3, 2)}]),
+            (4, 3), 1, (7, 9), sources=[(0, 0)],
+        ),
+        _family_table_with_most_sources,
+    ],
+    ids=["full-lattice", "point-set", "aztec-family"],
+)
+def test_successor_rows_match_their_definition(make):
+    table = make()
+    assert table._succ[0] is None
+    for t in range(1, table.max_length + 1):
+        assert list(table._succ[t]) == _reference_succ(table, t)
 
 
 @pytest.mark.parametrize("width", [0, 1, 3, 8, 9, 17])
