@@ -75,6 +75,11 @@ class AztecRegion(Region):
     def __contains__(self, p: tuple) -> bool:
         return abs(p[0]) + abs(p[1]) <= self.k
 
+    def contains_array(self, xs, ys):
+        import numpy as np
+
+        return np.abs(xs) + np.abs(ys) <= self.k
+
     def __repr__(self) -> str:
         return f"AztecRegion(k={self.k})"
 
@@ -624,6 +629,11 @@ class _InteriorRegion(Region):
     def __contains__(self, p: tuple) -> bool:
         return abs(p[0]) + abs(p[1]) < self.k or (p[0], p[1]) == self.target
 
+    def contains_array(self, xs, ys):
+        import numpy as np
+
+        return (np.abs(xs) + np.abs(ys) < self.k) | ((xs == self.target.x) & (ys == self.target.y))
+
 
 def partition_family(
     k: int,
@@ -660,6 +670,8 @@ def partition_family(
         for s in bpts[:i]:
             gap = arc_gap(k, s, target)
             longest = budget - 2 * max(gap, 4 * k - gap)
+            if manhattan(s, target) > longest:
+                continue  # no length of this pair is in budget
             for move in DIRECTIONS:
                 start = step(s, move)
                 if start not in region:

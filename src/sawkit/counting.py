@@ -15,6 +15,15 @@ steps from the target, of t's parity, and at most max_length - t steps from
 its nearest source.  The sampler for one origin passes one source; the
 Aztec family passes every start its cells of one target read.
 
+The set-up makes no Python call per point.  Sizing reads the table's box
+in numpy passes of a fixed number of points, asking the region for
+membership of coordinate arrays (``Region.contains_array``), and keeps only
+histograms over the target distance, from which every layer's row count
+follows.  The memory estimate is computed from those counts, and a table
+over the cap is refused before anything that grows with the box is
+allocated.  Only then does one membership pass over the whole box number
+the points and find their neighbours.
+
 The table is filled iteratively by remaining-steps layer (layer t reads
 only layer t-1).  Layer t is one dense slab of exact Python integers: a
 row for every point the rule puts in the layer, a column for every class,
@@ -51,6 +60,13 @@ _SLAB_BYTES = 40
 # successor rows (array and list headers).
 _POINT_BYTES = 400
 _LAYER_BYTES = 512
+# Box points per chunk of ``_size_layers``, so that sizing, which runs before
+# the memory cap check, allocates no more for a larger box.
+_SIZE_CHUNK = 1 << 15
+# Bytes per box point of one numpy pass over the box: coordinates, membership
+# and their temporaries, the Python ints of the ``Region.contains_array``
+# fallback included.
+_PASS_BYTES = 128
 # Cells encoded per join when a layer is serialized as fixed-width bytes.
 _ENCODE_CELLS = 4096
 
@@ -294,44 +310,69 @@ class CountTable:
 
     # -- layer plan ----------------------------------------------------------
 
-    def _source_distance(self, x: int, y: int) -> int:
-        """Steps from (x, y) to its nearest source."""
-        return min([abs(x - sx) + abs(y - sy) for sx, sy in self.sources])
+    def _source_distance(self, xs, ys):
+        """Steps from each point (xs[i], ys[i]) to its nearest source."""
+        import numpy as np
+
+        (sx, sy), *rest = self.sources
+        dist = np.abs(xs - sx) + np.abs(ys - sy)
+        for sx, sy in rest:
+            np.minimum(dist, np.abs(xs - sx) + np.abs(ys - sy), out=dist)
+        return dist
+
+    def _box_members(self, start: int, stop: int):
+        """Coordinates of the region's points among box points start..stop-1, x-major as ``box.points()``."""
+        import numpy as np
+
+        (x0, y0), (_, y1) = self.box.lo, self.box.hi
+        xs, ys = np.divmod(np.arange(start, stop, dtype=np.intp), y1 - y0 + 1)
+        xs += x0
+        ys += y0
+        keep = self.region.contains_array(xs, ys)
+        return xs[keep], ys[keep]
 
     def _size_layers(self) -> None:
-        """Rows of every layer, from one pass over the box.
+        """Rows of every layer, from numpy passes over the box.
 
-        Nothing per point is stored here, so the memory cap is checked
-        before the geometry exists.  Points are numbered by (parity,
-        distance d to the target) (see ``_build_geometry``).  Layer t has
-        a row for each point with d <= t of t's parity and at most
-        max_length - t steps from its nearest source.  By the triangle
-        inequality these rows lie in one run of pids, ``_band[t]``: the
-        points of t's parity with t - max_length + D_min <= d <= max_length
-        + D_max - t, D_min and D_max the least and greatest source-target
-        distance.  Every layer has a column per class, class c in column
-        c; the last column (the colliding-step index ``classes``) is zero,
-        as is the last row.
+        The box is read in chunks of at most ``_SIZE_CHUNK`` points, and
+        only histograms over the target distances outlive a chunk, so
+        what sizing allocates does not grow with the box, and the memory
+        cap is checked before the geometry exists.  Points are numbered by
+        (parity, distance d to the target) (see ``_build_geometry``).
+        Layer t has a row for each point with d <= t of t's parity and at
+        most max_length - t steps from its nearest source.  So a point is
+        a row of layers d, d + 2, ..., last (last the largest such t):
+        ``np.bincount`` adds 1 to a row delta at d and subtracts 1 after
+        last, and layer t's rows are the running sum of the deltas of t's
+        parity.  By the triangle inequality these rows lie in one run of
+        pids, ``_band[t]``: the points of t's parity with t - max_length +
+        D_min <= d <= max_length + D_max - t, D_min and D_max the least
+        and greatest source-target distance.  Every layer has a column per
+        class, class c in column c; the last column (the colliding-step
+        index ``classes``) is zero, as is the last row.
         """
-        region = self.region
+        import numpy as np
+
         max_len = self.max_length
         tx, ty = self.target
-        per_parity = [0, 0]
-        per_d = [0] * (max_len + 1)  # points at each target distance
-        # each point is a row of layers d, d + 2, ..., last; +1 at d, -1 after last
-        delta = [0] * (max_len + 3)
-        for x, y in self.box.points():
-            if (x, y) not in region:
-                continue
-            d = abs(x - tx) + abs(y - ty)
-            per_parity[d & 1] += 1
-            if d > max_len:
-                continue
-            per_d[d] += 1
-            last = max_len - self._source_distance(x, y)
-            if last >= d:
-                delta[d] += 1
-                delta[last - (last - d) % 2 + 2] -= 1
+        (x0, y0), (x1, y1) = self.box.lo, self.box.hi
+        size = (x1 - x0 + 1) * (y1 - y0 + 1)
+        per_parity = np.zeros(2, dtype=np.int64)
+        per_d = np.zeros(max_len + 1, dtype=np.int64)  # points at each target distance
+        delta = np.zeros(max_len + 3, dtype=np.int64)
+        for start in range(0, size, _SIZE_CHUNK):
+            xs, ys = self._box_members(start, min(start + _SIZE_CHUNK, size))
+            d = np.abs(xs - tx) + np.abs(ys - ty)
+            per_parity += np.bincount(d & 1, minlength=2)
+            near = d <= max_len
+            xs, ys, d = xs[near], ys[near], d[near]
+            per_d += np.bincount(d, minlength=max_len + 1)
+            last = max_len - self._source_distance(xs, ys)
+            held = last >= d
+            d, last = d[held], last[held]
+            delta[: max_len + 1] += np.bincount(d, minlength=max_len + 1)
+            delta -= np.bincount(last - (last - d) % 2 + 2, minlength=max_len + 3)
+        per_parity, per_d, delta = per_parity.tolist(), per_d.tolist(), delta.tolist()
         self._npts = sum(per_parity)
         first = [0] * (max_len + 1)  # first pid at each target distance
         run = [0, per_parity[0]]
@@ -358,19 +399,22 @@ class CountTable:
         ``_count_bits(t)`` bits.  Each point adds its geometry, and an
         entry in each of the plan's two live pid-indexed row maps; the
         neighbour lookup's grid adds 8 bytes per cell of the box and its
-        ring.  Each layer adds its row map over the band and its successor
-        rows.  On top comes the largest working set of one layer update:
-        the numpy slabs and index arrays.
+        ring, and the geometry's numpy pass ``_PASS_BYTES`` per point of
+        the box (which also bounds a sizing chunk, a part of the box, freed
+        before).  Each layer adds its row map over the band and its
+        successor rows.  On top comes the largest working set of one layer
+        update: the numpy slabs and index arrays.
         """
         item = array(_ROW_CODE).itemsize
         (x0, y0), (x1, y1) = self.box.lo, self.box.hi
         total = _POINT_BYTES * self._npts + 2 * item * (self._npts + 1) + 8 * (x1 - x0 + 3) * (y1 - y0 + 3)
+        total += _PASS_BYTES * (x1 - x0 + 1) * (y1 - y0 + 1)
+        row_bytes = 8 + _int_bytes(64) + 4 * item  # row map entry and its int, successor rows
+        stride = self.auto.classes + 1
         work = prev_cells = 0
-        for t in range(self.max_length + 1):
-            cells = self._cells(t)
-            lo, hi = self._band[t]
-            total += _LAYER_BYTES + 8 * (hi - lo + 1) + (8 + _int_bytes(64)) * self._nrows[t]
-            total += 4 * item * (self._nrows[t] + 1)
+        for t, (nrows, (lo, hi)) in enumerate(zip(self._nrows, self._band)):
+            cells = (nrows + 1) * stride
+            total += _LAYER_BYTES + 8 * (hi - lo + 1) + row_bytes * nrows + 4 * item
             total += cells * (8 + _int_bytes(_count_bits(t)))
             work = max(work, max(cells, prev_cells) * _SLAB_BYTES)
             prev_cells = cells
@@ -381,33 +425,31 @@ class CountTable:
     def _build_geometry(self):
         """Number the region's points and measure their distances; return their neighbour pids.
 
-        Row p of the returned npts x 4 array holds the pid of p's
-        neighbour per move, npts standing for a step off the region.
+        One numpy membership pass over the box, run after the memory cap
+        check (the estimate counts it).  The pids follow ``np.lexsort`` on
+        (parity, d), d the distance to the target; the sort is stable, so
+        points of one (parity, d) keep the box's x-major order.  Row p of
+        the returned npts x 4 array holds the pid of p's neighbour per
+        move, npts standing for a step off the region.
         """
         import numpy as np  # loaded by the first table, not by every sawkit import
 
-        region = self.region
         tx, ty = self.target
-
-        def parity_distance(p: Point) -> tuple[int, int]:
-            d = abs(p[0] - tx) + abs(p[1] - ty)
-            return d & 1, d
-
-        pts = sorted((p for p in self.box.points() if p in region), key=parity_distance)
-        self._pid = pid = {p: i for i, p in enumerate(pts)}
-        self._target_pid = pid[self.target]
-        n = len(pts)
-        xs, ys = np.array(pts, dtype=np.intp).reshape(n, 2).T
-        self._dist_target = np.abs(xs - tx) + np.abs(ys - ty)
-        (sx, sy), *rest = self.sources
-        self._dist_source = d_s = np.abs(xs - sx) + np.abs(ys - sy)
-        for sx, sy in rest:
-            np.minimum(d_s, np.abs(xs - sx) + np.abs(ys - sy), out=d_s)
         (x0, y0), (x1, y1) = self.box.lo, self.box.hi
-        xs, ys = xs - (x0 - 1), ys - (y0 - 1)
-        grid = np.full((x1 - x0 + 3, y1 - y0 + 3), n, dtype=np.intp)  # the box in a ring of off-region cells
-        grid[xs, ys] = np.arange(n)
-        return np.stack([grid[xs + dx, ys + dy] for dx, dy in zip(_DX, _DY)], axis=1)
+        xs, ys = self._box_members(0, (x1 - x0 + 1) * (y1 - y0 + 1))
+        d = np.abs(xs - tx) + np.abs(ys - ty)
+        order = np.lexsort((d, d & 1))
+        xs, ys, self._dist_target = xs[order], ys[order], d[order]
+        n = len(order)
+        self._pid = pid = dict(zip(zip(xs.tolist(), ys.tolist()), range(n)))
+        self._target_pid = pid[self.target]
+        self._dist_source = self._source_distance(xs, ys)
+        # the box in a ring of off-region cells, flat: cell (x, y) at (x - x0 + 1) * h + (y - y0 + 1)
+        h = y1 - y0 + 3
+        cell = (xs - (x0 - 1)) * h + (ys - (y0 - 1))
+        grid = np.full((x1 - x0 + 3) * h, n, dtype=np.intp)
+        grid[cell] = np.arange(n)
+        return grid[cell[:, None] + [dx * h + dy for dx, dy in zip(_DX, _DY)]]
 
     def _plan_rows(self, nbr) -> None:
         """Each layer's row map ``_rows[t]`` and successor rows ``_succ[t]``.
@@ -432,7 +474,7 @@ class CountTable:
         self._rows, self._succ = [], [None]
         for t in range(self.max_length + 1):
             lo, hi = self._band[t]
-            rows = np.flatnonzero(d_s[lo:hi] <= self.max_length - t)
+            rows = (d_s[lo:hi] <= self.max_length - t).nonzero()[0]
             rows += lo
             nr = len(rows)
             row_of, prev_of = row_maps[t % 2], row_maps[1 - t % 2]

@@ -6,8 +6,9 @@
 output rests on it; ``DIRECTIONS`` and the per-character step map are
 derived from it.  Walks are stored as a start point plus a move string over
 ``URDL``; the visited points are recomputed on demand.  A region is a
-membership predicate and nothing more: the full lattice, a box and an
-explicit point set here, the Aztec diamond in ``aztec``.
+membership predicate and nothing more, asked of one point or of coordinate
+arrays: the full lattice, a box and an explicit point set here, the Aztec
+diamond in ``aztec``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ MOVES = (("U", 0, 1), ("R", 1, 0), ("D", 0, -1), ("L", -1, 0))
 DIRECTIONS = "".join(m for m, _, _ in MOVES)
 
 _DISPLACEMENT = {m: (dx, dy) for m, dx, dy in MOVES}
-_MOVE_SET = frozenset(_DISPLACEMENT)
+# ``str.translate`` table that deletes the move characters: a move string maps to "".
+_DELETE_MOVES = str.maketrans("", "", DIRECTIONS)
 
 _WALK_TEXT = re.compile(rf"^\((-?\d+),(-?\d+)\)([{DIRECTIONS}]*)$")
 
@@ -52,7 +54,7 @@ class Walk:
     moves: str = ""
 
     def __post_init__(self) -> None:
-        if not isinstance(self.moves, str) or not _MOVE_SET.issuperset(self.moves):
+        if not isinstance(self.moves, str) or self.moves.translate(_DELETE_MOVES):
             raise ValueError("moves must be a string over U, R, D, L")
         object.__setattr__(self, "start", Point(*self.start))
 
@@ -124,10 +126,21 @@ def walk_through(points: list[Point]) -> Walk:
 
 
 class Region:
-    """Membership predicate over lattice points; membership is pure and deterministic."""
+    """Membership predicate over lattice points; membership is pure and deterministic.
+
+    ``contains_array`` answers the same predicate for integer coordinate
+    arrays at once; this fallback asks ``__contains__`` point by point,
+    and the regions with a closed form override it with numpy arithmetic.
+    """
 
     def __contains__(self, p: tuple) -> bool:
         raise NotImplementedError
+
+    def contains_array(self, xs, ys):
+        """Bool array: entry i is whether (xs[i], ys[i]) is in the region."""
+        import numpy as np
+
+        return np.fromiter(map(self.__contains__, zip(xs.tolist(), ys.tolist())), dtype=bool, count=len(xs))
 
 
 @dataclass(frozen=True)
@@ -157,6 +170,9 @@ class LatticeBox(Region):
     def __contains__(self, p: tuple) -> bool:
         return self.lo.x <= p[0] <= self.hi.x and self.lo.y <= p[1] <= self.hi.y
 
+    def contains_array(self, xs, ys):
+        return (self.lo.x <= xs) & (xs <= self.hi.x) & (self.lo.y <= ys) & (ys <= self.hi.y)
+
     def points(self) -> Iterator[Point]:
         for x in range(self.lo.x, self.hi.x + 1):
             for y in range(self.lo.y, self.hi.y + 1):
@@ -168,6 +184,11 @@ class FullLattice(Region):
 
     def __contains__(self, p: tuple) -> bool:
         return True
+
+    def contains_array(self, xs, ys):
+        import numpy as np
+
+        return np.ones(len(xs), dtype=bool)
 
     def __repr__(self) -> str:
         return "FullLattice()"

@@ -5,13 +5,15 @@ second route to the same counts (different traversal order from the
 layered build), exercised on small instances.
 """
 
+import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sawkit.aztec import OmegaParams, partition_family
+from sawkit.aztec import AztecRegion, OmegaParams, partition_family
 from sawkit.counting import (
     CountTable,
     ResourceLimitError,
@@ -104,6 +106,24 @@ def test_memory_estimate_bounds_tracemalloc_peak(target, k):
     assert est <= 2.5 * peak
     with pytest.raises(ResourceLimitError):
         build_table(Z, (0, 0), target, 2, k, memory_cap=est - 1)
+
+
+def test_memory_cap_refusal_allocates_little():
+    # sizing streams the ~1M-point box in fixed chunks, so refusing it allocates a few MB at most
+    with pytest.raises(ResourceLimitError):
+        build_table(Z, (0, 0), (1000, 1000), 2, 10)  # numpy and the window automaton load outside the measurement
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            build_table(Z, (0, 0), (1000, 1000), 2, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 1024**2
+    begin = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        build_table(Z, (0, 0), (1000, 1000), 2, 10)
+    assert time.perf_counter() - begin < 0.5
 
 
 def test_memory_cap_checked_before_geometry(monkeypatch):
@@ -268,6 +288,122 @@ def test_successor_rows_match_their_definition(make):
     assert table._succ[0] is None
     for t in range(1, table.max_length + 1):
         assert list(table._succ[t]) == _reference_succ(table, t)
+
+
+class _PerPointTable(CountTable):
+    """The table set-up as one Python pass per point: the reference for the numpy passes.
+
+    ``_size_layers`` and ``_build_geometry`` each walk the box point by
+    point with ``Region.__contains__``, and take the nearest source with a
+    Python ``min``; the rest of the build is ``CountTable``'s own.
+    """
+
+    def _point_source_distance(self, x, y):
+        return min([abs(x - sx) + abs(y - sy) for sx, sy in self.sources])
+
+    def _size_layers(self):
+        max_len = self.max_length
+        tx, ty = self.target
+        per_parity = [0, 0]
+        per_d = [0] * (max_len + 1)
+        delta = [0] * (max_len + 3)
+        for x, y in self.box.points():
+            if (x, y) not in self.region:
+                continue
+            d = abs(x - tx) + abs(y - ty)
+            per_parity[d & 1] += 1
+            if d > max_len:
+                continue
+            per_d[d] += 1
+            last = max_len - self._point_source_distance(x, y)
+            if last >= d:
+                delta[d] += 1
+                delta[last - (last - d) % 2 + 2] -= 1
+        self._npts = sum(per_parity)
+        first = [0] * (max_len + 1)
+        run = [0, per_parity[0]]
+        for d in range(max_len + 1):
+            first[d] = run[d & 1]
+            run[d & 1] += per_d[d]
+        d_min, d_max = self._dist_range
+        self._nrows, self._band = [], []
+        for t in range(max_len + 1):
+            self._nrows.append(delta[t] + (self._nrows[t - 2] if t >= 2 else 0))
+            lo = max(t - max_len + d_min, t % 2)
+            lo += (lo - t) % 2
+            hi = min(max_len + d_max - t, t)
+            hi -= (t - hi) % 2
+            self._band.append((first[lo], first[hi] + per_d[hi]) if lo <= hi else (0, 0))
+
+    def _build_geometry(self):
+        tx, ty = self.target
+
+        def parity_distance(p):
+            d = abs(p[0] - tx) + abs(p[1] - ty)
+            return d & 1, d
+
+        pts = sorted((p for p in self.box.points() if p in self.region), key=parity_distance)
+        self._pid = pid = {p: i for i, p in enumerate(pts)}
+        self._target_pid = pid[self.target]
+        n = len(pts)
+        self._dist_target = np.array([parity_distance(p)[1] for p in pts], dtype=np.intp)
+        self._dist_source = np.array([self._point_source_distance(*p) for p in pts], dtype=np.intp)
+        x0, y0 = self.box.lo
+        nbr = np.full((n, 4), n, dtype=np.intp)
+        for i, (x, y) in enumerate(pts):
+            for d, (_, dx, dy) in enumerate(MOVES):
+                nbr[i, d] = pid.get((x + dx, y + dy), n)
+        return nbr
+
+
+def _assert_setup_matches_reference(table):
+    ref = _PerPointTable(table.region, table.target, table.girth, table.lengths, sources=table.sources)
+    assert (table._npts, table._nrows, table._band) == (ref._npts, ref._nrows, ref._band)
+    assert list(table._pid.items()) == list(ref._pid.items())  # the pid order too
+    assert table._target_pid == ref._target_pid
+    for name in ("_dist_target", "_dist_source"):
+        got, want = getattr(table, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist(), name
+    assert table._rows == ref._rows
+    assert [s if s is None else list(s) for s in table._succ] == [s if s is None else list(s) for s in ref._succ]
+    assert table.export_layers() == ref.export_layers()
+
+
+@st.composite
+def _setup_instances(draw):
+    """A region of each class with array membership, a target and sources in it, and lengths."""
+    pt = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
+    kind = draw(st.sampled_from(("full", "box", "points", "aztec")))
+    if kind == "full":
+        region = Z
+    elif kind == "box":
+        lo = draw(pt)
+        region = LatticeBox(lo, (lo[0] + draw(st.integers(0, 5)), lo[1] + draw(st.integers(0, 5))))
+    elif kind == "points":
+        region = PointSetRegion(draw(st.sets(pt, min_size=1, max_size=40)))
+    else:
+        region = AztecRegion(draw(st.integers(1, 4)))
+    members = [p for p in LatticeBox(Point(-5, -5), Point(5, 5)).points() if p in region]
+    target = draw(st.sampled_from(members))
+    sources = draw(st.lists(st.sampled_from(members), min_size=1, max_size=4))
+    lengths = draw(st.lists(st.integers(0, 10), min_size=1, max_size=3))
+    return region, target, draw(st.integers(1, 2)), lengths, sources
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_setup_instances())
+def test_setup_matches_per_point_reference(inst):
+    region, target, girth, lengths, sources = inst
+    _assert_setup_matches_reference(CountTable(region, target, girth, lengths, sources=sources))
+
+
+@pytest.mark.parametrize("c", [2, 3])
+def test_family_setup_matches_per_point_reference(c):
+    # the multi-source tables over the interior of A_3' plus each target
+    tables = {id(e.table): e.table for e in partition_family(3, OmegaParams(c, 0.5), girth=2)}
+    assert max(len(table.sources) for table in tables.values()) > 1
+    for table in tables.values():
+        _assert_setup_matches_reference(table)
 
 
 @pytest.mark.parametrize("width", [0, 1, 3, 8, 9, 17])

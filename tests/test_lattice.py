@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sawkit.aztec import AztecRegion
+import numpy as np
+
+from sawkit.aztec import AztecRegion, _InteriorRegion
 from sawkit.lattice import (
     FullLattice,
     LatticeBox,
@@ -62,6 +64,35 @@ def test_regions_answer_membership():
     ]
 
 
+class _Disk(Region):
+    """A region that answers only ``__contains__``, so arrays take the base-class fallback."""
+
+    def __contains__(self, p: tuple) -> bool:
+        return p[0] ** 2 + p[1] ** 2 <= 10
+
+
+_ARRAY_REGIONS = [
+    FullLattice(),
+    LatticeBox(Point(-2, -1), Point(3, 2)),
+    PointSetRegion([(0, 0), (2, 1), (-3, 4), (5, -5)]),
+    AztecRegion(3),
+    _InteriorRegion(3, Point(0, -3)),
+    _InteriorRegion(4, Point(2, 2)),
+    _Disk(),
+]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=60))
+def test_contains_array_matches_contains(points):
+    xs = np.array([x for x, _ in points], dtype=np.intp)
+    ys = np.array([y for _, y in points], dtype=np.intp)
+    for region in _ARRAY_REGIONS:
+        got = region.contains_array(xs, ys)
+        assert got.dtype == bool and got.shape == xs.shape
+        assert got.tolist() == [p in region for p in points], region
+
+
 def test_box_validation():
     with pytest.raises(ValueError):
         LatticeBox(Point(1, 0), Point(0, 0))
@@ -91,6 +122,9 @@ def test_is_self_avoiding_matches_distinct_points(start, moves):
 
 
 def test_walk_rejects_moves_outside_urdl():
-    for moves in ("RX", "u", "R" * 300 + " ", "UR\n"):
+    for moves in ("RX", "u", "urdl", "Ur", "R" * 300 + " ", "UR\n", " ", "\t", "U\u00a0R", "\u00dc", "\uff35", "R\u0301"):
+        with pytest.raises(ValueError, match="U, R, D, L"):
+            Walk(Point(0, 0), moves)
+    for moves in (None, 5, b"UR", ["U", "R"], ("U",), bytearray(b"U")):
         with pytest.raises(ValueError, match="U, R, D, L"):
             Walk(Point(0, 0), moves)
