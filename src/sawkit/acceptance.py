@@ -94,25 +94,29 @@ def criterion_2() -> tuple[bool, str]:
 def criterion_3() -> tuple[bool, str]:
     cells = 0
     saw_cells = 0
+    girths = (1, 2, 3)
     for n1 in range(0, 13):
         for n2 in range(n1, 13 - n1):
             n = n1 + n2
             if n == 0 or n > 12:
                 continue
             kmax = (12 - n) // 2
-            for girth in (1, 2, 3):
+            lengths = [n + 2 * j for j in range(kmax + 1)]
+            # one DFS per (n1, n2, girth) counts every length; a girth-l walk of length <= 2l is a SAW
+            saws_by_length = oracle.saw_counts(
+                _Z, Point(0, 0), Point(n1, n2), [L for L in lengths if L <= 2 * max(girths)]
+            )
+            for girth in girths:
                 table = build_table(_Z, Point(0, 0), Point(n1, n2), girth, kmax)
-                for j in range(kmax + 1):
-                    length = n + 2 * j
+                oracle_counts = oracle.low_girth_walk_counts(_Z, Point(0, 0), Point(n1, n2), lengths, girth)
+                for length in lengths:
                     got = table.low_girth_walk_count(length)
-                    want = oracle.enumerate_low_girth_walks(
-                        _Z, Point(0, 0), Point(n1, n2), length, girth
-                    ).count
+                    want = oracle_counts[length]
                     if got != want:
                         return False, f"DP {got} != oracle {want} at ({n1},{n2}) L={length} l={girth}"
                     cells += 1
                     if 2 * girth >= length:
-                        saws = oracle.enumerate_saws(_Z, Point(0, 0), Point(n1, n2), length).count
+                        saws = saws_by_length[length]
                         if got != saws:
                             return False, f"DP {got} != SAW count {saws} at ({n1},{n2}) L={length} l={girth}"
                         saw_cells += 1

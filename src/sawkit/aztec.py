@@ -57,7 +57,10 @@ from math import floor, isfinite
 
 from .counting import DEFAULT_MEMORY_CAP, CountTable, _Frozen
 from .lattice import DIRECTIONS, LatticeBox, Point, Region, Walk, manhattan, step, walk_through
-from .sampling import Family, RngStream, SampleReport, SamplingBudgetError, make_family, sample_length_then_walk
+from .sampling import Family, RngStream, SampleReport, SamplingBudgetError, draw_family, make_family
+# Unused here: perfbench's tracer patches this name on aztec.  It goes, and
+# sample_length_then_walk with it, when the tracer times draw_family instead.
+from .sampling import sample_length_then_walk  # noqa: F401
 
 _CACHE_MAGIC = "sawkit-aztec-table"
 # 6: the header pins the sources; tables built for the starts and lengths of one target's cells
@@ -705,11 +708,14 @@ def sample_partition(
 ) -> tuple[Partition, SampleReport]:
     """One exactly-uniform partition from Omega, by proportional draw + rejection.
 
-    Draws a cell of ``family`` (``partition_family(k, params, girth)``)
-    proportional to its exact girth-restricted walk count, samples the
-    rest of a walk from the cell's start and prepends the first move, so
-    ``rep.walk`` runs from s to t.  It rejects the walks ``path_to_partition``
-    refuses (it checks self-avoidance, once) and partitions over budget.
+    Each proposal is one draw below the total of ``family``
+    (``partition_family(k, params, girth)``), unranked into a cell, drawn
+    proportional to its exact girth-restricted walk count, and the rest of
+    a walk from the cell's start (``sampling.unrank_family``).  Prepending
+    the cell's first move gives the one ``Walk`` of the proposal, so
+    ``rep.walk`` runs from s to t.  It rejects the walks
+    ``path_to_partition`` refuses (it checks self-avoidance, once) and
+    partitions over budget.
 
     By the module docstring's two facts, the family leaves out only walks
     that would be rejected: a path touching the boundary between its ends
@@ -721,9 +727,9 @@ def sample_partition(
     """
     budget = params.budget(k)
     for attempt in range(1, max_attempts + 1):
-        entry, rest = sample_length_then_walk(family, rng)
+        entry, moves = draw_family(family, rng)
         (s, _), move = entry.label
-        walk = Walk(Point(*s), move + rest.moves)
+        walk = Walk(Point(*s), move + moves)
         try:
             part = path_to_partition(k, walk)
         except ValueError:

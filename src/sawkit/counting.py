@@ -321,7 +321,10 @@ class CountTable:
         return dist
 
     def _box_members(self, start: int, stop: int):
-        """Coordinates of the region's points among box points start..stop-1, x-major as ``box.points()``."""
+        """Coordinates of the region's points among box points start..stop-1.
+
+        The box is read x-major: point i is (x0 + i // height, y0 + i % height).
+        """
         import numpy as np
 
         (x0, y0), (_, y1) = self.box.lo, self.box.hi

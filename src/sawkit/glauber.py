@@ -125,7 +125,8 @@ def _flips(d: _Diamond, budget: int, p: Partition):
 
 
 # The most faces one uniform_ints call in advance draws.  It bounds the list
-# advance holds on a long run; the faces drawn do not depend on it.
+# advance holds on a long run, and the bytes of one round (a byte per face
+# below 257 faces); the faces drawn do not depend on it.
 _DRAW_BLOCK = 4096
 
 
@@ -169,11 +170,11 @@ class ChainState:
 
         The faces come from ``uniform_ints`` in blocks, the same draws as
         one ``uniform_int`` per step.  Below 257 faces (k <= 10) a block
-        reads its faces from the top bytes of 32-bit words, as many words
-        per round as faces still needed, which are the words the single
-        draws take (the ``sampling`` module docstring).  Each proposal looks
-        up ``_verdict``'s cache under the face's block bits (the module's
-        Read set fact), then makes the budget test.
+        reads one byte per face, as many bytes per round as faces still
+        needed, which are the bytes the single draws read (the
+        ``sampling`` module docstring).  Each proposal looks up
+        ``_verdict``'s cache under the face's block bits (the module's Read
+        set fact), then makes the budget test.
         """
         if steps < 0:
             raise ValueError(f"steps must be >= 0, got {steps}")

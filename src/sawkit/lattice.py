@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 MOVES = (("U", 0, 1), ("R", 1, 0), ("D", 0, -1), ("L", -1, 0))
 DIRECTIONS = "".join(m for m, _, _ in MOVES)
@@ -172,11 +172,6 @@ class LatticeBox(Region):
 
     def contains_array(self, xs, ys):
         return (self.lo.x <= xs) & (xs <= self.hi.x) & (self.lo.y <= ys) & (ys <= self.hi.y)
-
-    def points(self) -> Iterator[Point]:
-        for x in range(self.lo.x, self.hi.x + 1):
-            for y in range(self.lo.y, self.hi.y + 1):
-                yield Point(x, y)
 
 
 class FullLattice(Region):

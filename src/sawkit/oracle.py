@@ -10,6 +10,7 @@ silent truncation.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -130,20 +131,7 @@ def enumerate_low_girth_walks(
 ) -> EnumerationResult:
     """Walks with no revisit within 2*girth steps (no cycle of length <= 2*girth)."""
     _check_cap(length, cap)
-    if girth < 1:
-        raise ValueError("girth parameter must be >= 1")
-    window = 2 * girth + 1  # checking one extra point is harmless by parity
-
-    def admit(pts: list[tuple[int, int]], np_: tuple[int, int]) -> bool:
-        lo = len(pts) - window
-        if lo < 0:
-            lo = 0
-        for j in range(lo, len(pts)):
-            if pts[j] == np_:
-                return False
-        return True
-
-    moves = _walk_dfs(region, start, [end], [length], admit)
+    moves = _walk_dfs(region, start, [end], [length], _low_girth_admit(girth))
     return EnumerationResult(
         {
             "kind": "low-girth",
@@ -154,6 +142,37 @@ def enumerate_low_girth_walks(
         },
         [Walk(Point(*start), m) for m in moves],
     )
+
+
+def _low_girth_admit(girth: int):
+    """``_walk_dfs`` filter: no revisit within 2*girth steps."""
+    if girth < 1:
+        raise ValueError("girth parameter must be >= 1")
+    window = 2 * girth + 1  # checking one extra point is harmless by parity
+
+    def admit(pts: list[tuple[int, int]], np_: tuple[int, int]) -> bool:
+        return np_ not in pts[-window:]
+
+    return admit
+
+
+def _counts_by_length(region, start, end, lengths, admit) -> dict[int, int]:
+    """Walks start -> end of each length in ``lengths`` that ``admit`` passes, from one DFS."""
+    lengths = sorted(set(lengths))
+    if lengths:
+        _check_cap(lengths[-1], DEFAULT_WALK_CAP)
+    found = Counter(map(len, _walk_dfs(region, start, [end], lengths, admit)))
+    return {n: found[n] for n in lengths}
+
+
+def saw_counts(region: Region, start: Point, end: Point, lengths) -> dict[int, int]:
+    """``enumerate_saws(...).count`` for every length in ``lengths``, from one DFS."""
+    return _counts_by_length(region, start, end, lengths, _self_avoiding)
+
+
+def low_girth_walk_counts(region: Region, start: Point, end: Point, lengths, girth: int) -> dict[int, int]:
+    """``enumerate_low_girth_walks(...).count`` for every length in ``lengths``, from one DFS."""
+    return _counts_by_length(region, start, end, lengths, _low_girth_admit(girth))
 
 
 def enumerate_partitions(k: int, params, budget: int | None = None, cap: int = DEFAULT_PARTITION_CAP):

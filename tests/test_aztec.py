@@ -31,13 +31,14 @@ from sawkit.counting import CountTable, ResourceLimitError
 from sawkit.glauber import enumerate_omega
 from sawkit.lattice import LatticeBox, Point, Walk
 from sawkit.sampling import RngStream
+from helpers import box_points
 
 
 def test_region_counts():
     box = LatticeBox(Point(-3, -3), Point(3, 3))
-    assert sum(p in AztecRegion(1) for p in box.points()) == 5
+    assert sum(p in AztecRegion(1) for p in box_points(box)) == 5
     assert len(boundary_vertices(1)) == 4
-    assert sum(p in AztecRegion(2) for p in box.points()) == 13
+    assert sum(p in AztecRegion(2) for p in box_points(box)) == 13
     assert len(boundary_vertices(2)) == 8
 
 

@@ -24,6 +24,7 @@ from sawkit.counting import (
 )
 from sawkit.lattice import DIRECTIONS, MOVES, FullLattice, LatticeBox, Point, PointSetRegion
 from sawkit.oracle import enumerate_low_girth_walks, enumerate_saws
+from helpers import box_points
 
 Z = FullLattice()
 
@@ -231,7 +232,7 @@ def test_count_from_trivial_zeros_before_domain():
 
 def test_all_sources_table():
     region = LatticeBox(Point(0, 0), Point(3, 3))
-    table = CountTable(region, Point(3, 3), 2, (2, 4, 6), sources=region.points())
+    table = CountTable(region, Point(3, 3), 2, (2, 4, 6), sources=box_points(region))
     for start in (Point(3, 1), Point(1, 1), Point(0, 3)):
         for length in (2, 4, 6):
             want = enumerate_low_girth_walks(region, start, Point(3, 3), length, 2).count
@@ -276,7 +277,7 @@ def _family_table_with_most_sources():
     [
         lambda: build_table(Z, (0, 0), (3, 2), 2, 2),
         lambda: CountTable(
-            PointSetRegion([p for p in LatticeBox(Point(0, 0), Point(4, 3)).points() if p not in {(1, 1), (3, 2)}]),
+            PointSetRegion([p for p in box_points(LatticeBox(Point(0, 0), Point(4, 3))) if p not in {(1, 1), (3, 2)}]),
             (4, 3), 1, (7, 9), sources=[(0, 0)],
         ),
         _family_table_with_most_sources,
@@ -307,7 +308,7 @@ class _PerPointTable(CountTable):
         per_parity = [0, 0]
         per_d = [0] * (max_len + 1)
         delta = [0] * (max_len + 3)
-        for x, y in self.box.points():
+        for x, y in box_points(self.box):
             if (x, y) not in self.region:
                 continue
             d = abs(x - tx) + abs(y - ty)
@@ -342,7 +343,7 @@ class _PerPointTable(CountTable):
             d = abs(p[0] - tx) + abs(p[1] - ty)
             return d & 1, d
 
-        pts = sorted((p for p in self.box.points() if p in self.region), key=parity_distance)
+        pts = sorted((p for p in box_points(self.box) if p in self.region), key=parity_distance)
         self._pid = pid = {p: i for i, p in enumerate(pts)}
         self._target_pid = pid[self.target]
         n = len(pts)
@@ -383,7 +384,7 @@ def _setup_instances(draw):
         region = PointSetRegion(draw(st.sets(pt, min_size=1, max_size=40)))
     else:
         region = AztecRegion(draw(st.integers(1, 4)))
-    members = [p for p in LatticeBox(Point(-5, -5), Point(5, 5)).points() if p in region]
+    members = [p for p in box_points(LatticeBox(Point(-5, -5), Point(5, 5))) if p in region]
     target = draw(st.sampled_from(members))
     sources = draw(st.lists(st.sampled_from(members), min_size=1, max_size=4))
     lengths = draw(st.lists(st.integers(0, 10), min_size=1, max_size=3))

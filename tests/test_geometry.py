@@ -23,6 +23,7 @@ from sawkit.glauber import _flip, enumerate_omega, glauber_step, make_chain
 from sawkit.lattice import LatticeBox, Point, Walk
 from sawkit.oracle import _self_avoiding, _walk_dfs
 from sawkit.sampling import RngStream
+from helpers import box_points
 
 OFFSETS = ((2, 0), (-2, 0), (0, 2), (0, -2))
 
@@ -50,7 +51,7 @@ def _connected(cls) -> bool:
 
 def _diamond_points(k) -> list[Point]:
     """The points of A_k', x-major as a box scan lists them."""
-    return [p for p in LatticeBox((-k, -k), (k, k)).points() if p in AztecRegion(k)]
+    return [p for p in box_points(LatticeBox((-k, -k), (k, k))) if p in AztecRegion(k)]
 
 
 @cache

@@ -363,7 +363,7 @@ def test_verdict_caches_are_lazy_and_bounded(monkeypatch):
 
 
 def test_chain_past_256_faces_matches_reference():
-    # k=11 has 264 faces, so advance draws them one word at a time, not from word blocks
+    # k=11 has 264 faces, so advance draws each from two bytes, not one byte per face
     params = OmegaParams(2, 0.5)
     assert _Diamond.get(11).n == 264
     trace = run_chain(11, params, 5_000, RngStream(11), record_every=97)

@@ -8,6 +8,8 @@ from sawkit.oracle import (
     enumerate_partitions,
     enumerate_saws,
     enumerate_walks,
+    low_girth_walk_counts,
+    saw_counts,
     uniformity_test,
 )
 
@@ -28,6 +30,23 @@ def test_low_girth_counts():
         == enumerate_saws(Z, Point(0, 0), Point(1, 1), 4).count
     )
     assert enumerate_low_girth_walks(Z, Point(0, 0), Point(0, 0), 0, 1).count == 1
+
+
+@pytest.mark.parametrize("region", [Z, LatticeBox(Point(-1, -1), Point(3, 2))], ids=["z2", "box"])
+def test_counts_by_length_match_the_enumerations(region):
+    """One DFS over a set of lengths counts what one enumeration per length lists."""
+    end, lengths = Point(2, 1), [3, 5, 7, 9]
+    for girth in (1, 2, 3):
+        assert low_girth_walk_counts(region, Point(0, 0), end, lengths, girth) == {
+            n: enumerate_low_girth_walks(region, Point(0, 0), end, n, girth).count for n in lengths
+        }
+    assert saw_counts(region, Point(0, 0), end, lengths) == {
+        n: enumerate_saws(region, Point(0, 0), end, n).count for n in lengths
+    }
+    with pytest.raises(ValueError):
+        saw_counts(region, Point(0, 0), end, [3, 17])
+    with pytest.raises(ValueError):
+        low_girth_walk_counts(region, Point(0, 0), end, lengths, 0)
 
 
 def test_enumeration_is_deterministic_and_duplicate_free():

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 from collections import Counter
 
@@ -18,6 +19,7 @@ from sawkit.sampling import (
     sample_low_girth_walk,
     sample_low_girth_walk_from,
     sample_saw,
+    unrank_family,
 )
 
 Z = FullLattice()
@@ -96,6 +98,80 @@ def test_rng_streams_deterministic_and_independent():
     b = [RngStream(9, 5).getrandbits(32) for _ in range(4)]
     assert a1 == a2
     assert a1 != b
+
+
+def _stream_bytes(seed: int, stream: int, n: int) -> bytes:
+    """The first n bytes of stream (seed, stream) from the format's statement."""
+    out, j = b"", 0
+    while len(out) < n:
+        out += hashlib.shake_256(b"sawkit.rng:%d:%d:%d" % (seed, stream, j)).digest(64 << min(j, 10))
+        j += 1
+    return out[:n]
+
+
+def test_stream_format_known_answer():
+    rng = RngStream(1, 0)
+    assert rng.getrandbits(512).to_bytes(64, "little") == hashlib.shake_256(b"sawkit.rng:1:0:0").digest(64)
+    assert rng.getrandbits(8) == hashlib.shake_256(b"sawkit.rng:1:0:1").digest(128)[0]
+    # a substream is the stream of the same seed under its own id
+    assert RngStream(1, 0).substream(5).getrandbits(64) == RngStream(1, 5).getrandbits(64)
+
+
+# 64 B, doubling to 64 KiB: blocks 0..9 hold 65,472 bytes and blocks 10 and 11 64 KiB each,
+# so a read past 131,008 bytes crosses the first block, every doubling and the cap.
+PAST_THE_CAP = 131_008 + 100
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["bits", "bytes"]), st.one_of(st.integers(0, 100), st.integers(0, 40_000)),
+                  st.integers(0, 7)),
+        min_size=1, max_size=12,
+    ),
+    st.integers(0, 3),
+)
+def test_reads_are_split_invariant(reads, seed):
+    """Any mix of getrandbits and uniform_ints reads the stream's bytes in order, one block held at a time."""
+    total = sum(n for _, n, _ in reads)
+    reads = reads + [("bytes", max(0, PAST_THE_CAP - total), 0)]
+    want = _stream_bytes(seed, 2, sum(n for _, n, _ in reads))
+    rng, pos = RngStream(seed, 2), 0
+    for kind, n, drop in reads:
+        if kind == "bytes":
+            assert bytes(rng.uniform_ints(256, n)) == want[pos : pos + n]
+        else:
+            # k = 8n - drop bits read n bytes and keep the top k bits
+            k = max(0, 8 * n - drop)
+            assert rng.getrandbits(k) == int.from_bytes(want[pos : pos + n], "little") >> (8 * n - k)
+        pos += n
+        assert len(rng._buf) <= 64 << 10
+    assert RngStream(seed, 2).getrandbits(8 * pos) == int.from_bytes(want, "little")
+
+
+def test_zero_bit_draws_read_nothing():
+    rng, twin = RngStream(4), RngStream(4)
+    assert rng.getrandbits(0) == 0 and rng.uniform_int(1) == 0 and rng.uniform_ints(1, 5) == [0] * 5
+    assert rng.getrandbits(64) == twin.getrandbits(64)
+    with pytest.raises(ValueError):
+        rng.getrandbits(-1)
+
+
+def test_family_unrank_is_a_bijection():
+    """One index below the family total gives each (cell, walk) of the family exactly once."""
+    family = partition_family(3, OmegaParams(2, 0.5), girth=2)
+    total = family.cumulative[-1]
+    got = [unrank_family(family, u) for u in range(total)]
+    pairs = {(entry.label, moves) for entry, moves in got}
+    assert len(pairs) == total
+    assert pairs == {(e.label, e.table.unrank(e.start, e.length, i)) for e in family for i in range(e.count)}
+    for index in (-1, total):
+        with pytest.raises(ValueError, match="outside"):
+            unrank_family(family, index)
+    # a family draw is that unranking at one uniform_int below the total
+    for seed in range(20):
+        entry, walk = sample_length_then_walk(family, RngStream(seed))
+        assert (entry, walk.moves) == unrank_family(family, RngStream(seed).uniform_int(total))
 
 
 def test_sample_low_girth_walk_trivial_split():
