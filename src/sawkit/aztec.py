@@ -50,12 +50,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from math import floor, isfinite
 
-from .counting import DEFAULT_MEMORY_CAP, CountTable, _Frozen
+from .counting import DEFAULT_MEMORY_CAP, CountTable
 from .lattice import DIRECTIONS, LatticeBox, Point, Region, Walk, manhattan, step, walk_through
 from .sampling import Family, RngStream, SampleReport, SamplingBudgetError, draw_family, make_family
 # Unused here: perfbench's tracer patches this name on aztec.  It goes, and
@@ -65,6 +66,8 @@ from .sampling import sample_length_then_walk  # noqa: F401
 _CACHE_MAGIC = "sawkit-aztec-table"
 # 6: the header pins the sources; tables built for the starts and lengths of one target's cells
 _CACHE_VERSION = 6
+# Cells encoded per join when a layer is written as fixed-width bytes.
+_ENCODE_CELLS = 4096
 
 
 class AztecRegion(Region):
@@ -544,6 +547,34 @@ def _cache_header(k: int, girth: int, lengths, target: Point, sources) -> dict:
     }
 
 
+def _encode_layer(values: list[int]) -> tuple[int, bytes]:
+    """Nonnegative ints as (width, blob), ``width`` little-endian bytes per cell, ``_ENCODE_CELLS`` per join."""
+    width = (max(values).bit_length() + 7) // 8
+    blob = b"".join(
+        [
+            b"".join([v.to_bytes(width, "little") for v in values[i : i + _ENCODE_CELLS]])
+            for i in range(0, len(values), _ENCODE_CELLS)
+        ]
+    )
+    return width, blob
+
+
+def _decode_layer(width: int, cells: int, blob: bytes) -> list[int]:
+    """The ints of ``_encode_layer``'s blob: 8-byte limbs decoded by numpy, joined by shifts."""
+    import numpy as np
+
+    if len(blob) != cells * width:
+        raise ValueError(f"blob of {len(blob)} bytes is not {cells} cells of {width} bytes")
+    limbs = max(1, -(-width // 8))
+    padded = np.zeros((cells, 8 * limbs), dtype=np.uint8)
+    padded[:, :width] = np.frombuffer(blob, dtype=np.uint8).reshape(cells, width)
+    words = padded.view("<u8")
+    out = words[:, limbs - 1].tolist()
+    for j in range(limbs - 2, -1, -1):
+        out = [hi << 64 | lo for hi, lo in zip(out, words[:, j].tolist())]
+    return out
+
+
 def _load_cached_table(
     path: str,
     region: _InteriorRegion,
@@ -558,7 +589,9 @@ def _load_cached_table(
 
     The file is one JSON header line, whose ``layers`` entry gives each
     layer's [width, cells] and whose ``sha256`` entry is the digest of the
-    layers' bytes, followed by those bytes and nothing else.
+    layers' bytes, followed by those bytes and nothing else.  A layer is
+    decoded only after the memory cap check and once its cell count is the
+    table's, so no header makes the load allocate more than the file holds.
     """
     try:
         with open(path, "rb") as fh:
@@ -568,41 +601,54 @@ def _load_cached_table(
             shapes, digest = header.pop("layers", None), header.pop("sha256", None)
             if header != _cache_header(region.k, girth, lengths, target, sources) or not isinstance(shapes, list):
                 return None
-            if not all(
+            if len(shapes) != max(lengths) + 1 or not all(
                 isinstance(s, list) and len(s) == 2 and all(type(v) is int and v >= 0 for v in s) for s in shapes
             ):
                 return None
             if os.fstat(fh.fileno()).st_size - fh.tell() != sum(w * n for w, n in shapes):
                 return None  # a short blob or trailing bytes
-            layers = [_Frozen(n, w, fh.read(w * n)) for w, n in shapes]
+            blobs = [fh.read(w * n) for w, n in shapes]
     except (OSError, ValueError, RecursionError):  # RecursionError: a deeply nested header
         return None
-    if _layers_digest(layers) != digest:
+    if _layers_digest(blobs) != digest:
         return None  # a flipped byte passes every check above and skews the counts
+
+    def layer(t: int, cells: int) -> list[int]:
+        width, n = shapes[t]
+        if n != cells:
+            raise ValueError(f"layer {t} has {n} cells, expected {cells}")
+        return _decode_layer(width, n, blobs[t])
+
     try:
-        return CountTable(region, target, girth, lengths, sources=sources, memory_cap=memory_cap, layers=layers)
+        return CountTable(region, target, girth, lengths, sources=sources, memory_cap=memory_cap, layers=layer)
     except ValueError:
         return None
 
 
-def _layers_digest(layers: list[_Frozen]) -> str:
+def _layers_digest(blobs: list[bytes]) -> str:
     h = hashlib.sha256()
-    for layer in layers:
-        h.update(layer.blob)
+    for blob in blobs:
+        h.update(blob)
     return h.hexdigest()
 
 
 def _store_cached_table(path: str, table: CountTable) -> None:
-    layers = table.frozen_layers()
+    """Write the table's layers to path by renaming a whole temp file of this writer's own onto it."""
+    layers = table.export_layers()
+    encoded = [_encode_layer(values) for values in layers]
     header = _cache_header(table.region.k, table.girth, table.lengths, table.target, table.sources)
-    header["layers"] = [[layer.width, len(layer)] for layer in layers]
-    header["sha256"] = _layers_digest(layers)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        for layer in layers:
-            fh.write(layer.blob)
-    os.replace(tmp, path)
+    header["layers"] = [[width, len(values)] for (width, _), values in zip(encoded, layers)]
+    header["sha256"] = _layers_digest([blob for _, blob in encoded])
+    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp", dir=os.path.dirname(path))
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+            for _, blob in encoded:
+                fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _boundary_position(k: int, p: Point) -> int:

@@ -33,13 +33,14 @@ plan gives each layer t >= 1 its successor rows: for each row and move,
 the row of layer t-1 the move leads to, the zero row for a miss.  A layer
 update is four gathers of the previous slab through them and three adds,
 and each step of ``unrank`` reads them too.  A finished layer is one flat
-list of ints; fixed-width bytes (``_Frozen``) are its serialized form only.
+list of ints.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from collections.abc import Callable
 
 from .lattice import DIRECTIONS, MOVES, LatticeBox, Point, Region, manhattan
 
@@ -67,8 +68,6 @@ _SIZE_CHUNK = 1 << 15
 # and their temporaries, the Python ints of the ``Region.contains_array``
 # fallback included.
 _PASS_BYTES = 128
-# Cells encoded per join when a layer is serialized as fixed-width bytes.
-_ENCODE_CELLS = 4096
 
 
 class ResourceLimitError(RuntimeError):
@@ -163,51 +162,6 @@ def window_automaton(girth: int) -> WindowAutomaton:
     return auto
 
 
-class _Frozen:
-    """A layer's cells as fixed-width little-endian bytes, its serialized form.
-
-    ``width`` bytes per cell, ``len`` cells, one ``blob``.
-    """
-
-    __slots__ = ("_n", "width", "blob")
-
-    def __init__(self, cells: int, width: int, blob: bytes):
-        if len(blob) != cells * width:
-            raise ValueError(f"blob of {len(blob)} bytes is not {cells} cells of {width} bytes")
-        self._n = cells
-        self.width = width
-        self.blob = blob
-
-    @classmethod
-    def from_ints(cls, values: list[int]) -> "_Frozen":
-        """Encode nonnegative ints, ``_ENCODE_CELLS`` at a time so few bytes pieces are alive."""
-        width = (max(values).bit_length() + 7) // 8
-        blob = b"".join(
-            [
-                b"".join([v.to_bytes(width, "little") for v in values[i : i + _ENCODE_CELLS]])
-                for i in range(0, len(values), _ENCODE_CELLS)
-            ]
-        )
-        return cls(len(values), width, blob)
-
-    def __len__(self) -> int:
-        return self._n
-
-    def tolist(self) -> list[int]:
-        """Every cell as a Python int: 8-byte limbs decoded by numpy, joined by shifts."""
-        import numpy as np
-
-        n, w = self._n, self.width
-        limbs = max(1, -(-w // 8))
-        padded = np.zeros((n, 8 * limbs), dtype=np.uint8)
-        padded[:, :w] = np.frombuffer(self.blob, dtype=np.uint8).reshape(n, w)
-        words = padded.view("<u8")
-        out = words[:, limbs - 1].tolist()
-        for j in range(limbs - 2, -1, -1):
-            out = [hi << 64 | lo for hi, lo in zip(out, words[:, j].tolist())]
-        return out
-
-
 def _count_bits(t: int) -> int:
     """Bits of 4 * 3**t, above any count at layer t (at most 4 * 3**(t-1) walks)."""
     return (4 * 3**t).bit_length()
@@ -243,9 +197,11 @@ class CountTable:
     state's count among the successors.
 
     Finished layers have one storage form, a flat list of ints, whether
-    built or passed in (``layers``, as ``_Frozen``).  A table whose
-    estimate exceeds ``memory_cap`` raises ResourceLimitError, before
-    anything per point is allocated.
+    built or passed in: ``layers(t, cells)``, when given, returns layer
+    t's cells in place of the build, and a list that is not ``cells``
+    long raises ValueError.  A table whose estimate exceeds
+    ``memory_cap`` raises ResourceLimitError, before anything per point
+    is allocated and before ``layers`` is called.
     """
 
     def __init__(
@@ -257,7 +213,7 @@ class CountTable:
         *,
         sources,
         memory_cap: int = DEFAULT_MEMORY_CAP,
-        layers: list | None = None,
+        layers: Callable[[int, int], list[int]] | None = None,
     ):
         target = Point(*target)
         if target not in region:
@@ -299,7 +255,13 @@ class CountTable:
         if layers is None:
             self._build_layers()
         else:
-            self.import_layers(layers)
+            self._vals = []
+            for t in range(self.max_length + 1):
+                cells = self._cells(t)
+                vals = layers(t, cells)
+                if len(vals) != cells:
+                    raise ValueError(f"layer {t} has {len(vals)} cells, expected {cells}")
+                self._vals.append(vals)
 
     @property
     def origin(self) -> Point:
@@ -628,23 +590,6 @@ class CountTable:
     def export_layers(self) -> list[list[int]]:
         """Every layer's flat cells (row-major, zero row and column last)."""
         return list(self._vals)
-
-    def frozen_layers(self) -> list[_Frozen]:
-        """Every layer as fixed-width bytes, the form ``import_layers`` reads."""
-        return [_Frozen.from_ints(v) for v in self._vals]
-
-    def import_layers(self, layers) -> None:
-        """Take every layer from fixed-width bytes, decoded to ints."""
-        if len(layers) != self.max_length + 1:
-            raise ValueError("layer count mismatch")
-        vals = []
-        for t, layer in enumerate(layers):
-            if not isinstance(layer, _Frozen):
-                raise TypeError(f"layer {t} is a {type(layer).__name__}, not fixed-width bytes")
-            if len(layer) != self._cells(t):
-                raise ValueError(f"layer {t} has {len(layer)} cells, expected {self._cells(t)}")
-            vals.append(layer.tolist())
-        self._vals = vals
 
 
 def build_table(

@@ -176,16 +176,10 @@ def sample_low_girth_walk(table: CountTable, rng: RngStream, length: int) -> Wal
     return sample_low_girth_walk_from(table, rng, table.origin, length)
 
 
-def sample_low_girth_walk_from(
-    table: CountTable, rng: RngStream, start: Point, length: int, count: int | None = None
-) -> Walk:
-    """One exactly-uniform girth-restricted walk of the given length from a source of the table.
-
-    ``count`` is the start's ``count_from``, when the caller already holds it.
-    """
+def sample_low_girth_walk_from(table: CountTable, rng: RngStream, start: Point, length: int) -> Walk:
+    """One exactly-uniform girth-restricted walk of the given length from a source of the table."""
     start = Point(*start)
-    if count is None:
-        count = table.count_from(start, length)
+    count = table.count_from(start, length)
     if not count:
         raise ValueError(f"no girth-restricted walk of length {length} from {start}")
     return Walk(start, table._unrank(start, length, rng.uniform_int(count)))

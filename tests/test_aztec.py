@@ -1,6 +1,9 @@
+import hashlib
 import json
 import math
+import os
 import pickle
+import tracemalloc
 from collections import Counter
 from functools import cache
 from pathlib import Path
@@ -12,7 +15,10 @@ from sawkit.aztec import (
     AztecRegion,
     OmegaParams,
     _cache_path,
+    _decode_layer,
+    _encode_layer,
     _load_cached_table,
+    _store_cached_table,
     anchor_vertex,
     arc_gap,
     boundary_vertices,
@@ -324,6 +330,12 @@ def _plant(f, plant):
     elif plant == "flipped":  # one byte inside the layer bytes, shapes and size unchanged
         mid = len(blobs) // 2
         data = head + b"\n" + blobs[:mid] + bytes([blobs[mid] ^ 0xFF]) + blobs[mid + 1 :]
+    elif plant == "huge-cells":  # the last layer claims 10**12 cells of 0 bytes, its bytes dropped, digest matched
+        width, cells = header["layers"][-1]
+        header["layers"][-1] = [0, 10**12]
+        blobs = blobs[: len(blobs) - width * cells]
+        header["sha256"] = hashlib.sha256(blobs).hexdigest()
+        data = json.dumps(header).encode() + b"\n" + blobs
     f.write_bytes(data)
 
 
@@ -331,7 +343,7 @@ def _plant(f, plant):
     "plant",
     [
         "non-json", "non-dict", "version-1", "version-2", "version-3", "version-4", "version-5", "sources",
-        "truncated", "trailing", "cells", "flipped",
+        "truncated", "trailing", "cells", "flipped", "huge-cells",
     ],
 )
 def test_table_cache_foreign_file_is_a_miss(tmp_path, plant):
@@ -342,13 +354,48 @@ def test_table_cache_foreign_file_is_a_miss(tmp_path, plant):
     stored = {f: f.read_bytes() for f in files}
     for f in files:
         _plant(f, plant)
-    for t in tables:
-        path = _cache_path(str(tmp_path), 2, 2, params.budget(2), t.target)
-        assert _load_cached_table(path, t.region, t.target, 2, t.lengths, t.sources) is None
+    tracemalloc.start()
+    try:
+        for t in tables:
+            path = _cache_path(str(tmp_path), 2, 2, params.budget(2), t.target)
+            assert _load_cached_table(path, t.region, t.target, 2, t.lengths, t.sources) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # a miss decodes nothing the header claims beyond what the table expects
     got = partition_family(2, params, girth=2, cache_dir=str(tmp_path))
     assert _family_key(got) == want
     assert sorted(tmp_path.iterdir()) == files  # the misses were rebuilt and stored again
     assert {f: f.read_bytes() for f in files} == stored
+
+
+def test_table_cache_concurrent_stores(tmp_path, monkeypatch):
+    """A second store of one table between the first's write and its rename leaves both whole."""
+    table = _tables(partition_family(2, OmegaParams(2, 0.5), girth=2))[-1]
+    path = _cache_path(str(tmp_path), 2, 2, OmegaParams(2, 0.5).budget(2), table.target)
+    replace = os.replace
+
+    def interleaved(src, dst):
+        monkeypatch.setattr("sawkit.aztec.os.replace", replace)
+        _store_cached_table(path, table)
+        replace(src, dst)
+
+    monkeypatch.setattr("sawkit.aztec.os.replace", interleaved)
+    _store_cached_table(path, table)
+    assert list(tmp_path.iterdir()) == [Path(path)]
+    loaded = _load_cached_table(path, table.region, table.target, 2, table.lengths, table.sources)
+    assert loaded is not None and loaded.export_layers() == table.export_layers()
+
+
+@pytest.mark.parametrize("width", [0, 1, 3, 8, 9, 17])
+def test_layer_codec_round_trip(width):
+    top = (1 << 8 * width) - 1
+    values = [0, top, top >> 1, top // 3, top >> 4, min(top, 1)]
+    got_width, blob = _encode_layer(values)
+    assert got_width == width and len(blob) == width * len(values)
+    assert _decode_layer(width, len(values), blob) == values
+    with pytest.raises(ValueError, match="blob"):
+        _decode_layer(width or 1, len(values) + 1, blob)
 
 
 class _Plant:

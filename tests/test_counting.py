@@ -1,4 +1,4 @@
-"""Girth-DP tests: frozen examples, oracle equivalence, and a reference memo.
+"""Girth-DP tests: count examples, oracle equivalence, and a reference memo.
 
 The recursive memoized reference implementation here is an independent
 second route to the same counts (different traversal order from the
@@ -18,7 +18,6 @@ from sawkit.counting import (
     CountTable,
     ResourceLimitError,
     TableDomainError,
-    _Frozen,
     build_table,
     window_automaton,
 )
@@ -52,7 +51,7 @@ def test_window_automaton_sizes():
             assert auto.trans[c] == tuple((d, s) for d, s in enumerate(auto.step[c]) if s < auto.classes)
 
 
-def test_frozen_examples():
+def test_count_examples():
     assert build_table(Z, (0, 0), (1, 0), 1, 1).counts() == {1: 1, 3: 2}
     assert build_table(Z, (0, 0), (1, 1), 2, 1).counts() == {2: 2, 4: 4}
     assert build_table(Z, (0, 0), (1, 1), 1, 0).counts() == {2: 2}
@@ -407,32 +406,32 @@ def test_family_setup_matches_per_point_reference(c):
         _assert_setup_matches_reference(table)
 
 
-@pytest.mark.parametrize("width", [0, 1, 3, 8, 9, 17])
-def test_frozen_round_trip(width):
-    top = (1 << 8 * width) - 1
-    values = [0, top, top >> 1, top // 3, top >> 4, min(top, 1)]
-    frozen = _Frozen.from_ints(values)
-    assert frozen.width == width and len(frozen) == len(values)
-    assert frozen.tolist() == values
-    with pytest.raises(ValueError, match="blob"):
-        _Frozen(len(values) + 1, width or 1, frozen.blob)
-
-
 def test_export_import_layers():
     table = build_table(Z, (0, 0), (3, 2), 2, 2)
-    clone = CountTable(
-        table.region, table.target, table.girth, table.lengths, sources=table.sources, layers=table.frozen_layers()
-    )
-    assert clone.export_layers() == table.export_layers()
+    exported = table.export_layers()
+    asked = []
+
+    def layers(t, cells):
+        asked.append((t, cells))
+        return list(exported[t])
+
+    clone = CountTable(table.region, table.target, table.girth, table.lengths, sources=table.sources, layers=layers)
+    assert asked == [(t, len(layer)) for t, layer in enumerate(exported)]
+    assert clone.export_layers() == exported
     assert clone.counts() == table.counts()
     assert clone.completion_count((1, 1), "UR", 5) == table.completion_count((1, 1), "UR", 5)
-    short = table.frozen_layers()
-    short[1] = _Frozen.from_ints(short[1].tolist()[:-1])
     with pytest.raises(ValueError, match="cells"):
-        CountTable(table.region, table.target, table.girth, table.lengths, sources=table.sources, layers=short)
-    with pytest.raises(TypeError, match="fixed-width"):
         CountTable(table.region, table.target, table.girth, table.lengths, sources=table.sources,
-                   layers=table.frozen_layers()[:-1] + [table.frozen_layers()[-1].tolist()])
+                   layers=lambda t, cells: exported[t][:-1] if t == 1 else exported[t])
+
+
+def test_refused_table_never_calls_layers():
+    table = build_table(Z, (0, 0), (3, 2), 2, 2)
+    asked = []
+    with pytest.raises(ResourceLimitError):
+        CountTable(table.region, table.target, table.girth, table.lengths, sources=table.sources,
+                   memory_cap=table._estimate_bytes() - 1, layers=lambda t, cells: asked.append(t))
+    assert asked == []
 
 
 @st.composite

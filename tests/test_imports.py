@@ -1,5 +1,5 @@
-"""Tooling guards: no module of the package can load a serialized Python object or import scipy, and
-only ``lattice`` spells out the move order."""
+"""Tooling guards: no module of the package can load a serialized Python object or import scipy,
+``counting`` touches no files, and only ``lattice`` spells out the move order."""
 
 import ast
 from pathlib import Path
@@ -31,6 +31,11 @@ def test_no_object_serialization_imports():
 
 def test_no_scipy_imports():
     assert _imports(NOT_DEPENDED_ON) == []
+
+
+def test_counting_touches_no_files():
+    # the table cache's file format, digest and temp files are aztec's alone
+    assert [f for f in _imports({"hashlib", "json", "os", "tempfile"}) if f.startswith("counting.py:")] == []
 
 
 # literals that spell the U, R, D, L move order, whose one home is lattice.MOVES
