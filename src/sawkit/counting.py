@@ -25,15 +25,16 @@ allocated.  Only then does one membership pass over the whole box number
 the points and find their neighbours.
 
 The table is filled iteratively by remaining-steps layer (layer t reads
-only layer t-1).  Layer t is one dense slab of exact Python integers: a
-row for every point the rule puts in the layer, a column for every class,
-and one zero row and one zero column that every miss is sent to (a step
-off the region, a colliding step, a point the layer does not hold).  The
-plan gives each layer t >= 1 its successor rows: for each row and move,
-the row of layer t-1 the move leads to, the zero row for a miss.  A layer
-update is four gathers of the previous slab through them and three adds,
-and each step of ``unrank`` reads them too.  A finished layer is one flat
-list of ints.
+only layer t-1).  Layer t is one dense slab of exact integers: a row for
+every point the rule puts in the layer, a column for every class, and one
+zero row and one zero column.  The plan gives each layer t >= 1 its
+successor rows: for each row and move, the row of layer t-1 the move
+leads to, the zero row for a step off the region or onto a point layer
+t-1 does not hold.  A cell is the sum of its class's successor cells
+alone, one gather per non-colliding move (two to four per class at girth
+2), and each step of ``unrank`` reads the same rows.  A slab is int64
+while its sums cannot overflow and holds Python ints after that; a
+finished layer is one flat list of ints.
 """
 
 from __future__ import annotations
@@ -53,8 +54,9 @@ _MOVE_CHARS = bytes.maketrans(bytes(range(4)), DIRECTIONS.encode())
 _ROW_CODE = "i"
 
 DEFAULT_MEMORY_CAP = 2 * 1024**3
-# Pointer bytes per cell of one layer update: the previous slab, an index
-# array, a gather, the running sum and the new padded slab, 8 bytes each.
+# Bytes per cell of one layer update: the previous slab, an index array, a
+# gather, the running sum and the new padded slab, 8 bytes each (int64 or
+# object pointers; the object slab at the switch shares the finished list's ints).
 _SLAB_BYTES = 40
 # Bytes per region point of the geometry (its Point, pid-dict entry, neighbour
 # row and distances) and per layer of the plan besides its row map and
@@ -189,12 +191,13 @@ class CountTable:
     class of the window automaton.
 
     Every cell of a layer t >= 1 is the sum of its successors' cells in
-    layer t - 1, one per non-colliding move, with a step off the region or
-    onto a point layer t - 1 does not hold counting 0.  The successor rows
-    ``_succ[t]`` name the row of layer t - 1 each move leads to (the zero
-    row for such a step), so the four gathers of the build read exactly
-    those cells.  ``unrank`` reads the same rows, as each step splits its
-    state's count among the successors.
+    layer t - 1, one per non-colliding move (``auto.trans``), with a step
+    off the region or onto a point layer t - 1 does not hold counting 0.
+    The successor rows ``_succ[t]`` name the row of layer t - 1 each move
+    leads to (the zero row for such a step), so the build gathers exactly
+    those cells, one term per successor (see ``_build_layers``).
+    ``unrank`` reads the same rows, as each step splits its state's count
+    among the successors.
 
     Finished layers have one storage form, a flat list of ints, whether
     built or passed in: ``layers(t, cells)``, when given, returns layer
@@ -454,28 +457,58 @@ class CountTable:
     # -- build ---------------------------------------------------------------
 
     def _build_layers(self) -> None:
+        """Fill every layer from the one below it, exactly.
+
+        A cell (row r, class c) of layer t >= 1 is the sum, over class c's
+        successors (d, c2) in ``auto.trans[c]``, of the cell (the row move
+        d leads to from r, c2) of layer t - 1: a colliding move is no
+        term, and a step the layer below has no point for reads its zero
+        row.  The classes are ordered by descending successor count, so
+        the j-th successors of the classes that have one fill a prefix of
+        the columns.  Term j is then one gather through a contiguous index
+        array, added into that prefix of the running sum, which is kept
+        column by column; the columns go back to class order once per
+        layer.  A class without successors (at girth >= 4, the one whose
+        first window is ``URRDDLU``) stays 0.
+
+        A layer is an int64 slab while every cell of the layer below is
+        under 2**61: a cell is a sum of at most four of them, so it is
+        under 2**63 and the int64 adds are exact.  From the first layer
+        below that reaches 2**61, the slabs are object arrays of Python
+        ints for good, the switch wrapping that layer's finished list.
+        Either way a finished layer is a flat list of ints.
+        """
         import numpy as np
 
-        nc = self.auto.classes
-        stride = nc + 1
-        step = np.array(self.auto.step, dtype=np.intp).T  # step[d][c]: the class after move d
-        self._vals = []
-        prev = None
-        for t in range(self.max_length + 1):
+        trans = self.auto.trans
+        stride = self.auto.classes + 1
+        order = sorted(range(self.auto.classes), key=lambda c: -len(trans[c]))
+        cols = np.array([c for c in order if trans[c]], dtype=np.intp)  # column i holds class cols[i]
+        terms = []  # term j: the move and the next class of each column's j-th successor
+        for j in range(4):
+            pairs = [trans[c][j] for c in order if len(trans[c]) > j]
+            terms.append((np.array([d for d, _ in pairs], dtype=np.intp), np.array([c2 for _, c2 in pairs], dtype=np.intp)))
+        prev = np.zeros((self._nrows[0] + 1, stride), dtype=np.int64)
+        prev[: self._nrows[0], :-1] = 1  # the target's row: the empty walk has arrived
+        self._vals = [prev.ravel().tolist()]
+        for t in range(1, self.max_length + 1):
+            if prev.dtype != object and prev.max() >= 1 << 61:
+                prev = np.array(self._vals[-1], dtype=object)
             nr = self._nrows[t]
-            cur = np.zeros((nr + 1, stride), dtype=object)
-            if t == 0:
-                cur[:nr, :nc] = 1  # the target's row: the empty walk has arrived
-            else:
-                succ = np.frombuffer(self._succ[t], dtype=_ROW_CODE).reshape(nr + 1, 4)[:nr]
-                succ = succ.astype(np.intp) * stride
-                acc = None
-                for d in range(4):
-                    g = prev[succ[:, d, None] + step[d]]
-                    acc = g if acc is None else np.add(acc, g, out=acc)
-                cur[:nr, :nc] = acc
-            prev = cur.ravel()
-            self._vals.append(prev.tolist())
+            succ = np.frombuffer(self._succ[t], dtype=_ROW_CODE).reshape(nr + 1, 4)[:nr].T
+            succ = succ.astype(np.intp) * stride  # succ[d][r]: the offset of the row move d leads to from r
+            acc = None  # acc[i][r]: column i's cell of row r
+            for moves, classes in terms:
+                idx = succ[moves]
+                idx += classes[:, None]
+                g = prev.take(idx)
+                if acc is None:
+                    acc = g
+                else:
+                    acc[: len(classes)] += g
+            prev = np.zeros((nr + 1, stride), dtype=prev.dtype)
+            prev[:nr, cols] = acc.T
+            self._vals.append(prev.ravel().tolist())
 
     # -- queries ---------------------------------------------------------------
 

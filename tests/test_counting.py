@@ -7,6 +7,7 @@ layered build), exercised on small instances.
 
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -51,6 +52,27 @@ def test_window_automaton_sizes():
             assert auto.trans[c] == tuple((d, s) for d, s in enumerate(auto.step[c]) if s < auto.classes)
 
 
+def test_window_automaton_successor_counts():
+    """The facts the layer build relies on: how many non-colliding moves each class has."""
+    histograms = {
+        1: {4: 1, 3: 4},
+        2: {4: 1, 3: 12, 2: 8},
+        3: {4: 1, 3: 48, 2: 32, 1: 8},
+        4: {4: 1, 3: 220, 2: 144, 1: 48, 0: 1},
+    }
+    for girth, histogram in histograms.items():
+        auto = window_automaton(girth)
+        succs = [len(moves) for moves in auto.trans]
+        assert Counter(succs) == histogram
+        assert [c for c, n in enumerate(succs) if n == 4] == [auto.empty_class]
+        if girth <= 2:  # already by descending successor count: the build's columns are in class order
+            assert succs == sorted(succs, reverse=True)
+    # the one class without a move at girth 4: every step from its windows' end lands on the window
+    auto = window_automaton(4)
+    (dead,) = [c for c, moves in enumerate(auto.trans) if not moves]
+    assert "".join(DIRECTIONS[d] for d in auto.windows[auto.class_of.index(dead)]) == "URRDDLU"
+
+
 def test_count_examples():
     assert build_table(Z, (0, 0), (1, 0), 1, 1).counts() == {1: 1, 3: 2}
     assert build_table(Z, (0, 0), (1, 1), 2, 1).counts() == {2: 2, 4: 4}
@@ -89,7 +111,7 @@ def test_memory_cap():
         build_table(Z, (0, 0), (150, 150), 5, 10)
 
 
-@pytest.mark.parametrize("target,k", [((10, 8), 3), ((20, 20), 4)])
+@pytest.mark.parametrize("target,k", [((10, 8), 3), ((20, 20), 4), ((30, 30), 2)])
 def test_memory_estimate_bounds_tracemalloc_peak(target, k):
     build_table(Z, (0, 0), target, 2, k)  # the window automaton and numpy load outside the measurement
     tracemalloc.start()
@@ -356,6 +378,56 @@ class _PerPointTable(CountTable):
         return nbr
 
 
+def _reference_layers(table):
+    """Every layer by four gathers per cell, one per move, a colliding move reading the zero column.
+
+    Object slabs throughout: the reference for the build's per-class
+    successor sums and its int64 layers.
+    """
+    nc = table.auto.classes
+    stride = nc + 1
+    step = np.array(table.auto.step, dtype=np.intp).T  # step[d][c]: the class after move d
+    layers, prev = [], None
+    for t in range(table.max_length + 1):
+        nr = table._nrows[t]
+        cur = np.zeros((nr + 1, stride), dtype=object)
+        if t == 0:
+            cur[:nr, :nc] = 1
+        else:
+            succ = np.frombuffer(table._succ[t], dtype=np.intc).reshape(nr + 1, 4)[:nr]
+            succ = succ.astype(np.intp) * stride
+            acc = None
+            for d in range(4):
+                g = prev[succ[:, d, None] + step[d]]
+                acc = g if acc is None else np.add(acc, g, out=acc)
+            cur[:nr, :nc] = acc
+        prev = cur.ravel()
+        layers.append(prev.tolist())
+    return layers
+
+
+def _assert_layers_match_reference(table):
+    layers = table.export_layers()
+    assert layers == _reference_layers(table)
+    assert all(type(cell) is int for layer in layers for cell in layer)
+    return layers
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_table(Z, (0, 0), (30, 30), 2, 2),
+        lambda: build_table(Z, (0, 0), (5, 3), 4, 3),
+    ],
+    ids=["int64-then-object", "girth-4"],
+)
+def test_layers_match_four_gather_reference(make):
+    table = make()
+    layers = _assert_layers_match_reference(table)
+    if table.girth == 2:  # cells reach 2**61 (first at t=58), so the build switches to object slabs
+        assert max(map(max, layers)) >= 1 << 61
+
+
 def _assert_setup_matches_reference(table):
     ref = _PerPointTable(table.region, table.target, table.girth, table.lengths, sources=table.sources)
     assert (table._npts, table._nrows, table._band) == (ref._npts, ref._nrows, ref._band)
@@ -367,6 +439,7 @@ def _assert_setup_matches_reference(table):
     assert table._rows == ref._rows
     assert [s if s is None else list(s) for s in table._succ] == [s if s is None else list(s) for s in ref._succ]
     assert table.export_layers() == ref.export_layers()
+    _assert_layers_match_reference(table)
 
 
 @st.composite
@@ -387,7 +460,7 @@ def _setup_instances(draw):
     target = draw(st.sampled_from(members))
     sources = draw(st.lists(st.sampled_from(members), min_size=1, max_size=4))
     lengths = draw(st.lists(st.integers(0, 10), min_size=1, max_size=3))
-    return region, target, draw(st.integers(1, 2)), lengths, sources
+    return region, target, draw(st.integers(1, 3)), lengths, sources
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
