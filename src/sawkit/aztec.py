@@ -56,7 +56,7 @@ from functools import cached_property
 from itertools import accumulate
 from math import floor, isfinite
 
-from .counting import DEFAULT_MEMORY_CAP, CountTable
+from .counting import DEFAULT_MEMORY_CAP, CountTable, check_memory_cap, fill_tables
 from .lattice import DIRECTIONS, LatticeBox, Point, Region, Walk, manhattan, step, walk_through
 from .sampling import Family, RngStream, SampleReport, SamplingBudgetError, draw_family, make_family
 # Unused here: perfbench's tracer patches this name on aztec.  It goes, and
@@ -575,54 +575,41 @@ def _decode_layer(width: int, cells: int, blob: bytes) -> list[int]:
     return out
 
 
-def _load_cached_table(
-    path: str,
-    region: _InteriorRegion,
-    target: Point,
-    girth: int,
-    lengths: tuple[int, ...],
-    sources: tuple[Point, ...],
-    memory_cap: int = DEFAULT_MEMORY_CAP,
-) -> CountTable | None:
-    """The cached table at path; None (a miss) for a missing, unreadable,
-    stale, malformed or corrupted file.
+def _load_cached_layers(path: str, table: CountTable) -> bool:
+    """Give a sized table the layers cached at path; False (a miss) for a
+    missing, unreadable, stale, malformed or corrupted file.
 
     The file is one JSON header line, whose ``layers`` entry gives each
     layer's [width, cells] and whose ``sha256`` entry is the digest of the
-    layers' bytes, followed by those bytes and nothing else.  A layer is
-    decoded only after the memory cap check and once its cell count is the
-    table's, so no header makes the load allocate more than the file holds.
+    layers' bytes, followed by those bytes and nothing else.  Every
+    layer's cell count must be the table's before any blob is read, so no
+    header makes the load allocate more than the file holds; the caller
+    has checked the memory cap.
     """
+    header_want = _cache_header(table.region.k, table.girth, table.lengths, table.target, table.sources)
     try:
         with open(path, "rb") as fh:
             header = json.loads(fh.readline())
             if not isinstance(header, dict):
-                return None
+                return False
             shapes, digest = header.pop("layers", None), header.pop("sha256", None)
-            if header != _cache_header(region.k, girth, lengths, target, sources) or not isinstance(shapes, list):
-                return None
-            if len(shapes) != max(lengths) + 1 or not all(
+            if header != header_want or not isinstance(shapes, list):
+                return False
+            if len(shapes) != table.max_length + 1 or not all(
                 isinstance(s, list) and len(s) == 2 and all(type(v) is int and v >= 0 for v in s) for s in shapes
             ):
-                return None
+                return False
+            if any(n != table._cells(t) for t, (_, n) in enumerate(shapes)):
+                return False
             if os.fstat(fh.fileno()).st_size - fh.tell() != sum(w * n for w, n in shapes):
-                return None  # a short blob or trailing bytes
+                return False  # a short blob or trailing bytes
             blobs = [fh.read(w * n) for w, n in shapes]
     except (OSError, ValueError, RecursionError):  # RecursionError: a deeply nested header
-        return None
+        return False
     if _layers_digest(blobs) != digest:
-        return None  # a flipped byte passes every check above and skews the counts
-
-    def layer(t: int, cells: int) -> list[int]:
-        width, n = shapes[t]
-        if n != cells:
-            raise ValueError(f"layer {t} has {n} cells, expected {cells}")
-        return _decode_layer(width, n, blobs[t])
-
-    try:
-        return CountTable(region, target, girth, lengths, sources=sources, memory_cap=memory_cap, layers=layer)
-    except ValueError:
-        return None
+        return False  # a flipped byte passes every check above and skews the counts
+    table._load(lambda t, cells: _decode_layer(shapes[t][0], cells, blobs[t]))
+    return True
 
 
 def _layers_digest(blobs: list[bytes]) -> str:
@@ -707,12 +694,20 @@ def partition_family(
     its lengths.  A target without cells, the smallest boundary point
     among them, gets no table.  Per-table layers are cached on disk when a
     cache dir is given (``cache_dir=None`` means no cache).
+
+    Every table is sized first, and ``memory_cap`` bounds the family as a
+    whole: the sum of the tables' estimates with the stacked fill's
+    largest working set (``counting.check_memory_cap``), so a family over
+    the cap raises ResourceLimitError before any table is built or
+    loaded.  Cache hits are then loaded into their sized tables, and the
+    misses are built by one ``fill_tables`` call and stored.
     """
     budget = params.budget(k)
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
     bpts = boundary_vertices(k)
     raw_entries = []
+    tables = []  # (sized table, cache path or None) per target with cells
     for i, target in enumerate(bpts[1:], 1):
         region = _InteriorRegion(k, target)
         cells = []
@@ -731,15 +726,15 @@ def partition_family(
             continue
         sources = tuple(sorted({start for _, start, _ in cells}))
         lengths = tuple(sorted({length for _, _, length in cells}))
-        table = None
-        path = _cache_path(cache_dir, k, girth, budget, target) if cache_dir else None
-        if path:
-            table = _load_cached_table(path, region, target, girth, lengths, sources, memory_cap)
-        if table is None:
-            table = CountTable(region, target, girth, lengths, sources=sources, memory_cap=memory_cap)
-            if path:
-                _store_cached_table(path, table)
+        table = CountTable.sized(region, target, girth, lengths, sources=sources)
+        tables.append((table, _cache_path(cache_dir, k, girth, budget, target) if cache_dir else None))
         raw_entries += [(label, table, start, length) for label, start, length in cells]
+    check_memory_cap([table for table, _ in tables], memory_cap)
+    misses = [(table, path) for table, path in tables if not (path and _load_cached_layers(path, table))]
+    fill_tables([table for table, _ in misses])
+    for table, path in misses:
+        if path:
+            _store_cached_table(path, table)
     return make_family(raw_entries)
 
 

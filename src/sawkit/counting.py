@@ -24,17 +24,27 @@ over the cap is refused before anything that grows with the box is
 allocated.  Only then does one membership pass over the whole box number
 the points and find their neighbours.
 
-The table is filled iteratively by remaining-steps layer (layer t reads
-only layer t-1).  Layer t is one dense slab of exact integers: a row for
-every point the rule puts in the layer, a column for every class, and one
-zero row and one zero column.  The plan gives each layer t >= 1 its
-successor rows: for each row and move, the row of layer t-1 the move
+Tables are built as a family: every table is sized first
+(``CountTable.sized``), ``check_memory_cap`` bounds the family as a whole,
+and ``fill_tables`` builds them all.  A table on its own, ``CountTable(...)``
+or ``build_table``, is a family of one through the same code.
+
+The tables are filled together by remaining-steps layer (layer t reads
+only layer t-1).  A table's layer t is one block of a dense slab of exact
+integers: a row for every point the rule puts in the layer, a column for
+every class, and one zero row (the block's last) and one zero column.
+Layer t of every table of the family is one slab, its blocks stacked, and
+one set of numpy operations fills it.  The plan gives each layer t >= 1
+its successor rows: for each row and move, the row of layer t-1 the move
 leads to, the zero row for a step off the region or onto a point layer
-t-1 does not hold.  A cell is the sum of its class's successor cells
-alone, one gather per non-colliding move (two to four per class at girth
-2), and each step of ``unrank`` reads the same rows.  A slab is int64
-while its sums cannot overflow and holds Python ints after that; a
-finished layer is one flat list of ints.
+t-1 does not hold; in the slab they are offset by the first row of the
+table's block in layer t-1.  A cell is the sum of its class's successor
+cells alone, one gather per non-colliding move (two to four per class at
+girth 2), and each step of ``unrank`` reads the same rows.  The slab is
+int64 while its sums cannot overflow, and holds Python ints for every
+block after that, one switch for the whole family; a table leaves the
+slab after its last layer, and its finished layer is its block sliced out
+as one flat list of ints.
 """
 
 from __future__ import annotations
@@ -194,14 +204,21 @@ class CountTable:
     layer t - 1, one per non-colliding move (``auto.trans``), with a step
     off the region or onto a point layer t - 1 does not hold counting 0.
     The successor rows ``_succ[t]`` name the row of layer t - 1 each move
-    leads to (the zero row for such a step), so the build gathers exactly
-    those cells, one term per successor (see ``_build_layers``).
-    ``unrank`` reads the same rows, as each step splits its state's count
-    among the successors.
+    leads to (the zero row for such a step).  ``fill_tables`` builds a
+    family of tables of one girth together: layer t of each is one block
+    of a stacked slab, its successor rows offset by its block's first row
+    in layer t - 1, and a whole layer of the family is one set of numpy
+    gathers, exact in int64 until some block's layer below reaches 2**61
+    and in Python ints for every block from there.  ``unrank`` reads the
+    same rows, as each step splits its state's count among the successors.
+
+    ``CountTable(...)`` sizes the table, checks it against ``memory_cap``
+    and fills it as a family of one.  ``CountTable.sized`` only sizes it,
+    so that a family can check its total estimate before building any.
 
     Finished layers have one storage form, a flat list of ints, whether
     built or passed in: ``layers(t, cells)``, when given, returns layer
-    t's cells in place of the build, and a list that is not ``cells``
+    t's cells in place of the fill, and a list that is not ``cells``
     long raises ValueError.  A table whose estimate exceeds
     ``memory_cap`` raises ResourceLimitError, before anything per point
     is allocated and before ``layers`` is called.
@@ -218,6 +235,25 @@ class CountTable:
         memory_cap: int = DEFAULT_MEMORY_CAP,
         layers: Callable[[int, int], list[int]] | None = None,
     ):
+        self._size(region, target, girth, lengths, sources)
+        check_memory_cap([self], memory_cap)
+        if layers is None:
+            fill_tables([self])
+        else:
+            self._load(layers)
+
+    @classmethod
+    def sized(cls, region: Region, target: Point, girth: int, lengths, *, sources) -> CountTable:
+        """A table validated and sized but not built, for a family to size all its tables first.
+
+        ``check_memory_cap`` reads its estimate; ``fill_tables`` builds it,
+        or ``_load`` takes its layers.
+        """
+        table = cls.__new__(cls)
+        table._size(region, target, girth, lengths, sources)
+        return table
+
+    def _size(self, region: Region, target: Point, girth: int, lengths, sources) -> None:
         target = Point(*target)
         if target not in region:
             raise ValueError(f"target {target} outside region")
@@ -245,26 +281,18 @@ class CountTable:
         xs, ys = zip(*sources, target)
         margin = max(0, (self.max_length - self._dist_range[0]) // 2)
         self.box = LatticeBox(Point(min(xs), min(ys)), Point(max(xs), max(ys))).expand(margin)
-
         self._size_layers()
-        est_bytes = self._estimate_bytes()
-        if est_bytes > memory_cap:
-            cells = sum(self._cells(t) for t in range(self.max_length + 1))
-            raise ResourceLimitError(
-                f"estimated table size {est_bytes/1e9:.2f} GB exceeds memory cap "
-                f"{memory_cap/1e9:.2f} GB (girth l={girth}, {cells} cells)"
-            )
+
+    def _load(self, layers: Callable[[int, int], list[int]]) -> None:
+        """Plan the table and take layer t from ``layers(t, cells)`` in place of the fill."""
         self._plan_rows(self._build_geometry())
-        if layers is None:
-            self._build_layers()
-        else:
-            self._vals = []
-            for t in range(self.max_length + 1):
-                cells = self._cells(t)
-                vals = layers(t, cells)
-                if len(vals) != cells:
-                    raise ValueError(f"layer {t} has {len(vals)} cells, expected {cells}")
-                self._vals.append(vals)
+        self._vals = []
+        for t in range(self.max_length + 1):
+            cells = self._cells(t)
+            vals = layers(t, cells)
+            if len(vals) != cells:
+                raise ValueError(f"layer {t} has {len(vals)} cells, expected {cells}")
+            self._vals.append(vals)
 
     @property
     def origin(self) -> Point:
@@ -361,7 +389,11 @@ class CountTable:
         return (self._nrows[t] + 1) * (self.auto.classes + 1)
 
     def _estimate_bytes(self) -> int:
-        """Upper bound on the heap bytes of the build.
+        """Upper bound on the heap bytes of the build: the estimate of a family of one."""
+        return _family_bytes([self])
+
+    def _retained_bytes(self) -> int:
+        """Heap bytes of the table's build besides its share of the fill's working set.
 
         Each stored cell costs a list pointer plus an int of at most
         ``_count_bits(t)`` bits.  Each point adds its geometry, and an
@@ -370,23 +402,17 @@ class CountTable:
         ring, and the geometry's numpy pass ``_PASS_BYTES`` per point of
         the box (which also bounds a sizing chunk, a part of the box, freed
         before).  Each layer adds its row map over the band and its
-        successor rows.  On top comes the largest working set of one layer
-        update: the numpy slabs and index arrays.
+        successor rows.
         """
         item = array(_ROW_CODE).itemsize
         (x0, y0), (x1, y1) = self.box.lo, self.box.hi
         total = _POINT_BYTES * self._npts + 2 * item * (self._npts + 1) + 8 * (x1 - x0 + 3) * (y1 - y0 + 3)
         total += _PASS_BYTES * (x1 - x0 + 1) * (y1 - y0 + 1)
         row_bytes = 8 + _int_bytes(64) + 4 * item  # row map entry and its int, successor rows
-        stride = self.auto.classes + 1
-        work = prev_cells = 0
         for t, (nrows, (lo, hi)) in enumerate(zip(self._nrows, self._band)):
-            cells = (nrows + 1) * stride
             total += _LAYER_BYTES + 8 * (hi - lo + 1) + row_bytes * nrows + 4 * item
-            total += cells * (8 + _int_bytes(_count_bits(t)))
-            work = max(work, max(cells, prev_cells) * _SLAB_BYTES)
-            prev_cells = cells
-        return total + work
+            total += self._cells(t) * (8 + _int_bytes(_count_bits(t)))
+        return total
 
     # -- geometry ------------------------------------------------------------
 
@@ -453,62 +479,6 @@ class CountTable:
                 succ = array(_ROW_CODE, prev_of.take(nbr.take(rows, axis=0)).tobytes())
                 succ.extend([prev_of[n]] * 4)  # the zero row's moves
                 self._succ.append(succ)
-
-    # -- build ---------------------------------------------------------------
-
-    def _build_layers(self) -> None:
-        """Fill every layer from the one below it, exactly.
-
-        A cell (row r, class c) of layer t >= 1 is the sum, over class c's
-        successors (d, c2) in ``auto.trans[c]``, of the cell (the row move
-        d leads to from r, c2) of layer t - 1: a colliding move is no
-        term, and a step the layer below has no point for reads its zero
-        row.  The classes are ordered by descending successor count, so
-        the j-th successors of the classes that have one fill a prefix of
-        the columns.  Term j is then one gather through a contiguous index
-        array, added into that prefix of the running sum, which is kept
-        column by column; the columns go back to class order once per
-        layer.  A class without successors (at girth >= 4, the one whose
-        first window is ``URRDDLU``) stays 0.
-
-        A layer is an int64 slab while every cell of the layer below is
-        under 2**61: a cell is a sum of at most four of them, so it is
-        under 2**63 and the int64 adds are exact.  From the first layer
-        below that reaches 2**61, the slabs are object arrays of Python
-        ints for good, the switch wrapping that layer's finished list.
-        Either way a finished layer is a flat list of ints.
-        """
-        import numpy as np
-
-        trans = self.auto.trans
-        stride = self.auto.classes + 1
-        order = sorted(range(self.auto.classes), key=lambda c: -len(trans[c]))
-        cols = np.array([c for c in order if trans[c]], dtype=np.intp)  # column i holds class cols[i]
-        terms = []  # term j: the move and the next class of each column's j-th successor
-        for j in range(4):
-            pairs = [trans[c][j] for c in order if len(trans[c]) > j]
-            terms.append((np.array([d for d, _ in pairs], dtype=np.intp), np.array([c2 for _, c2 in pairs], dtype=np.intp)))
-        prev = np.zeros((self._nrows[0] + 1, stride), dtype=np.int64)
-        prev[: self._nrows[0], :-1] = 1  # the target's row: the empty walk has arrived
-        self._vals = [prev.ravel().tolist()]
-        for t in range(1, self.max_length + 1):
-            if prev.dtype != object and prev.max() >= 1 << 61:
-                prev = np.array(self._vals[-1], dtype=object)
-            nr = self._nrows[t]
-            succ = np.frombuffer(self._succ[t], dtype=_ROW_CODE).reshape(nr + 1, 4)[:nr].T
-            succ = succ.astype(np.intp) * stride  # succ[d][r]: the offset of the row move d leads to from r
-            acc = None  # acc[i][r]: column i's cell of row r
-            for moves, classes in terms:
-                idx = succ[moves]
-                idx += classes[:, None]
-                g = prev.take(idx)
-                if acc is None:
-                    acc = g
-                else:
-                    acc[: len(classes)] += g
-            prev = np.zeros((nr + 1, stride), dtype=prev.dtype)
-            prev[:nr, cols] = acc.T
-            self._vals.append(prev.ravel().tolist())
 
     # -- queries ---------------------------------------------------------------
 
@@ -623,6 +593,122 @@ class CountTable:
     def export_layers(self) -> list[list[int]]:
         """Every layer's flat cells (row-major, zero row and column last)."""
         return list(self._vals)
+
+
+# -- families ------------------------------------------------------------------
+
+
+def _family_bytes(tables) -> int:
+    """Upper bound on the heap bytes of building a family of sized tables together.
+
+    Each table's retained bytes, plus the largest working set of one
+    stacked layer update: ``_SLAB_BYTES`` per cell of every block the
+    update reads or writes, a block counting the larger of its layers t
+    and t - 1.
+    """
+    work = 0
+    for t in range(max((table.max_length for table in tables), default=-1) + 1):
+        cells = sum(max(table._cells(t), table._cells(t - 1) if t else 0) for table in tables if table.max_length >= t)
+        work = max(work, cells)
+    return sum(table._retained_bytes() for table in tables) + work * _SLAB_BYTES
+
+
+def check_memory_cap(tables, memory_cap: int) -> None:
+    """Raise ResourceLimitError when building the sized tables together would exceed the cap."""
+    est_bytes = _family_bytes(tables)
+    if est_bytes > memory_cap:
+        cells = sum(table._cells(t) for table in tables for t in range(table.max_length + 1))
+        what = "table size" if len(tables) == 1 else f"size of {len(tables)} tables"
+        raise ResourceLimitError(
+            f"estimated {what} {est_bytes/1e9:.2f} GB exceeds memory cap {memory_cap/1e9:.2f} GB "
+            f"(girth l={tables[0].girth}, {cells} cells)"
+        )
+
+
+def fill_tables(tables) -> None:
+    """Build a family of sized tables of one girth: each one's geometry and rows, then all layers at once.
+
+    Layer t of every table is computed by one set of numpy operations over
+    a stacked slab: each table whose longest length reaches t is one block
+    of rows, its zero row last, and its successor rows are offset by its
+    block's first row in layer t - 1.  The blocks are ordered by
+    descending ``max_length``, so the tables left at layer t are a prefix
+    of those at t - 1, and a table leaves the slab after its last layer.
+    Each block's finished layer is sliced out as that table's flat list.
+
+    A cell (row r, class c) of layer t >= 1 is the sum, over class c's
+    successors (d, c2) in ``auto.trans[c]``, of the cell (the row move d
+    leads to from r, c2) of layer t - 1: a colliding move is no term, and
+    a step the layer below has no point for reads its zero row.  A zero
+    row's moves all lead to the zero row below, so it sums to 0.  The
+    classes are ordered by descending successor count, so the j-th
+    successors of the classes that have one fill a prefix of the columns.
+    Term j is then one gather through a contiguous index array, added into
+    that prefix of the running sum, which is kept column by column; the
+    columns go back to class order once per layer.  A class without
+    successors (at girth >= 4, the one whose first window is ``URRDDLU``)
+    stays 0.
+
+    The slab is int64 while every cell of the layer below is under 2**61:
+    a cell is a sum of at most four of them, so it is under 2**63 and the
+    int64 adds are exact.  From the first layer below that reaches 2**61
+    in any block, the slab of every block is an object array of Python
+    ints for good, the switch wrapping the blocks' finished lists.
+    Either way a finished layer is a flat list of ints.  Tables of
+    different girths raise ValueError, before anything is built.
+    """
+    import numpy as np
+
+    tables = sorted(tables, key=lambda table: -table.max_length)
+    if not tables:
+        return
+    if len({table.girth for table in tables}) > 1:
+        raise ValueError("the tables of a family must share one girth")
+    for table in tables:
+        table._plan_rows(table._build_geometry())
+    auto = tables[0].auto
+    trans = auto.trans
+    stride = auto.classes + 1
+    order = sorted(range(auto.classes), key=lambda c: -len(trans[c]))
+    cols = np.array([c for c in order if trans[c]], dtype=np.intp)  # column i holds class cols[i]
+    terms = []  # term j: the move and the next class of each column's j-th successor
+    for j in range(4):
+        pairs = [trans[c][j] for c in order if len(trans[c]) > j]
+        terms.append((np.array([d for d, _ in pairs], dtype=np.intp), np.array([c2 for _, c2 in pairs], dtype=np.intp)))
+    for table in tables:  # the target's row, if layer 0 holds it: the empty walk has arrived
+        table._vals = [([1] * auto.classes + [0]) * table._nrows[0] + [0] * stride]
+    live = tables
+    prev = np.array([v for table in live for v in table._vals[0]], dtype=np.int64)
+    starts = [0]  # first row of each live block in layer t - 1
+    for table in live:
+        starts.append(starts[-1] + table._nrows[0] + 1)
+    for t in range(1, tables[0].max_length + 1):
+        if prev.dtype != object and prev.max() >= 1 << 61:
+            prev = np.empty(prev.size, dtype=object)
+            for table, r in zip(live, starts):
+                prev[r * stride : (r + table._nrows[t - 1] + 1) * stride] = table._vals[-1]
+        live = [table for table in live if table.max_length >= t]
+        rows = [table._nrows[t] + 1 for table in live]
+        succ = np.frombuffer(b"".join([table._succ[t] for table in live]), dtype=_ROW_CODE).reshape(-1, 4).T
+        succ = succ.astype(np.intp)
+        succ += np.repeat(starts[: len(live)], rows)
+        succ *= stride  # succ[d][r]: the offset of the row move d leads to from r
+        acc = None  # acc[i][r]: column i's cell of row r
+        for moves, classes in terms:
+            idx = succ[moves]
+            idx += classes[:, None]
+            g = prev.take(idx)
+            if acc is None:
+                acc = g
+            else:
+                acc[: len(classes)] += g
+        slab = np.zeros((sum(rows), stride), dtype=prev.dtype)
+        slab[:, cols] = acc.T
+        starts = [0]
+        for table, n in zip(live, rows):
+            table._vals.append(slab[starts[-1] : starts[-1] + n].ravel().tolist())
+            starts.append(starts[-1] + n)
+        prev = slab.ravel()
 
 
 def build_table(

@@ -17,7 +17,7 @@ from sawkit.aztec import (
     _cache_path,
     _decode_layer,
     _encode_layer,
-    _load_cached_table,
+    _load_cached_layers,
     _store_cached_table,
     anchor_vertex,
     arc_gap,
@@ -33,7 +33,8 @@ from sawkit.aztec import (
     staircase_partition,
     width_certificate,
 )
-from sawkit.counting import CountTable, ResourceLimitError
+from sawkit.cli import main
+from sawkit.counting import CountTable, ResourceLimitError, _family_bytes
 from sawkit.glauber import enumerate_omega
 from sawkit.lattice import LatticeBox, Point, Walk
 from sawkit.sampling import RngStream
@@ -293,10 +294,11 @@ def test_cached_tables_unrank_as_cold_ones(tmp_path, monkeypatch):
     params = OmegaParams(2, 0.5)
     cold = partition_family(3, params, girth=2, cache_dir=str(tmp_path))
 
-    def no_build(self):
-        raise AssertionError("a table was built, not loaded")
+    def no_build(tables):
+        if tables:
+            raise AssertionError("a table was built, not loaded")
 
-    monkeypatch.setattr(CountTable, "_build_layers", no_build)
+    monkeypatch.setattr("sawkit.aztec.fill_tables", no_build)
     warm = partition_family(3, params, girth=2, cache_dir=str(tmp_path))
     assert _family_key(warm) == _family_key(cold)
     for a, b in zip(cold, warm):
@@ -358,7 +360,8 @@ def test_table_cache_foreign_file_is_a_miss(tmp_path, plant):
     try:
         for t in tables:
             path = _cache_path(str(tmp_path), 2, 2, params.budget(2), t.target)
-            assert _load_cached_table(path, t.region, t.target, 2, t.lengths, t.sources) is None
+            sized = CountTable.sized(t.region, t.target, 2, t.lengths, sources=t.sources)
+            assert not _load_cached_layers(path, sized)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -383,8 +386,8 @@ def test_table_cache_concurrent_stores(tmp_path, monkeypatch):
     monkeypatch.setattr("sawkit.aztec.os.replace", interleaved)
     _store_cached_table(path, table)
     assert list(tmp_path.iterdir()) == [Path(path)]
-    loaded = _load_cached_table(path, table.region, table.target, 2, table.lengths, table.sources)
-    assert loaded is not None and loaded.export_layers() == table.export_layers()
+    loaded = CountTable.sized(table.region, table.target, 2, table.lengths, sources=table.sources)
+    assert _load_cached_layers(path, loaded) and loaded.export_layers() == table.export_layers()
 
 
 @pytest.mark.parametrize("width", [0, 1, 3, 8, 9, 17])
@@ -431,6 +434,41 @@ def test_cache_load_checks_the_memory_cap(tmp_path):
     partition_family(k, params, girth=2, cache_dir=str(tmp_path))
     with pytest.raises(ResourceLimitError):
         partition_family(k, params, girth=2, cache_dir=str(tmp_path), memory_cap=small)
+
+
+def test_memory_cap_bounds_the_family(monkeypatch, tmp_path):
+    """A cap above every table's own estimate but below the family's refuses the family, before any geometry."""
+    k, params = 3, OmegaParams(2, 0.5)
+    tables = _tables(partition_family(k, params, girth=2))
+    largest, family = max(t._estimate_bytes() for t in tables), _family_bytes(tables)
+    assert largest < family
+    cap = (largest + family) // 2
+
+    def no_geometry(self):
+        raise AssertionError("geometry built before the family's memory cap check")
+
+    monkeypatch.setattr(CountTable, "_build_geometry", no_geometry)
+    with pytest.raises(ResourceLimitError, match="tables"):
+        partition_family(k, params, girth=2, memory_cap=cap)
+    argv = ["aztec", "sample", "--k", "3", "--C", "2", "--eps", "0.5", "--l", "2", "--seed", "1",
+            "--out", str(tmp_path / "out"), "--memory-cap", str(cap)]
+    assert main(argv) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_cache_hits_are_sized_once(tmp_path, monkeypatch):
+    params = OmegaParams(2, 0.5)
+    tables = _tables(partition_family(3, params, girth=2, cache_dir=str(tmp_path)))
+    sized = []
+    size_layers = CountTable._size_layers
+
+    def counted(self):
+        sized.append(self.target)
+        size_layers(self)
+
+    monkeypatch.setattr(CountTable, "_size_layers", counted)
+    partition_family(3, params, girth=2, cache_dir=str(tmp_path))
+    assert sized == [t.target for t in tables]
 
 
 def test_no_cache_dir_reads_no_environment(tmp_path, monkeypatch):

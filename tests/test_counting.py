@@ -19,7 +19,9 @@ from sawkit.counting import (
     CountTable,
     ResourceLimitError,
     TableDomainError,
+    _family_bytes,
     build_table,
+    fill_tables,
     window_automaton,
 )
 from sawkit.lattice import DIRECTIONS, MOVES, FullLattice, LatticeBox, Point, PointSetRegion
@@ -128,6 +130,25 @@ def test_memory_estimate_bounds_tracemalloc_peak(target, k):
     assert est <= 2.5 * peak
     with pytest.raises(ResourceLimitError):
         build_table(Z, (0, 0), target, 2, k, memory_cap=est - 1)
+
+
+def _family_tables(k, c, girth=2):
+    """The distinct tables of a cold Aztec family, in family order."""
+    fam = partition_family(k, OmegaParams(c, 0.5), girth=girth)
+    return list({id(e.table): e.table for e in fam}.values())
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("c", [2, 3])
+def test_family_memory_estimate_bounds_tracemalloc_peak(k, c):
+    partition_family(k, OmegaParams(c, 0.5), girth=2)  # the window automaton and numpy load outside the measurement
+    tracemalloc.start()
+    try:
+        tables = _family_tables(k, c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= _family_bytes(tables)
 
 
 def test_memory_cap_refusal_allocates_little():
@@ -426,6 +447,42 @@ def test_layers_match_four_gather_reference(make):
     layers = _assert_layers_match_reference(table)
     if table.girth == 2:  # cells reach 2**61 (first at t=58), so the build switches to object slabs
         assert max(map(max, layers)) >= 1 << 61
+
+
+@pytest.mark.parametrize("girth", [1, 2, 3])
+@pytest.mark.parametrize("c", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_family_layers_match_four_gather_reference(k, c, girth):
+    tables = _family_tables(k, c, girth)
+    assert tables
+    for table in tables:
+        _assert_layers_match_reference(table)
+
+
+def test_stacked_fill_matches_each_table_built_alone():
+    # (target, extra) from the origin at girth 2: a block that reaches 2**61 at t=58, one
+    # that reaches it at t=46 and ends at t=60 (so the first is switched to object early),
+    # and one that ends at t=5
+    specs = [((30, 30), 2), ((5, 3), 26), ((2, 1), 1)]
+    alone = [build_table(Z, (0, 0), target, 2, extra) for target, extra in specs]
+    family = [CountTable.sized(Z, t.target, 2, t.lengths, sources=t.sources) for t in alone]
+    fill_tables(family)
+    for table, lone in zip(family, alone):
+        assert _assert_layers_match_reference(table) == lone.export_layers()
+    firsts = [next((t for t, layer in enumerate(table.export_layers()) if max(layer) >= 1 << 61), None)
+              for table in family]
+    assert firsts == [58, 46, None]
+    assert [table.max_length for table in family] == [64, 60, 5]
+
+
+def test_family_of_mixed_girths_is_refused(monkeypatch):
+    def no_geometry(self):
+        raise AssertionError("geometry built for a refused family")
+
+    monkeypatch.setattr(CountTable, "_build_geometry", no_geometry)
+    tables = [CountTable.sized(Z, (3, 2), girth, (5, 7), sources=[(0, 0)]) for girth in (2, 1)]
+    with pytest.raises(ValueError, match="girth"):
+        fill_tables(tables)
 
 
 def _assert_setup_matches_reference(table):
