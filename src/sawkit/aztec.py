@@ -47,10 +47,6 @@ exhaustively on Omega for k <= 4 in tests/test_aztec.py), and a third lets
 """
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -62,12 +58,6 @@ from .sampling import Family, RngStream, SampleReport, SamplingBudgetError, draw
 # Unused here: perfbench's tracer patches this name on aztec.  It goes, and
 # sample_length_then_walk with it, when the tracer times draw_family instead.
 from .sampling import sample_length_then_walk  # noqa: F401
-
-_CACHE_MAGIC = "sawkit-aztec-table"
-# 6: the header pins the sources; tables built for the starts and lengths of one target's cells
-_CACHE_VERSION = 6
-# Cells encoded per join when a layer is written as fixed-width bytes.
-_ENCODE_CELLS = 4096
 
 
 class AztecRegion(Region):
@@ -531,113 +521,6 @@ def staircase_partition(k: int) -> Partition:
 # -- Algorithm-4 sampling -------------------------------------------------------
 
 
-def _cache_path(cache_dir: str, k: int, girth: int, budget: int, target: Point) -> str:
-    return os.path.join(cache_dir, f"aztec-k{k}-l{girth}-b{budget}-t{target.x}_{target.y}.layers")
-
-
-def _cache_header(k: int, girth: int, lengths, target: Point, sources) -> dict:
-    return {
-        "magic": _CACHE_MAGIC,
-        "version": _CACHE_VERSION,
-        "k": k,
-        "girth": girth,
-        "lengths": list(lengths),
-        "endpoint": list(target),
-        "sources": [list(s) for s in sources],
-    }
-
-
-def _encode_layer(values: list[int]) -> tuple[int, bytes]:
-    """Nonnegative ints as (width, blob), ``width`` little-endian bytes per cell, ``_ENCODE_CELLS`` per join."""
-    width = (max(values).bit_length() + 7) // 8
-    blob = b"".join(
-        [
-            b"".join([v.to_bytes(width, "little") for v in values[i : i + _ENCODE_CELLS]])
-            for i in range(0, len(values), _ENCODE_CELLS)
-        ]
-    )
-    return width, blob
-
-
-def _decode_layer(width: int, cells: int, blob: bytes) -> list[int]:
-    """The ints of ``_encode_layer``'s blob: 8-byte limbs decoded by numpy, joined by shifts."""
-    import numpy as np
-
-    if len(blob) != cells * width:
-        raise ValueError(f"blob of {len(blob)} bytes is not {cells} cells of {width} bytes")
-    limbs = max(1, -(-width // 8))
-    padded = np.zeros((cells, 8 * limbs), dtype=np.uint8)
-    padded[:, :width] = np.frombuffer(blob, dtype=np.uint8).reshape(cells, width)
-    words = padded.view("<u8")
-    out = words[:, limbs - 1].tolist()
-    for j in range(limbs - 2, -1, -1):
-        out = [hi << 64 | lo for hi, lo in zip(out, words[:, j].tolist())]
-    return out
-
-
-def _load_cached_layers(path: str, table: CountTable) -> bool:
-    """Give a sized table the layers cached at path; False (a miss) for a
-    missing, unreadable, stale, malformed or corrupted file.
-
-    The file is one JSON header line, whose ``layers`` entry gives each
-    layer's [width, cells] and whose ``sha256`` entry is the digest of the
-    layers' bytes, followed by those bytes and nothing else.  Every
-    layer's cell count must be the table's before any blob is read, so no
-    header makes the load allocate more than the file holds; the caller
-    has checked the memory cap.
-    """
-    header_want = _cache_header(table.region.k, table.girth, table.lengths, table.target, table.sources)
-    try:
-        with open(path, "rb") as fh:
-            header = json.loads(fh.readline())
-            if not isinstance(header, dict):
-                return False
-            shapes, digest = header.pop("layers", None), header.pop("sha256", None)
-            if header != header_want or not isinstance(shapes, list):
-                return False
-            if len(shapes) != table.max_length + 1 or not all(
-                isinstance(s, list) and len(s) == 2 and all(type(v) is int and v >= 0 for v in s) for s in shapes
-            ):
-                return False
-            if any(n != table._cells(t) for t, (_, n) in enumerate(shapes)):
-                return False
-            if os.fstat(fh.fileno()).st_size - fh.tell() != sum(w * n for w, n in shapes):
-                return False  # a short blob or trailing bytes
-            blobs = [fh.read(w * n) for w, n in shapes]
-    except (OSError, ValueError, RecursionError):  # RecursionError: a deeply nested header
-        return False
-    if _layers_digest(blobs) != digest:
-        return False  # a flipped byte passes every check above and skews the counts
-    table._load(lambda t, cells: _decode_layer(shapes[t][0], cells, blobs[t]))
-    return True
-
-
-def _layers_digest(blobs: list[bytes]) -> str:
-    h = hashlib.sha256()
-    for blob in blobs:
-        h.update(blob)
-    return h.hexdigest()
-
-
-def _store_cached_table(path: str, table: CountTable) -> None:
-    """Write the table's layers to path by renaming a whole temp file of this writer's own onto it."""
-    layers = table.export_layers()
-    encoded = [_encode_layer(values) for values in layers]
-    header = _cache_header(table.region.k, table.girth, table.lengths, table.target, table.sources)
-    header["layers"] = [[width, len(values)] for (width, _), values in zip(encoded, layers)]
-    header["sha256"] = _layers_digest([blob for _, blob in encoded])
-    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp", dir=os.path.dirname(path))
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-            for _, blob in encoded:
-                fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 def _boundary_position(k: int, p: Point) -> int:
     """Index of a boundary point counterclockwise around the diamond from (k, 0)."""
     x, y = p
@@ -692,22 +575,22 @@ def partition_family(
     Each target t with a cell gets one table over the interior plus t,
     built for its cells: their starts are its sources and their lengths
     its lengths.  A target without cells, the smallest boundary point
-    among them, gets no table.  Per-table layers are cached on disk when a
-    cache dir is given (``cache_dir=None`` means no cache).
+    among them, gets no table.
 
     Every table is sized first, and ``memory_cap`` bounds the family as a
     whole: the sum of the tables' estimates with the stacked fill's
     largest working set (``counting.check_memory_cap``), so a family over
-    the cap raises ResourceLimitError before any table is built or
-    loaded.  Cache hits are then loaded into their sized tables, and the
-    misses are built by one ``fill_tables`` call and stored.
+    the cap raises ResourceLimitError before any table is built.  One
+    ``fill_tables`` call then builds them all.
+
+    ``cache_dir`` is ignored: nothing is cached on disk, as a cold family
+    builds faster than the old cache loaded it.  The keyword stays only
+    for perfbench's aztec-k8 workload, which still passes it.
     """
     budget = params.budget(k)
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
     bpts = boundary_vertices(k)
     raw_entries = []
-    tables = []  # (sized table, cache path or None) per target with cells
+    tables = []  # one sized table per target with cells
     for i, target in enumerate(bpts[1:], 1):
         region = _InteriorRegion(k, target)
         cells = []
@@ -727,14 +610,10 @@ def partition_family(
         sources = tuple(sorted({start for _, start, _ in cells}))
         lengths = tuple(sorted({length for _, _, length in cells}))
         table = CountTable.sized(region, target, girth, lengths, sources=sources)
-        tables.append((table, _cache_path(cache_dir, k, girth, budget, target) if cache_dir else None))
+        tables.append(table)
         raw_entries += [(label, table, start, length) for label, start, length in cells]
-    check_memory_cap([table for table, _ in tables], memory_cap)
-    misses = [(table, path) for table, path in tables if not (path and _load_cached_layers(path, table))]
-    fill_tables([table for table, _ in misses])
-    for table, path in misses:
-        if path:
-            _store_cached_table(path, table)
+    check_memory_cap(tables, memory_cap)
+    fill_tables(tables)
     return make_family(raw_entries)
 
 

@@ -5,9 +5,9 @@ Exit codes: 0 success, 1 usage error, 2 resource error (memory cap),
 given --out, write their outputs next to a manifest.json recording the
 full configuration; `sawkit rerun manifest.json --out DIR` checks the
 manifest and reproduces the outputs byte for byte.  --memory-cap bounds
-the estimated size of a DP table; a table over it exits 2.  The
-environment is read in one place: SAWKIT_CACHE_DIR is the default of
-`aztec sample --cache-dir`.
+the estimated size of all the DP tables of one command, a whole family
+of them for `aztec sample`; tables over it exit 2 before any is built.
+sawkit reads no environment variable.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .render import render_partition_svg, render_walk_svg
 from .sampling import RngStream, SamplingBudgetError, sample_saw
 from .paths import base_path, bump
 
-CACHE_ENV = "SAWKIT_CACHE_DIR"
 # The params each sampling command records in its manifest: its option dests.
 _MANIFEST_PARAMS = {
     ("sample", "saw"): ("n1", "n2", "k", "l", "seed", "count", "format", "max_attempts", "region"),
@@ -101,12 +100,19 @@ def _emit(args, command: tuple[str, str], files: dict[str, str], name: str, line
     print(f"wrote {len(files)} files to {args.out}{note}")
 
 
+def _check_memory_cap(args) -> None:
+    """Refuse a memory cap no table fits under, before any table is sized."""
+    if args.memory_cap < 1:
+        raise ValueError(f"--memory-cap must be >= 1, got {args.memory_cap}")
+
+
 def _check_sampling(args) -> None:
-    """Refuse a sample count or attempt budget no run can meet, before any table is built."""
+    """Refuse a sample count, attempt budget or memory cap no run can meet, before any table is built."""
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
     if args.max_attempts < 1:
         raise ValueError(f"--max-attempts must be >= 1, got {args.max_attempts}")
+    _check_memory_cap(args)
 
 
 def _walk_json(walk: Walk, attempts: int) -> dict:
@@ -129,6 +135,7 @@ def _cmd_count_walks(args) -> int:
 
 
 def _cmd_count_low_girth(args) -> int:
+    _check_memory_cap(args)
     region = _parse_region(args.region)
     if args.origin is None:
         origin = Point(0, 0)
@@ -189,8 +196,7 @@ def _cmd_aztec_sample(args) -> int:
     _check_sampling(args)
     params = OmegaParams(args.C, args.eps)
     rng = RngStream(args.seed)
-    family = partition_family(args.k, params, args.l, cache_dir=args.cache_dir,
-                              memory_cap=args.memory_cap)
+    family = partition_family(args.k, params, args.l, memory_cap=args.memory_cap)
     results = []
     for i in range(args.count):
         part, rep = sample_partition(args.k, params, args.l, rng.substream(i),
@@ -349,12 +355,18 @@ def _cmd_rerun(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+def _add_memory_cap(p) -> None:
+    p.add_argument("--memory-cap", type=int, default=DEFAULT_MEMORY_CAP, dest="memory_cap",
+                   help="bytes the estimated DP tables of the command may take, all together "
+                        f"(default {DEFAULT_MEMORY_CAP}); over it the command exits 2 before building any")
+
+
 def _add_common_sampling(p, with_region=True) -> None:
     p.add_argument("--seed", type=int, required=True, help="rng seed (required)")
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--max-attempts", type=int, default=1000, dest="max_attempts")
     p.add_argument("--out", default=None, help="output directory (writes manifest.json)")
-    p.add_argument("--memory-cap", type=int, default=DEFAULT_MEMORY_CAP, dest="memory_cap")
+    _add_memory_cap(p)
     if with_region:
         p.add_argument("--region", default="full")
 
@@ -377,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     cl.add_argument("--l", type=int, required=True)
     cl.add_argument("--region", default="full")
     cl.add_argument("--origin", default=None)
-    cl.add_argument("--memory-cap", type=int, default=DEFAULT_MEMORY_CAP, dest="memory_cap")
+    _add_memory_cap(cl)
     cl.set_defaults(run=_cmd_count_low_girth)
 
     paths = sub.add_parser("paths", help="base paths and bumping").add_subparsers(dest="sub", required=True)
@@ -406,9 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     az.add_argument("--eps", type=float, required=True)
     az.add_argument("--l", type=int, required=True)
     az.add_argument("--format", choices=("json", "svg"), default="json")
-    az.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV), dest="cache_dir",
-                    help=f"directory caching the DP tables across runs (default: ${CACHE_ENV}; "
-                         "unset means no cache)")
     _add_common_sampling(az, with_region=False)
     az.set_defaults(run=_cmd_aztec_sample)
 

@@ -32,7 +32,7 @@ or ``build_table``, is a family of one through the same code.
 The tables are filled together by remaining-steps layer (layer t reads
 only layer t-1).  A table's layer t is one block of a dense slab of exact
 integers: a row for every point the rule puts in the layer, a column for
-every class, and one zero row (the block's last) and one zero column.
+every class, and one zero row (the block's last).
 Layer t of every table of the family is one slab, its blocks stacked, and
 one set of numpy operations fills it.  The plan gives each layer t >= 1
 its successor rows: for each row and move, the row of layer t-1 the move
@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from collections.abc import Callable
 
 from .lattice import DIRECTIONS, MOVES, LatticeBox, Point, Region, manhattan
 
@@ -213,15 +212,11 @@ class CountTable:
     same rows, as each step splits its state's count among the successors.
 
     ``CountTable(...)`` sizes the table, checks it against ``memory_cap``
-    and fills it as a family of one.  ``CountTable.sized`` only sizes it,
-    so that a family can check its total estimate before building any.
-
-    Finished layers have one storage form, a flat list of ints, whether
-    built or passed in: ``layers(t, cells)``, when given, returns layer
-    t's cells in place of the fill, and a list that is not ``cells``
-    long raises ValueError.  A table whose estimate exceeds
-    ``memory_cap`` raises ResourceLimitError, before anything per point
-    is allocated and before ``layers`` is called.
+    and fills it as a family of one, a finished layer being a flat list of
+    ints.  A table whose estimate exceeds ``memory_cap`` raises
+    ResourceLimitError, before anything per point is allocated.
+    ``CountTable.sized`` only sizes it, so that a family can check its
+    total estimate before building any.
     """
 
     def __init__(
@@ -233,21 +228,16 @@ class CountTable:
         *,
         sources,
         memory_cap: int = DEFAULT_MEMORY_CAP,
-        layers: Callable[[int, int], list[int]] | None = None,
     ):
         self._size(region, target, girth, lengths, sources)
         check_memory_cap([self], memory_cap)
-        if layers is None:
-            fill_tables([self])
-        else:
-            self._load(layers)
+        fill_tables([self])
 
     @classmethod
     def sized(cls, region: Region, target: Point, girth: int, lengths, *, sources) -> CountTable:
         """A table validated and sized but not built, for a family to size all its tables first.
 
-        ``check_memory_cap`` reads its estimate; ``fill_tables`` builds it,
-        or ``_load`` takes its layers.
+        ``check_memory_cap`` reads its estimate; ``fill_tables`` builds it.
         """
         table = cls.__new__(cls)
         table._size(region, target, girth, lengths, sources)
@@ -282,17 +272,6 @@ class CountTable:
         margin = max(0, (self.max_length - self._dist_range[0]) // 2)
         self.box = LatticeBox(Point(min(xs), min(ys)), Point(max(xs), max(ys))).expand(margin)
         self._size_layers()
-
-    def _load(self, layers: Callable[[int, int], list[int]]) -> None:
-        """Plan the table and take layer t from ``layers(t, cells)`` in place of the fill."""
-        self._plan_rows(self._build_geometry())
-        self._vals = []
-        for t in range(self.max_length + 1):
-            cells = self._cells(t)
-            vals = layers(t, cells)
-            if len(vals) != cells:
-                raise ValueError(f"layer {t} has {len(vals)} cells, expected {cells}")
-            self._vals.append(vals)
 
     @property
     def origin(self) -> Point:
@@ -344,8 +323,7 @@ class CountTable:
         pids, ``_band[t]``: the points of t's parity with t - max_length +
         D_min <= d <= max_length + D_max - t, D_min and D_max the least
         and greatest source-target distance.  Every layer has a column per
-        class, class c in column c; the last column (the colliding-step
-        index ``classes``) is zero, as is the last row.
+        class, class c in column c, and its last row is zero.
         """
         import numpy as np
 
@@ -386,7 +364,7 @@ class CountTable:
             self._band.append((first[lo], first[hi] + per_d[hi]) if lo <= hi else (0, 0))
 
     def _cells(self, t: int) -> int:
-        return (self._nrows[t] + 1) * (self.auto.classes + 1)
+        return (self._nrows[t] + 1) * self.auto.classes
 
     def _estimate_bytes(self) -> int:
         """Upper bound on the heap bytes of the build: the estimate of a family of one."""
@@ -487,7 +465,7 @@ class CountTable:
         return rows[i] if 0 <= i < len(rows) else rows[-1]
 
     def _cell(self, t: int, p: int, c: int) -> int:
-        return self._vals[t][self._row(t, p) * (self.auto.classes + 1) + c]
+        return self._vals[t][self._row(t, p) * self.auto.classes + c]
 
     def counts(self) -> dict[int, int]:
         """Walk count for every covered length, from the table's one source."""
@@ -571,7 +549,7 @@ class CountTable:
 
     def _unrank(self, start: Point, length: int, index: int) -> str:
         """``unrank``'s descent, for a caller that has already counted the start: 0 <= index < count."""
-        trans, all_succ, all_vals, stride = self.auto.trans, self._succ, self._vals, self.auto.classes + 1
+        trans, all_succ, all_vals, stride = self.auto.trans, self._succ, self._vals, self.auto.classes
         row, c = self._row(length, self._pid[start]), self.auto.empty_class
         codes = bytearray()
         for t in range(length, 0, -1):
@@ -588,10 +566,8 @@ class CountTable:
             row, c = r, c2
         return codes.translate(_MOVE_CHARS).decode()
 
-    # -- persistence -----------------------------------------------------------
-
     def export_layers(self) -> list[list[int]]:
-        """Every layer's flat cells (row-major, zero row and column last)."""
+        """Every layer's flat cells (row-major, zero row last)."""
         return list(self._vals)
 
 
@@ -620,7 +596,7 @@ def check_memory_cap(tables, memory_cap: int) -> None:
         cells = sum(table._cells(t) for table in tables for t in range(table.max_length + 1))
         what = "table size" if len(tables) == 1 else f"size of {len(tables)} tables"
         raise ResourceLimitError(
-            f"estimated {what} {est_bytes/1e9:.2f} GB exceeds memory cap {memory_cap/1e9:.2f} GB "
+            f"estimated {what} {est_bytes:,} bytes exceeds memory cap {memory_cap:,} bytes "
             f"(girth l={tables[0].girth}, {cells} cells)"
         )
 
@@ -668,7 +644,7 @@ def fill_tables(tables) -> None:
         table._plan_rows(table._build_geometry())
     auto = tables[0].auto
     trans = auto.trans
-    stride = auto.classes + 1
+    stride = auto.classes
     order = sorted(range(auto.classes), key=lambda c: -len(trans[c]))
     cols = np.array([c for c in order if trans[c]], dtype=np.intp)  # column i holds class cols[i]
     terms = []  # term j: the move and the next class of each column's j-th successor
@@ -676,7 +652,7 @@ def fill_tables(tables) -> None:
         pairs = [trans[c][j] for c in order if len(trans[c]) > j]
         terms.append((np.array([d for d, _ in pairs], dtype=np.intp), np.array([c2 for _, c2 in pairs], dtype=np.intp)))
     for table in tables:  # the target's row, if layer 0 holds it: the empty walk has arrived
-        table._vals = [([1] * auto.classes + [0]) * table._nrows[0] + [0] * stride]
+        table._vals = [[1] * (stride * table._nrows[0]) + [0] * stride]
     live = tables
     prev = np.array([v for table in live for v in table._vals[0]], dtype=np.int64)
     starts = [0]  # first row of each live block in layer t - 1

@@ -1,12 +1,6 @@
-import hashlib
-import json
 import math
-import os
-import pickle
-import tracemalloc
 from collections import Counter
 from functools import cache
-from pathlib import Path
 from statistics import NormalDist
 
 import pytest
@@ -14,11 +8,6 @@ import pytest
 from sawkit.aztec import (
     AztecRegion,
     OmegaParams,
-    _cache_path,
-    _decode_layer,
-    _encode_layer,
-    _load_cached_layers,
-    _store_cached_table,
     anchor_vertex,
     arc_gap,
     boundary_vertices,
@@ -204,17 +193,6 @@ def _tables(fam):
     return list({id(e.table): e.table for e in fam}.values())
 
 
-def test_cache_holds_one_file_per_table_the_family_reads(tmp_path):
-    k, params = 2, OmegaParams(2, 0.5)
-    fam = partition_family(k, params, girth=2, cache_dir=str(tmp_path))
-    files = sorted(f.name for f in tmp_path.iterdir())
-    want = sorted(Path(_cache_path(str(tmp_path), k, 2, params.budget(k), t.target)).name for t in _tables(fam))
-    assert files == want and len(files) == 6
-    # the smallest boundary point has no smaller start; (-1, -1) has no in-budget cell
-    for t in (boundary_vertices(k)[0], Point(-1, -1)):
-        assert not any(f.endswith(f"-t{t.x}_{t.y}.layers") for f in files)
-
-
 @cache
 def _omega(k, C):
     return enumerate_omega(k, OmegaParams(C, 0.5))
@@ -276,166 +254,6 @@ def test_acceptance_is_omega_over_family_weight(k, C, girth, weight, size):
     assert lo <= size / weight <= hi
 
 
-def _family_key(fam):
-    return [(e.label, e.length, e.count) for e in fam]
-
-
-def test_table_cache_round_trip(tmp_path):
-    params = OmegaParams(2, 0.5)
-    fam1 = partition_family(2, params, girth=2, cache_dir=str(tmp_path))
-    files = list(tmp_path.iterdir())
-    assert files and all(f.suffix == ".layers" for f in files)
-    fam2 = partition_family(2, params, girth=2, cache_dir=str(tmp_path))
-    assert _family_key(fam1) == _family_key(fam2)
-
-
-def test_cached_tables_unrank_as_cold_ones(tmp_path, monkeypatch):
-    """A family loaded from the disk cache gives every index of every cell the cold family's walk."""
-    params = OmegaParams(2, 0.5)
-    cold = partition_family(3, params, girth=2, cache_dir=str(tmp_path))
-
-    def no_build(tables):
-        if tables:
-            raise AssertionError("a table was built, not loaded")
-
-    monkeypatch.setattr("sawkit.aztec.fill_tables", no_build)
-    warm = partition_family(3, params, girth=2, cache_dir=str(tmp_path))
-    assert _family_key(warm) == _family_key(cold)
-    for a, b in zip(cold, warm):
-        for index in range(a.count):
-            assert b.table.unrank(b.start, b.length, index) == a.table.unrank(a.start, a.length, index)
-
-
-def _plant(f, plant):
-    """Rewrite one cache file the way ``plant`` names."""
-    data = f.read_bytes()
-    head, _, blobs = data.partition(b"\n")
-    header = json.loads(head)
-    if plant == "non-json":
-        data = b"\x80not json\n" + blobs
-    elif plant == "non-dict":
-        data = b"[1, 2]\n" + blobs
-    elif plant.startswith("version-"):
-        header["version"] = int(plant.split("-")[1])
-        data = json.dumps(header).encode() + b"\n" + blobs
-    elif plant == "sources":  # one source moved, shapes and layer bytes unchanged
-        header["sources"][-1] = [99, 99]
-        data = json.dumps(header).encode() + b"\n" + blobs
-    elif plant == "truncated":
-        data = data[:-1]
-    elif plant == "trailing":
-        data = data + b"\0"
-    elif plant == "cells":  # one cell fewer in the last layer, its blob shortened to match
-        width, cells = header["layers"][-1]
-        header["layers"][-1] = [width, cells - 1]
-        data = json.dumps(header).encode() + b"\n" + blobs[: len(blobs) - width]
-    elif plant == "flipped":  # one byte inside the layer bytes, shapes and size unchanged
-        mid = len(blobs) // 2
-        data = head + b"\n" + blobs[:mid] + bytes([blobs[mid] ^ 0xFF]) + blobs[mid + 1 :]
-    elif plant == "huge-cells":  # the last layer claims 10**12 cells of 0 bytes, its bytes dropped, digest matched
-        width, cells = header["layers"][-1]
-        header["layers"][-1] = [0, 10**12]
-        blobs = blobs[: len(blobs) - width * cells]
-        header["sha256"] = hashlib.sha256(blobs).hexdigest()
-        data = json.dumps(header).encode() + b"\n" + blobs
-    f.write_bytes(data)
-
-
-@pytest.mark.parametrize(
-    "plant",
-    [
-        "non-json", "non-dict", "version-1", "version-2", "version-3", "version-4", "version-5", "sources",
-        "truncated", "trailing", "cells", "flipped", "huge-cells",
-    ],
-)
-def test_table_cache_foreign_file_is_a_miss(tmp_path, plant):
-    params = OmegaParams(2, 0.5)
-    want = _family_key(partition_family(2, params, girth=2))
-    tables = _tables(partition_family(2, params, girth=2, cache_dir=str(tmp_path)))
-    files = sorted(tmp_path.iterdir())
-    stored = {f: f.read_bytes() for f in files}
-    for f in files:
-        _plant(f, plant)
-    tracemalloc.start()
-    try:
-        for t in tables:
-            path = _cache_path(str(tmp_path), 2, 2, params.budget(2), t.target)
-            sized = CountTable.sized(t.region, t.target, 2, t.lengths, sources=t.sources)
-            assert not _load_cached_layers(path, sized)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20  # a miss decodes nothing the header claims beyond what the table expects
-    got = partition_family(2, params, girth=2, cache_dir=str(tmp_path))
-    assert _family_key(got) == want
-    assert sorted(tmp_path.iterdir()) == files  # the misses were rebuilt and stored again
-    assert {f: f.read_bytes() for f in files} == stored
-
-
-def test_table_cache_concurrent_stores(tmp_path, monkeypatch):
-    """A second store of one table between the first's write and its rename leaves both whole."""
-    table = _tables(partition_family(2, OmegaParams(2, 0.5), girth=2))[-1]
-    path = _cache_path(str(tmp_path), 2, 2, OmegaParams(2, 0.5).budget(2), table.target)
-    replace = os.replace
-
-    def interleaved(src, dst):
-        monkeypatch.setattr("sawkit.aztec.os.replace", replace)
-        _store_cached_table(path, table)
-        replace(src, dst)
-
-    monkeypatch.setattr("sawkit.aztec.os.replace", interleaved)
-    _store_cached_table(path, table)
-    assert list(tmp_path.iterdir()) == [Path(path)]
-    loaded = CountTable.sized(table.region, table.target, 2, table.lengths, sources=table.sources)
-    assert _load_cached_layers(path, loaded) and loaded.export_layers() == table.export_layers()
-
-
-@pytest.mark.parametrize("width", [0, 1, 3, 8, 9, 17])
-def test_layer_codec_round_trip(width):
-    top = (1 << 8 * width) - 1
-    values = [0, top, top >> 1, top // 3, top >> 4, min(top, 1)]
-    got_width, blob = _encode_layer(values)
-    assert got_width == width and len(blob) == width * len(values)
-    assert _decode_layer(width, len(values), blob) == values
-    with pytest.raises(ValueError, match="blob"):
-        _decode_layer(width or 1, len(values) + 1, blob)
-
-
-class _Plant:
-    """Unpickling this runs ``open(marker, "w")``."""
-
-    def __init__(self, marker):
-        self.marker = marker
-
-    def __reduce__(self):
-        return (open, (self.marker, "w"))
-
-
-def test_table_cache_never_runs_code(tmp_path):
-    params = OmegaParams(2, 0.5)
-    want = _family_key(partition_family(2, params, girth=2))
-    partition_family(2, params, girth=2, cache_dir=str(tmp_path))
-    marker = tmp_path.parent / (tmp_path.name + "-marker")
-    files = sorted(tmp_path.iterdir())
-    for f in files:
-        payload = pickle.dumps(_Plant(str(marker)))
-        f.write_bytes(payload)
-        f.with_suffix(".pkl").write_bytes(payload)  # the old cache's name as well
-    got = partition_family(2, params, girth=2, cache_dir=str(tmp_path))
-    assert not marker.exists()
-    assert _family_key(got) == want
-
-
-def test_cache_load_checks_the_memory_cap(tmp_path):
-    k, params = 2, OmegaParams(2, 0.5)
-    small = min(t._estimate_bytes() for t in _tables(partition_family(k, params, girth=2))) - 1
-    with pytest.raises(ResourceLimitError):
-        partition_family(k, params, girth=2, cache_dir=str(tmp_path / "cold"), memory_cap=small)
-    partition_family(k, params, girth=2, cache_dir=str(tmp_path))
-    with pytest.raises(ResourceLimitError):
-        partition_family(k, params, girth=2, cache_dir=str(tmp_path), memory_cap=small)
-
-
 def test_memory_cap_bounds_the_family(monkeypatch, tmp_path):
     """A cap above every table's own estimate but below the family's refuses the family, before any geometry."""
     k, params = 3, OmegaParams(2, 0.5)
@@ -454,27 +272,6 @@ def test_memory_cap_bounds_the_family(monkeypatch, tmp_path):
             "--out", str(tmp_path / "out"), "--memory-cap", str(cap)]
     assert main(argv) == 2
     assert not (tmp_path / "out").exists()
-
-
-def test_cache_hits_are_sized_once(tmp_path, monkeypatch):
-    params = OmegaParams(2, 0.5)
-    tables = _tables(partition_family(3, params, girth=2, cache_dir=str(tmp_path)))
-    sized = []
-    size_layers = CountTable._size_layers
-
-    def counted(self):
-        sized.append(self.target)
-        size_layers(self)
-
-    monkeypatch.setattr(CountTable, "_size_layers", counted)
-    partition_family(3, params, girth=2, cache_dir=str(tmp_path))
-    assert sized == [t.target for t in tables]
-
-
-def test_no_cache_dir_reads_no_environment(tmp_path, monkeypatch):
-    monkeypatch.setenv("SAWKIT_CACHE_DIR", str(tmp_path))
-    partition_family(2, OmegaParams(2, 0.5), girth=2, cache_dir=None)
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_boundary_vertices_sorted_count():

@@ -1,5 +1,6 @@
 import inspect
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -397,3 +398,39 @@ def test_malformed_arguments_name_the_rule(capsys, argv, message):
     err = _usage_error(capsys, argv)
     assert message in err and "unpack" not in err and "not covered" not in err and "int()" not in err
     assert "warning" not in err
+
+
+_COUNT_LOW_GIRTH = ["count", "low-girth", "--n1", "2", "--n2", "2", "--k", "1", "--l", "2"]
+_table_commands = pytest.mark.parametrize(
+    "argv", [_SAMPLE_SAW, _COUNT_LOW_GIRTH, _AZTEC_SAMPLE], ids=["sample-saw", "count-low-girth", "aztec-sample"]
+)
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@_table_commands
+def test_memory_cap_below_1_exits_1(capsys, monkeypatch, argv, cap):
+    """A cap no table fits under is a usage error, refused before any table is sized."""
+    def no_sizing(*args, **kwargs):
+        raise AssertionError("table sized before the --memory-cap check")
+
+    monkeypatch.setattr(CountTable, "_size", no_sizing)
+    err = _usage_error(capsys, argv + ["--memory-cap", cap])
+    assert err == f"error: --memory-cap must be >= 1, got {cap}\n"
+
+
+@_table_commands
+def test_memory_cap_message_tells_estimate_from_cap(capsys, argv):
+    """A cap one byte under the estimate exits 2, and the message's two sizes read apart."""
+    assert main(argv + ["--memory-cap", "1"]) == 2
+    est = int(re.search(r"estimated .* ([\d,]+) bytes exceeds", capsys.readouterr().err)[1].replace(",", ""))
+    assert main(argv + ["--memory-cap", str(est - 1)]) == 2
+    err = capsys.readouterr().err
+    assert f"{est:,} bytes exceeds memory cap {est - 1:,} bytes" in err
+    assert main(argv + ["--memory-cap", str(est)]) == 0
+
+
+def test_aztec_sample_reads_no_cache_environment(capsys, tmp_path, monkeypatch):
+    """The disk cache is gone: a SAWKIT_CACHE_DIR left in the environment is neither read nor written."""
+    monkeypatch.setenv("SAWKIT_CACHE_DIR", str(tmp_path))
+    assert main(["aztec", "sample", "--k", "2", "--C", "3", "--eps", "0.5", "--l", "2", "--seed", "1"]) == 0
+    assert list(tmp_path.iterdir()) == []

@@ -1,5 +1,5 @@
 """Tooling guards: no module of the package can load a serialized Python object or import scipy,
-``counting`` touches no files, and only ``lattice`` spells out the move order."""
+``counting`` and ``aztec`` touch no files, and only ``lattice`` spells out the move order."""
 
 import ast
 from pathlib import Path
@@ -34,8 +34,9 @@ def test_no_scipy_imports():
 
 
 def test_counting_touches_no_files():
-    # the table cache's file format, digest and temp files are aztec's alone
-    assert [f for f in _imports({"hashlib", "json", "os", "tempfile"}) if f.startswith("counting.py:")] == []
+    # the DP tables are built in memory only: neither the counts nor the family that reads them has a file format
+    found = _imports({"hashlib", "json", "os", "tempfile"})
+    assert [f for f in found if f.startswith(("counting.py:", "aztec.py:"))] == []
 
 
 # literals that spell the U, R, D, L move order, whose one home is lattice.MOVES
