@@ -2,27 +2,21 @@
 
 Each criterion returns (passed, details); ``run_criteria`` prints one
 PASS/FAIL line per criterion.  Statistical criteria use fixed seeds, so
-the whole suite is deterministic.  The two large calibration instances
-(n=200 and n=300 walk sampling, ``CALIBRATION_INSTANCES``) are recorded by
-``run_calibration`` in the packaged artifact ``src/sawkit/data/calibration.json``;
-criterion 4 checks that it records exactly those instances and that their
-rates are at least 0.5.  The run is seeded and exact, so it reproduces
-the file byte for byte (it takes about 7 s and 0.51 GB peak RSS on a
-2-vCPU machine).  Regenerate it with::
-
-    sawkit verify --calibration --write-calibration src/sawkit/data/calibration.json
+the whole suite is deterministic.  Criterion 4 runs the two large
+instances (n=200 and n=300 walk sampling, ``CALIBRATION_INSTANCES``) live
+and requires the exact number of attempts each seeded run takes, and a
+rate of at least 0.5; together they take about 2-3 s and 0.5 GB peak RSS
+on a 2-vCPU machine.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import random
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from math import comb
 
 from . import aztec, glauber, oracle
@@ -129,7 +123,7 @@ def criterion_3() -> tuple[bool, str]:
     return True, f"{cells} DP cells exact ({saw_cells} of them also equal the SAW count)"
 
 
-# -- 4: sandwich + acceptance monotone in l + recorded calibration ---------------
+# -- 4: sandwich + acceptance monotone in l + the large instances live ------------
 
 
 def _acceptance_rate(n1: int, n2: int, k: int, girth: int, draws: int, seed: int) -> tuple[float, int]:
@@ -143,60 +137,16 @@ def _acceptance_rate(n1: int, n2: int, k: int, girth: int, draws: int, seed: int
     return draws / attempts, attempts
 
 
-CALIBRATION_RESOURCE = "data/calibration.json"
-CALIBRATION_COMMAND = "sawkit verify --calibration --write-calibration src/sawkit/data/calibration.json"
 CALIBRATION_DRAWS = 2000
-# name, n1, n2, k, l, seed
+# name, n1, n2, k, l, seed, attempts.  n=300 takes k = ceil(300^0.55)/2 = 12, the smallest k
+# of that scale keeping l*delta > 1.  The seeded run is exact, so its attempt count is pinned.
 CALIBRATION_INSTANCES = (
-    ("saw-n200-k6-l2", 100, 100, 6, 2, 20240801),
-    ("saw-n300-k12-l2", 150, 150, 12, 2, 20240802),
+    ("saw-n200-k6-l2", 100, 100, 6, 2, 20240801, 2029),
+    ("saw-n300-k12-l2", 150, 150, 12, 2, 20240802, 2136),
 )
 
 
-def calibration_artifact() -> dict:
-    path = resources.files("sawkit").joinpath(CALIBRATION_RESOURCE)
-    with path.open() as fh:
-        return json.load(fh)
-
-
-def _calibration_mismatch(art) -> str | None:
-    """What in a recorded artifact disagrees with CALIBRATION_INSTANCES, if anything."""
-    if not isinstance(art, dict):
-        return f"artifact is a {type(art).__name__}, not an object"
-    want = [name for name, *_ in CALIBRATION_INSTANCES]
-    if sorted(art) != sorted(want):
-        return f"instances {sorted(art)}, expected {sorted(want)}"
-    for name, n1, n2, k, girth, seed in CALIBRATION_INSTANCES:
-        entry = art[name]
-        if not isinstance(entry, dict):
-            return f"{name}: entry is not an object"
-        expected = {"n1": n1, "n2": n2, "k": k, "l": girth, "seed": seed, "draws": CALIBRATION_DRAWS}
-        for key, value in expected.items():
-            if entry.get(key) != value:
-                return f"{name}: {key} = {entry.get(key)!r}, expected {value!r}"
-        attempts, rate = entry.get("attempts"), entry.get("rate")
-        if not isinstance(attempts, int) or attempts < CALIBRATION_DRAWS:
-            return f"{name}: attempts = {attempts!r}, expected an integer >= {CALIBRATION_DRAWS}"
-        if rate != round(CALIBRATION_DRAWS / attempts, 4):
-            return f"{name}: rate {rate!r} != draws/attempts = {round(CALIBRATION_DRAWS / attempts, 4)}"
-    return None
-
-
 def criterion_4() -> tuple[bool, str]:
-    # recorded calibration artifact: present and matching the defined instances
-    try:
-        art = calibration_artifact()
-    except (OSError, ValueError) as exc:
-        return False, (
-            f"calibration artifact sawkit/{CALIBRATION_RESOURCE} unreadable "
-            f"({type(exc).__name__}: {exc}); regenerate with `{CALIBRATION_COMMAND}`"
-        )
-    mismatch = _calibration_mismatch(art)
-    if mismatch is not None:
-        return False, (
-            f"calibration artifact sawkit/{CALIBRATION_RESOURCE} is stale ({mismatch}); "
-            f"regenerate with `{CALIBRATION_COMMAND}`"
-        )
     # sandwich P_k <= W_k^l on a desk-scale sweep
     for n1, n2 in ((1, 1), (2, 1), (2, 2), (3, 2), (4, 3), (1, 0), (5, 0)):
         n = n1 + n2
@@ -223,12 +173,16 @@ def criterion_4() -> tuple[bool, str]:
         sigma = math.sqrt(lo * (1 - lo) / draws + hi * (1 - hi) / draws)
         if hi < lo - 2 * sigma:
             return False, f"acceptance not monotone in l: {['%.3f' % r for r in rates]}"
-    # recorded calibration numbers
-    cal_ok = all(entry["rate"] >= 0.5 for entry in art.values())
-    cal_txt = ", ".join(f"{k}: rate {v['rate']:.3f}" for k, v in sorted(art.items()))
-    if not cal_ok:
-        return False, f"recorded calibration below 0.5 ({cal_txt})"
-    return True, f"sandwich exact; acceptance rates in l: {['%.3f' % r for r in rates]}; {cal_txt}"
+    # the large instances, live
+    cal = []
+    for name, n1, n2, k, girth, seed, pinned in CALIBRATION_INSTANCES:
+        rate, attempts = _acceptance_rate(n1, n2, k, girth, CALIBRATION_DRAWS, seed)
+        cal.append(f"{name}: rate {rate:.3f} ({attempts} attempts)")
+        if attempts != pinned:
+            return False, f"{cal[-1]}, expected {pinned} attempts"
+        if rate < 0.5:
+            return False, f"{cal[-1]} below 0.5"
+    return True, f"sandwich exact; acceptance rates in l: {['%.3f' % r for r in rates]}; {', '.join(cal)}"
 
 
 # -- 5: sampler uniformity --------------------------------------------------------
@@ -526,24 +480,3 @@ def run_criteria(selected=None, echo=print) -> list[CriterionResult]:
         results.append(result)
         echo(f"{'PASS' if passed else 'FAIL'}  criterion {number:2d}  {name}: {details}")
     return results
-
-
-# -- calibration -------------------------------------------------------------------------------
-
-
-def run_calibration() -> dict:
-    """Run the two large sampling instances live and report acceptance rates.
-
-    n=200: the (100,100) walk instance with k=6, l=2.  n=300: the (150,150)
-    instance with k = ceil(300^0.55)/2 = 12 and l=2 (the smallest k of that
-    scale keeping l*delta > 1).  Both are expected to accept at >= 0.5.
-    Each draws ``CALIBRATION_DRAWS`` walks, the count criterion 4 expects.
-    """
-    out = {}
-    for name, n1, n2, k, girth, seed in CALIBRATION_INSTANCES:
-        rate, attempts = _acceptance_rate(n1, n2, k, girth, CALIBRATION_DRAWS, seed)
-        out[name] = {
-            "n1": n1, "n2": n2, "k": k, "l": girth, "seed": seed,
-            "draws": CALIBRATION_DRAWS, "attempts": attempts, "rate": round(rate, 4),
-        }
-    return out

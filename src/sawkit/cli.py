@@ -297,18 +297,6 @@ def _cmd_render(args) -> int:
 def _cmd_verify(args) -> int:
     from . import acceptance
 
-    if args.calibration:
-        results = acceptance.run_calibration()
-        text = json.dumps(results, indent=2, sort_keys=True)
-        if args.write_calibration:
-            with open(args.write_calibration, "w") as fh:
-                fh.write(text + "\n")
-            print(f"wrote calibration to {args.write_calibration}")
-        else:
-            print(text)
-        return 0
-    if args.write_calibration is not None:
-        raise ValueError("--write-calibration: only meaningful with --calibration")
     try:
         selected = [int(x) for x in args.criteria.split(",")] if args.criteria else None
     except ValueError:
@@ -462,14 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     rn.add_argument("-o", "--output", default=None)
     rn.set_defaults(run=_cmd_render)
 
-    vf = sub.add_parser("verify", help="run the acceptance suite")
-    vf.add_argument("--criteria", default=None, help="comma-separated criterion numbers")
-    vf.add_argument("--calibration", action="store_true", help="run the slow calibration instances")
-    vf.add_argument(
-        "--write-calibration", default=None, dest="write_calibration", metavar="PATH",
-        help="with --calibration, write the results as JSON to PATH instead of stdout; "
-        "criterion 4 reads src/sawkit/data/calibration.json",
-    )
+    vf = sub.add_parser("verify", help="run the acceptance suite; criterion 4 samples the n=200 and n=300 walks live")
+    vf.add_argument("--criteria", default=None, help="comma-separated criterion numbers (default: all)")
     vf.set_defaults(run=_cmd_verify)
 
     rr = sub.add_parser("rerun", help="re-execute a sampling manifest")

@@ -366,10 +366,6 @@ class CountTable:
     def _cells(self, t: int) -> int:
         return (self._nrows[t] + 1) * self.auto.classes
 
-    def _estimate_bytes(self) -> int:
-        """Upper bound on the heap bytes of the build: the estimate of a family of one."""
-        return _family_bytes([self])
-
     def _retained_bytes(self) -> int:
         """Heap bytes of the table's build besides its share of the fill's working set.
 

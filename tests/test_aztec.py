@@ -258,7 +258,7 @@ def test_memory_cap_bounds_the_family(monkeypatch, tmp_path):
     """A cap above every table's own estimate but below the family's refuses the family, before any geometry."""
     k, params = 3, OmegaParams(2, 0.5)
     tables = _tables(partition_family(k, params, girth=2))
-    largest, family = max(t._estimate_bytes() for t in tables), _family_bytes(tables)
+    largest, family = max(_family_bytes([t]) for t in tables), _family_bytes(tables)
     assert largest < family
     cap = (largest + family) // 2
 

@@ -323,21 +323,15 @@ def test_negative_size_exits_1(capsys, tmp_path, argv, message):
     assert captured.out == "" and not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["--write-calibration"], ids=["write-calibration"])
-def test_verify_calibration_options_without_calibration_exit_1(capsys, tmp_path, monkeypatch, flag):
-    """The calibration-only option is a typed error without --calibration: no criterion runs, no file."""
+def test_verify_has_no_draws_flag(monkeypatch):
+    """verify takes --criteria only: --draws, --calibration and --write-calibration are usage errors."""
     def no_criteria(*args, **kwargs):
         raise AssertionError("criteria ran")
 
     monkeypatch.setattr("sawkit.acceptance.run_criteria", no_criteria)
-    out = tmp_path / "calibration.json"
-    err = _usage_error(capsys, ["verify", "--criteria", "1", flag, str(out)])
-    assert err == f"error: {flag}: only meaningful with --calibration\n"
-    assert not out.exists()
-
-
-def test_verify_has_no_draws_flag():
-    assert main(["verify", "--calibration", "--draws", "2000"]) == 1
+    assert main(["verify", "--draws", "2000"]) == 1
+    assert main(["verify", "--calibration"]) == 1
+    assert main(["verify", "--write-calibration", "calibration.json"]) == 1
 
 
 _SAMPLE_SAW = ["sample", "saw", "--n1", "2", "--n2", "2", "--k", "1", "--l", "2", "--seed", "1"]

@@ -122,7 +122,7 @@ def test_memory_estimate_bounds_tracemalloc_peak(target, k):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    est = table._estimate_bytes()
+    est = _family_bytes([table])
     assert peak <= est
     # Over-estimate, not a bound: measured 1.3-1.7x on these tables with
     # CPython 3 and numpy 1.x/2.x; the per-point, per-layer and per-cell

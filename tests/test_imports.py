@@ -1,5 +1,6 @@
 """Tooling guards: no module of the package can load a serialized Python object or import scipy,
-``counting`` and ``aztec`` touch no files, and only ``lattice`` spells out the move order."""
+``counting`` and ``aztec`` touch no files, the package ships and reads no data files, and only
+``lattice`` spells out the move order."""
 
 import ast
 from pathlib import Path
@@ -37,6 +38,12 @@ def test_counting_touches_no_files():
     # the DP tables are built in memory only: neither the counts nor the family that reads them has a file format
     found = _imports({"hashlib", "json", "os", "tempfile"})
     assert [f for f in found if f.startswith(("counting.py:", "aztec.py:"))] == []
+
+
+def test_no_packaged_data():
+    # every result the package checks is computed live; no module reads a resource shipped beside the code
+    assert _imports({"importlib"}) == []
+    assert not (Path(sawkit.__file__).parent / "data").exists()
 
 
 # literals that spell the U, R, D, L move order, whose one home is lattice.MOVES
