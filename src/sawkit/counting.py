@@ -39,18 +39,23 @@ its successor rows: for each row and move, the row of layer t-1 the move
 leads to, the zero row for a step off the region or onto a point layer
 t-1 does not hold; in the slab they are offset by the first row of the
 table's block in layer t-1.  A cell is the sum of its class's successor
-cells alone, one gather per non-colliding move (two to four per class at
-girth 2), and each step of ``unrank`` reads the same rows.  The slab is
-int64 while its sums cannot overflow, and holds Python ints for every
-block after that, one switch for the whole family; a table leaves the
-slab after its last layer, and its finished layer is its block sliced out
-as one flat list of ints.
+cells alone, and each step of ``unrank`` reads the same rows.  A class
+whose successors include all of another class's takes that class's cell
+of the same row and adds only the rest, so girth 2 makes 23 additions
+per row where summing every successor makes 35.  The slab is int64 while
+its sums cannot overflow, and holds Python ints for every block after
+that, one switch for the whole family; a table leaves the slab after its
+last layer, and its finished layer is its block sliced out as one flat
+sequence: an ``array('q')`` of 8-byte cells while ``_count_bits(t)`` is
+at most 63, so that the memory estimate knows each layer's storage
+before the build, and a list of ints after.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from itertools import combinations
 
 from .lattice import DIRECTIONS, MOVES, LatticeBox, Point, Region, manhattan
 
@@ -63,10 +68,20 @@ _MOVE_CHARS = bytes.maketrans(bytes(range(4)), DIRECTIONS.encode())
 _ROW_CODE = "i"
 
 DEFAULT_MEMORY_CAP = 2 * 1024**3
-# Bytes per cell of one layer update: the previous slab, an index array, a
-# gather, the running sum and the new padded slab, 8 bytes each (int64 or
-# object pointers; the object slab at the switch shares the finished list's ints).
+# Bytes per cell of one layer update, 8 per live cell (int64 or object
+# pointer): the previous slab and the column sums (16); while a term is added,
+# its index array and gather, 16 per cell of its columns, and at a sub-class
+# level's first term the sub-classes' columns, 8 more, at most 16 per cell of
+# the layer in all (at girths 1-5 a level with sub-classes holds at most 4/7
+# of the columns); then the new slab and a stored block's bytes (16).  The
+# successor rows add 32 bytes per row, at most 6.4 per cell.  The object slab
+# at the switch shares the finished lists' ints: the switch follows a layer
+# that reaches 2**61, which no ``array('q')`` layer does.
 _SLAB_BYTES = 40
+# Bytes of a family's build that do not grow with its tables: the headers of
+# the numpy arrays, lists and dicts of one table's sizing and geometry passes
+# and of one layer update (about 10 KB measured on two-layer tables).
+_BUILD_BYTES = 12 * 1024
 # Bytes per region point of the geometry (its Point, pid-dict entry, neighbour
 # row and distances) and per layer of the plan besides its row map and
 # successor rows (array and list headers).
@@ -100,6 +115,22 @@ class WindowAutomaton:
     is 0.  ``class_of[wid]`` is a window's class, ``step[c][d]`` the class
     after move d (``classes`` for a colliding move) and ``trans[c]`` the
     (d, next class) pairs of the non-colliding moves, in ascending d.
+
+    Distinct classes have distinct successor sets ``trans[c]``: the
+    refinement stops at the coarsest partition whose blocks agree on where
+    each move leads, and two blocks that agreed on every move would be one.
+    So a class's successor set names it, and the layer fill reuses sums
+    (``fill_tables``): ``sub[c]`` is a class whose successor set is a
+    largest nonempty proper subset of class c's (None if there is none),
+    and ``extra[c]`` the terms of ``trans[c]`` not in it (all of them
+    without a sub-class), in ascending d.  The fill keeps its sums column
+    by column, and ``columns[i]`` is the class of column i: the classes
+    with a successor, level by level, a level being the classes of one
+    depth of the sub-class chain, by descending number of extra terms.
+    ``levels`` holds one (lo, hi, subs, terms) per level: its columns
+    lo..hi-1, the columns of their sub-classes (None at depth 0), and per
+    j the moves and next classes of the j-th extra terms, which the
+    level's first columns have.  A class without successors has no column.
     """
 
     def __init__(self, girth: int):
@@ -145,6 +176,47 @@ class WindowAutomaton:
         self.step = [tuple(block[j] if j >= 0 else count for j in step_map[wid]) for wid in first.values()]
         self.trans = [tuple((d, c) for d, c in enumerate(row) if c < count) for row in self.step]
         self.empty_class = block[self.index[()]]
+        self._plan_fill()
+
+    def _plan_fill(self) -> None:
+        """``sub``, ``extra``, ``columns`` and ``levels``: the layer fill's plan (see the class docstring)."""
+        import numpy as np
+
+        trans = self.trans
+        by_terms = {frozenset(terms): c for c, terms in enumerate(trans)}
+        # at most 14 subset lookups per class, the largest subsets first
+        self.sub = [
+            next((by_terms[s] for k in range(len(terms) - 1, 0, -1)
+                  for s in map(frozenset, combinations(terms, k)) if s in by_terms), None)
+            for terms in trans
+        ]
+        self.extra = [terms if s is None else tuple(x for x in terms if x not in trans[s])
+                      for terms, s in zip(trans, self.sub)]
+        depth: dict[int, int] = {}
+        levels: list[list[int]] = []
+        for c in sorted(range(self.classes), key=lambda c: len(trans[c])):  # a sub-class has fewer terms
+            if trans[c]:
+                depth[c] = 0 if self.sub[c] is None else depth[self.sub[c]] + 1
+                if depth[c] == len(levels):
+                    levels.append([])
+                levels[depth[c]].append(c)
+        for level in levels:
+            level.sort(key=lambda c: -len(self.extra[c]))
+        columns = [c for level in levels for c in level]
+        column_of = {c: i for i, c in enumerate(columns)}
+        self.columns = np.array(columns, dtype=np.intp)
+        self.levels = []
+        lo = 0
+        for level in levels:
+            subs = None
+            if self.sub[level[0]] is not None:
+                subs = np.array([column_of[self.sub[c]] for c in level], dtype=np.intp)
+            terms = []
+            for j in range(len(self.extra[level[0]])):
+                moves, classes = zip(*[self.extra[c][j] for c in level if len(self.extra[c]) > j])
+                terms.append((np.array(moves, dtype=np.intp), np.array(classes, dtype=np.intp)))
+            self.levels.append((lo, lo + len(level), subs, terms))
+            lo += len(level)
 
     @staticmethod
     def _offsets(w: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
@@ -212,9 +284,11 @@ class CountTable:
     same rows, as each step splits its state's count among the successors.
 
     ``CountTable(...)`` sizes the table, checks it against ``memory_cap``
-    and fills it as a family of one, a finished layer being a flat list of
-    ints.  A table whose estimate exceeds ``memory_cap`` raises
-    ResourceLimitError, before anything per point is allocated.
+    and fills it as a family of one.  A finished layer t is one flat
+    sequence of ints, read by index: an ``array('q')`` when
+    ``_count_bits(t)`` is at most 63, a list otherwise.  A table whose
+    estimate exceeds ``memory_cap`` raises ResourceLimitError, before
+    anything per point is allocated.
     ``CountTable.sized`` only sizes it, so that a family can check its
     total estimate before building any.
     """
@@ -369,14 +443,15 @@ class CountTable:
     def _retained_bytes(self) -> int:
         """Heap bytes of the table's build besides its share of the fill's working set.
 
-        Each stored cell costs a list pointer plus an int of at most
-        ``_count_bits(t)`` bits.  Each point adds its geometry, and an
-        entry in each of the plan's two live pid-indexed row maps; the
-        neighbour lookup's grid adds 8 bytes per cell of the box and its
-        ring, and the geometry's numpy pass ``_PASS_BYTES`` per point of
-        the box (which also bounds a sizing chunk, a part of the box, freed
-        before).  Each layer adds its row map over the band and its
-        successor rows.
+        A stored cell of layer t costs 8 bytes in an ``array('q')`` while
+        ``_count_bits(t)`` is at most 63, and a list pointer plus an int of
+        at most ``_count_bits(t)`` bits after.  Each point adds its
+        geometry, and an entry in each of the plan's two live pid-indexed
+        row maps; the neighbour lookup's grid adds 8 bytes per cell of the
+        box and its ring, and the geometry's numpy pass ``_PASS_BYTES`` per
+        point of the box (which also bounds a sizing chunk, a part of the
+        box, freed before).  Each layer adds its row map over the band and
+        its successor rows.
         """
         item = array(_ROW_CODE).itemsize
         (x0, y0), (x1, y1) = self.box.lo, self.box.hi
@@ -385,7 +460,7 @@ class CountTable:
         row_bytes = 8 + _int_bytes(64) + 4 * item  # row map entry and its int, successor rows
         for t, (nrows, (lo, hi)) in enumerate(zip(self._nrows, self._band)):
             total += _LAYER_BYTES + 8 * (hi - lo + 1) + row_bytes * nrows + 4 * item
-            total += self._cells(t) * (8 + _int_bytes(_count_bits(t)))
+            total += self._cells(t) * (8 if _count_bits(t) <= 63 else 8 + _int_bytes(_count_bits(t)))
         return total
 
     # -- geometry ------------------------------------------------------------
@@ -562,8 +637,8 @@ class CountTable:
             row, c = r, c2
         return codes.translate(_MOVE_CHARS).decode()
 
-    def export_layers(self) -> list[list[int]]:
-        """Every layer's flat cells (row-major, zero row last)."""
+    def export_layers(self) -> list:
+        """Every layer's flat cells (row-major, zero row last), each a list or an ``array('q')``."""
         return list(self._vals)
 
 
@@ -573,16 +648,16 @@ class CountTable:
 def _family_bytes(tables) -> int:
     """Upper bound on the heap bytes of building a family of sized tables together.
 
-    Each table's retained bytes, plus the largest working set of one
-    stacked layer update: ``_SLAB_BYTES`` per cell of every block the
-    update reads or writes, a block counting the larger of its layers t
-    and t - 1.
+    ``_BUILD_BYTES``, each table's retained bytes, and the largest working
+    set of one stacked layer update: ``_SLAB_BYTES`` per cell of every
+    block the update reads or writes, a block counting the larger of its
+    layers t and t - 1.
     """
     work = 0
     for t in range(max((table.max_length for table in tables), default=-1) + 1):
         cells = sum(max(table._cells(t), table._cells(t - 1) if t else 0) for table in tables if table.max_length >= t)
         work = max(work, cells)
-    return sum(table._retained_bytes() for table in tables) + work * _SLAB_BYTES
+    return _BUILD_BYTES + sum(table._retained_bytes() for table in tables) + work * _SLAB_BYTES
 
 
 def check_memory_cap(tables, memory_cap: int) -> None:
@@ -606,18 +681,20 @@ def fill_tables(tables) -> None:
     block's first row in layer t - 1.  The blocks are ordered by
     descending ``max_length``, so the tables left at layer t are a prefix
     of those at t - 1, and a table leaves the slab after its last layer.
-    Each block's finished layer is sliced out as that table's flat list.
+    Each block's finished layer is sliced out as that table's flat layer.
 
     A cell (row r, class c) of layer t >= 1 is the sum, over class c's
     successors (d, c2) in ``auto.trans[c]``, of the cell (the row move d
     leads to from r, c2) of layer t - 1: a colliding move is no term, and
     a step the layer below has no point for reads its zero row.  A zero
-    row's moves all lead to the zero row below, so it sums to 0.  The
-    classes are ordered by descending successor count, so the j-th
-    successors of the classes that have one fill a prefix of the columns.
-    Term j is then one gather through a contiguous index array, added into
-    that prefix of the running sum, which is kept column by column; the
-    columns go back to class order once per layer.  A class without
+    row's moves all lead to the zero row below, so it sums to 0.  The sums
+    are kept column by column in the automaton's plan (``auto.columns``,
+    ``auto.levels``), level by level, and each extra term j is one gather
+    through a contiguous index array, added into the prefix of the level's
+    columns that have one.  A column of a sub-class level starts as its
+    first extra term plus its sub-class's column, whose terms are a subset
+    of its own.
+    The columns go back to class order once per layer.  A class without
     successors (at girth >= 4, the one whose first window is ``URRDDLU``)
     stays 0.
 
@@ -625,9 +702,11 @@ def fill_tables(tables) -> None:
     a cell is a sum of at most four of them, so it is under 2**63 and the
     int64 adds are exact.  From the first layer below that reaches 2**61
     in any block, the slab of every block is an object array of Python
-    ints for good, the switch wrapping the blocks' finished lists.
-    Either way a finished layer is a flat list of ints.  Tables of
-    different girths raise ValueError, before anything is built.
+    ints for good, the switch wrapping the blocks' finished lists.  A
+    finished layer t is an ``array('q')`` copied from its block when
+    ``_count_bits(t)`` is at most 63, its cells then under 2**61, and a
+    list of ints otherwise.  Tables of different girths raise ValueError,
+    before anything is built.
     """
     import numpy as np
 
@@ -639,21 +718,17 @@ def fill_tables(tables) -> None:
     for table in tables:
         table._plan_rows(table._build_geometry())
     auto = tables[0].auto
-    trans = auto.trans
     stride = auto.classes
-    order = sorted(range(auto.classes), key=lambda c: -len(trans[c]))
-    cols = np.array([c for c in order if trans[c]], dtype=np.intp)  # column i holds class cols[i]
-    terms = []  # term j: the move and the next class of each column's j-th successor
-    for j in range(4):
-        pairs = [trans[c][j] for c in order if len(trans[c]) > j]
-        terms.append((np.array([d for d, _ in pairs], dtype=np.intp), np.array([c2 for _, c2 in pairs], dtype=np.intp)))
-    for table in tables:  # the target's row, if layer 0 holds it: the empty walk has arrived
-        table._vals = [[1] * (stride * table._nrows[0]) + [0] * stride]
     live = tables
-    prev = np.array([v for table in live for v in table._vals[0]], dtype=np.int64)
     starts = [0]  # first row of each live block in layer t - 1
     for table in live:
         starts.append(starts[-1] + table._nrows[0] + 1)
+    # layer 0: the target's row, if it holds it, is 1 in every class (the empty walk has arrived)
+    slab = np.ones((starts[-1], stride), dtype=np.int64)
+    slab[np.subtract(starts[1:], 1)] = 0  # each block's zero row
+    for table, r, r2 in zip(live, starts, starts[1:]):
+        table._vals = [array("q", slab[r:r2].tobytes())]
+    prev = slab.ravel()
     for t in range(1, tables[0].max_length + 1):
         if prev.dtype != object and prev.max() >= 1 << 61:
             prev = np.empty(prev.size, dtype=object)
@@ -665,20 +740,25 @@ def fill_tables(tables) -> None:
         succ = succ.astype(np.intp)
         succ += np.repeat(starts[: len(live)], rows)
         succ *= stride  # succ[d][r]: the offset of the row move d leads to from r
-        acc = None  # acc[i][r]: column i's cell of row r
-        for moves, classes in terms:
-            idx = succ[moves]
-            idx += classes[:, None]
-            g = prev.take(idx)
-            if acc is None:
-                acc = g
-            else:
-                acc[: len(classes)] += g
+        out = np.empty((len(auto.columns), sum(rows)), dtype=prev.dtype)  # out[i][r]: column i's cell of row r
+        for lo, hi, subs, terms in auto.levels:  # a column starts as its first term, plus its sub-class's
+            for j, (moves, classes) in enumerate(terms):
+                idx = succ[moves]
+                idx += classes[:, None]
+                if j:
+                    out[lo : lo + len(classes)] += prev.take(idx)
+                elif subs is None:
+                    out[lo:hi] = prev.take(idx)
+                else:
+                    np.add(out[subs], prev.take(idx), out=out[lo:hi])
         slab = np.zeros((sum(rows), stride), dtype=prev.dtype)
-        slab[:, cols] = acc.T
+        slab[:, auto.columns] = out.T
+        del out
+        as_array = _count_bits(t) <= 63
         starts = [0]
         for table, n in zip(live, rows):
-            table._vals.append(slab[starts[-1] : starts[-1] + n].ravel().tolist())
+            blk = slab[starts[-1] : starts[-1] + n]
+            table._vals.append(array("q", blk.tobytes()) if as_array else blk.ravel().tolist())
             starts.append(starts[-1] + n)
         prev = slab.ravel()
 
