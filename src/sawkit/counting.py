@@ -42,7 +42,10 @@ table's block in layer t-1.  A cell is the sum of its class's successor
 cells alone, and each step of ``unrank`` reads the same rows.  A class
 whose successors include all of another class's takes that class's cell
 of the same row and adds only the rest, so girth 2 makes 23 additions
-per row where summing every successor makes 35.  The slab is int64 while
+per row where summing every successor makes 35.  The classes are
+numbered in the order they are summed, each after the class it reuses,
+so the sums of each level go straight into its own range of columns.
+The slab is int64 while
 its sums cannot overflow, and holds Python ints for every block after
 that, one switch for the whole family; a table leaves the slab after its
 last layer, and its finished layer is its block sliced out as one flat
@@ -64,20 +67,22 @@ _DY = tuple(dy for _, _, dy in MOVES)
 
 # Move code d -> its letter, for ``bytes.translate``.
 _MOVE_CHARS = bytes.maketrans(bytes(range(4)), DIRECTIONS.encode())
-# Successor rows and the plan's pid-indexed row maps: C ints (numpy reads the same code as intc).
+# Row maps, successor rows and the plan's pid-indexed row maps: C ints (numpy reads the same code as intc).
 _ROW_CODE = "i"
 
 DEFAULT_MEMORY_CAP = 2 * 1024**3
 # Bytes per cell of one layer update, 8 per live cell (int64 or object
-# pointer): the previous slab and the column sums (16); while a term is added,
-# its index array and gather, 16 per cell of its columns, and at a sub-class
-# level's first term the sub-classes' columns, 8 more, at most 16 per cell of
-# the layer in all (at girths 1-5 a level with sub-classes holds at most 4/7
-# of the columns); then the new slab and a stored block's bytes (16).  The
-# successor rows add 32 bytes per row, at most 6.4 per cell.  The object slab
-# at the switch shares the finished lists' ints: the switch follows a layer
-# that reaches 2**61, which no ``array('q')`` layer does.
-_SLAB_BYTES = 40
+# pointer): the previous slab and the new one (16); a level's running sums, 8
+# per cell of its classes, and while a term is added its index array and
+# gather, 16 per cell of the term's classes, or at a sub-class level's first
+# term a copy of the sub-classes' cells, 8 per cell of the level; and the
+# successor rows, 32 bytes per row.  The last three are at most 25.6 per cell
+# at girths 1-5: at girth 1, 24 per cell of a level of 4 of the 5 classes and
+# 6.4 of successor rows (at girths 2-5 at most 15.3).  Storing a block copies
+# it once more (8), after the terms.  The object slab at the switch shares the
+# finished lists' ints: the switch follows a layer that reaches 2**61, which
+# no ``array('q')`` layer does.
+_SLAB_BYTES = 42
 # Bytes of a family's build that do not grow with its tables: the headers of
 # the numpy arrays, lists and dicts of one table's sizing and geometry passes
 # and of one layer update (about 10 KB measured on two-layer tables).
@@ -111,10 +116,10 @@ class WindowAutomaton:
     whose spanned points are pairwise distinct.  Transitions are relative,
     so collision checks are position-independent.  Moore partition
     refinement merges the windows that admit the same continuations into
-    one class; classes are numbered in window order, so the empty window's
-    is 0.  ``class_of[wid]`` is a window's class, ``step[c][d]`` the class
-    after move d (``classes`` for a colliding move) and ``trans[c]`` the
-    (d, next class) pairs of the non-colliding moves, in ascending d.
+    one class.  ``class_of[wid]`` is a window's class, ``step[c][d]`` the
+    class after move d (``classes`` for a colliding move), ``trans[c]`` the
+    (d, next class) pairs of the non-colliding moves, in ascending d, and
+    ``empty_class`` the empty window's class.
 
     Distinct classes have distinct successor sets ``trans[c]``: the
     refinement stops at the coarsest partition whose blocks agree on where
@@ -123,14 +128,14 @@ class WindowAutomaton:
     (``fill_tables``): ``sub[c]`` is a class whose successor set is a
     largest nonempty proper subset of class c's (None if there is none),
     and ``extra[c]`` the terms of ``trans[c]`` not in it (all of them
-    without a sub-class), in ascending d.  The fill keeps its sums column
-    by column, and ``columns[i]`` is the class of column i: the classes
-    with a successor, level by level, a level being the classes of one
-    depth of the sub-class chain, by descending number of extra terms.
-    ``levels`` holds one (lo, hi, subs, terms) per level: its columns
-    lo..hi-1, the columns of their sub-classes (None at depth 0), and per
-    j the moves and next classes of the j-th extra terms, which the
-    level's first columns have.  A class without successors has no column.
+    without a sub-class), in ascending d.  The classes are numbered in the
+    order the fill sums them: level by level, a level being the classes of
+    one depth of the sub-class chain, by descending number of extra terms,
+    and last the class without successors, which exists from girth 4 on.
+    ``levels`` holds one (lo, hi, subs, terms) per level: its classes
+    lo..hi-1, their sub-classes (None at depth 0), all below lo, and per j
+    the moves and next classes of the j-th extra terms, which the level's
+    first classes have.
     """
 
     def __init__(self, girth: int):
@@ -168,55 +173,50 @@ class WindowAutomaton:
             if len(ids) == count:
                 break
             block, count = split, len(ids)
-        self.class_of = block
-        self.classes = count
-        first: dict[int, int] = {}  # each class's first window
-        for wid, c in enumerate(block):
-            first.setdefault(c, wid)
-        self.step = [tuple(block[j] if j >= 0 else count for j in step_map[wid]) for wid in first.values()]
-        self.trans = [tuple((d, c) for d, c in enumerate(row) if c < count) for row in self.step]
-        self.empty_class = block[self.index[()]]
-        self._plan_fill()
-
-    def _plan_fill(self) -> None:
-        """``sub``, ``extra``, ``columns`` and ``levels``: the layer fill's plan (see the class docstring)."""
-        import numpy as np
-
-        trans = self.trans
-        by_terms = {frozenset(terms): c for c, terms in enumerate(trans)}
-        # at most 14 subset lookups per class, the largest subsets first
-        self.sub = [
+        first: dict[int, int] = {}  # each block's first window, in block order
+        for wid, b in enumerate(block):
+            first.setdefault(b, wid)
+        step = [tuple(block[j] if j >= 0 else count for j in step_map[wid]) for wid in first.values()]
+        trans = [tuple((d, b) for d, b in enumerate(row) if b < count) for row in step]
+        by_terms = {frozenset(terms): b for b, terms in enumerate(trans)}
+        # at most 14 subset lookups per block, the largest subsets first
+        sub = [
             next((by_terms[s] for k in range(len(terms) - 1, 0, -1)
                   for s in map(frozenset, combinations(terms, k)) if s in by_terms), None)
             for terms in trans
         ]
-        self.extra = [terms if s is None else tuple(x for x in terms if x not in trans[s])
-                      for terms, s in zip(trans, self.sub)]
-        depth: dict[int, int] = {}
-        levels: list[list[int]] = []
-        for c in sorted(range(self.classes), key=lambda c: len(trans[c])):  # a sub-class has fewer terms
-            if trans[c]:
-                depth[c] = 0 if self.sub[c] is None else depth[self.sub[c]] + 1
-                if depth[c] == len(levels):
-                    levels.append([])
-                levels[depth[c]].append(c)
-        for level in levels:
-            level.sort(key=lambda c: -len(self.extra[c]))
-        columns = [c for level in levels for c in level]
-        column_of = {c: i for i, c in enumerate(columns)}
-        self.columns = np.array(columns, dtype=np.intp)
+        extra = [terms if s is None else tuple(x for x in terms if x not in trans[s]) for terms, s in zip(trans, sub)]
+        depth = [0] * count
+        for b in sorted(range(count), key=lambda b: len(trans[b])):  # a sub-class has fewer terms
+            if sub[b] is not None:
+                depth[b] = depth[sub[b]] + 1
+        # class i is block order[i]: level by level, by descending number of extra terms, no successors last
+        order = sorted(range(count), key=lambda b: (not trans[b], depth[b], -len(extra[b])))
+        new = {b: i for i, b in enumerate(order)}
+        new[count] = count  # a colliding move
+        self.class_of = [new[b] for b in block]
+        self.classes = count
+        self.step = [tuple(new[x] for x in step[b]) for b in order]
+        self.trans = [tuple((d, c) for d, c in enumerate(row) if c < count) for row in self.step]
+        self.empty_class = self.class_of[self.index[()]]
+        self.sub = [None if sub[b] is None else new[sub[b]] for b in order]
+        self.extra = [tuple((d, new[b2]) for d, b2 in extra[b]) for b in order]
+        self._plan_levels([depth[b] for b in order])
+
+    def _plan_levels(self, depth) -> None:
+        """``levels``, the layer fill's plan (see the class docstring), from each class's depth."""
+        import numpy as np
+
+        live = sum(1 for terms in self.trans if terms)  # classes 0..live-1 have a successor
+        starts = [c for c in range(live) if c == 0 or depth[c] != depth[c - 1]] + [live]
         self.levels = []
-        lo = 0
-        for level in levels:
-            subs = None
-            if self.sub[level[0]] is not None:
-                subs = np.array([column_of[self.sub[c]] for c in level], dtype=np.intp)
+        for lo, hi in zip(starts, starts[1:]):
+            subs = None if self.sub[lo] is None else np.array(self.sub[lo:hi], dtype=np.intp)
             terms = []
-            for j in range(len(self.extra[level[0]])):
-                moves, classes = zip(*[self.extra[c][j] for c in level if len(self.extra[c]) > j])
+            for j in range(len(self.extra[lo])):
+                moves, classes = zip(*[self.extra[c][j] for c in range(lo, hi) if len(self.extra[c]) > j])
                 terms.append((np.array(moves, dtype=np.intp), np.array(classes, dtype=np.intp)))
-            self.levels.append((lo, lo + len(level), subs, terms))
-            lo += len(level)
+            self.levels.append((lo, hi, subs, terms))
 
     @staticmethod
     def _offsets(w: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
@@ -450,16 +450,15 @@ class CountTable:
         row maps; the neighbour lookup's grid adds 8 bytes per cell of the
         box and its ring, and the geometry's numpy pass ``_PASS_BYTES`` per
         point of the box (which also bounds a sizing chunk, a part of the
-        box, freed before).  Each layer adds its row map over the band and
-        its successor rows.
+        box, freed before).  Each layer adds its row map, a C int per entry
+        of its band and one more, and its successor rows, four per row.
         """
         item = array(_ROW_CODE).itemsize
         (x0, y0), (x1, y1) = self.box.lo, self.box.hi
         total = _POINT_BYTES * self._npts + 2 * item * (self._npts + 1) + 8 * (x1 - x0 + 3) * (y1 - y0 + 3)
         total += _PASS_BYTES * (x1 - x0 + 1) * (y1 - y0 + 1)
-        row_bytes = 8 + _int_bytes(64) + 4 * item  # row map entry and its int, successor rows
         for t, (nrows, (lo, hi)) in enumerate(zip(self._nrows, self._band)):
-            total += _LAYER_BYTES + 8 * (hi - lo + 1) + row_bytes * nrows + 4 * item
+            total += _LAYER_BYTES + item * (hi - lo + 1 + 4 * (nrows + 1))  # row map, successor rows
             total += self._cells(t) * (8 if _count_bits(t) <= 63 else 8 + _int_bytes(_count_bits(t)))
         return total
 
@@ -523,7 +522,7 @@ class CountTable:
             row_of, prev_of = row_maps[t % 2], row_maps[1 - t % 2]
             row_of.fill(nr)
             row_of[rows] = np.arange(nr)
-            self._rows.append(row_of[lo : hi + 1].tolist())
+            self._rows.append(array(_ROW_CODE, row_of[lo : hi + 1].tobytes()))
             if t:
                 succ = array(_ROW_CODE, prev_of.take(nbr.take(rows, axis=0)).tobytes())
                 succ.extend([prev_of[n]] * 4)  # the zero row's moves
@@ -687,16 +686,19 @@ def fill_tables(tables) -> None:
     successors (d, c2) in ``auto.trans[c]``, of the cell (the row move d
     leads to from r, c2) of layer t - 1: a colliding move is no term, and
     a step the layer below has no point for reads its zero row.  A zero
-    row's moves all lead to the zero row below, so it sums to 0.  The sums
-    are kept column by column in the automaton's plan (``auto.columns``,
-    ``auto.levels``), level by level, and each extra term j is one gather
-    through a contiguous index array, added into the prefix of the level's
-    columns that have one.  A column of a sub-class level starts as its
-    first extra term plus its sub-class's column, whose terms are a subset
-    of its own.
-    The columns go back to class order once per layer.  A class without
-    successors (at girth >= 4, the one whose first window is ``URRDDLU``)
-    stays 0.
+    row's moves all lead to the zero row below, so it sums to 0.  The
+    automaton numbers its classes in fill order, so each level of
+    ``auto.levels`` is a range of the slab's columns.  A level's sums
+    start as its first extra term's gather, plus the cells of its
+    sub-classes (an earlier level's columns, whose terms are a subset of
+    its own), and each further term j is one gather added into the
+    level's first classes, those that have a term j; the sums then go
+    into the level's columns.  Until then they are kept class by class,
+    each class's cells contiguous: adds into a strided column range of the
+    slab made a saw-n200 build 3-6% slower, and Python-int sums made
+    row by row made its descents about 5% slower than sums made class by
+    class.  The class without successors (at girth >= 4, the one whose
+    first window is ``URRDDLU``), the last column, is set to 0.
 
     The slab is int64 while every cell of the layer below is under 2**61:
     a cell is a sum of at most four of them, so it is under 2**63 and the
@@ -736,24 +738,23 @@ def fill_tables(tables) -> None:
                 prev[r * stride : (r + table._nrows[t - 1] + 1) * stride] = table._vals[-1]
         live = [table for table in live if table.max_length >= t]
         rows = [table._nrows[t] + 1 for table in live]
-        succ = np.frombuffer(b"".join([table._succ[t] for table in live]), dtype=_ROW_CODE).reshape(-1, 4).T
+        succ = np.frombuffer(b"".join([table._succ[t] for table in live]), dtype=_ROW_CODE).reshape(-1, 4)
         succ = succ.astype(np.intp)
-        succ += np.repeat(starts[: len(live)], rows)
-        succ *= stride  # succ[d][r]: the offset of the row move d leads to from r
-        out = np.empty((len(auto.columns), sum(rows)), dtype=prev.dtype)  # out[i][r]: column i's cell of row r
-        for lo, hi, subs, terms in auto.levels:  # a column starts as its first term, plus its sub-class's
+        succ += np.repeat(starts[: len(live)], rows)[:, None]
+        succ *= stride  # succ[r][d]: the offset of the row move d leads to from r
+        slab = np.empty((sum(rows), stride), dtype=prev.dtype)
+        for lo, hi, subs, terms in auto.levels:
             for j, (moves, classes) in enumerate(terms):
-                idx = succ[moves]
-                idx += classes[:, None]
+                idx = succ[:, moves]  # class by class in memory, and so is each gather through idx.T
+                idx += classes
                 if j:
-                    out[lo : lo + len(classes)] += prev.take(idx)
-                elif subs is None:
-                    out[lo:hi] = prev.take(idx)
-                else:
-                    np.add(out[subs], prev.take(idx), out=out[lo:hi])
-        slab = np.zeros((sum(rows), stride), dtype=prev.dtype)
-        slab[:, auto.columns] = out.T
-        del out
+                    level[:, : len(classes)] += prev.take(idx.T).T
+                else:  # the level's sums start as its first term, plus its sub-classes' cells
+                    level = prev.take(idx.T).T
+                    if subs is not None:
+                        level += slab[:, subs]
+            slab[:, lo:hi] = level
+        slab[:, hi:] = 0  # past the last level: the class without successors, if any
         as_array = _count_bits(t) <= 63
         starts = [0]
         for table, n in zip(live, rows):

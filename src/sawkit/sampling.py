@@ -128,27 +128,21 @@ class RngStream:
         A bound of 2..256 takes the byte path of the module docstring: each
         round reads one byte per value still needed, and one
         ``bytes.translate`` shifts each down to its top bits and deletes
-        the values past the bound.
+        the values past the bound.  Any other bound makes ``count`` calls
+        of ``uniform_int``.
         """
         if bound <= 0:
             raise ValueError("bound must be >= 1")
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
-        bits = (bound - 1).bit_length()
+        if not 2 <= bound <= 256:
+            return [self.uniform_int(bound) for _ in range(count)]
+        table, delete = _byte_tables(bound)
         out = []
-        if 1 <= bits <= 8:
-            table, delete = _byte_tables(bound)
-            while count:
-                kept = self._read(count).translate(table, delete)
-                out += kept
-                count -= len(kept)
-            return out
-        draw = self.getrandbits
-        for _ in range(count):
-            x = draw(bits)
-            while x >= bound:
-                x = draw(bits)
-            out.append(x)
+        while count:
+            kept = self._read(count).translate(table, delete)
+            out += kept
+            count -= len(kept)
         return out
 
 
