@@ -9,8 +9,9 @@ partition is stored as one bitmask over the sorted dual vertices
 (``_Diamond``), shared with the Glauber chain.
 
 Two facts let Algorithm 4 propose only walks it can accept (tested
-exhaustively on Omega for k <= 4 in tests/test_aztec.py), and a third lets
-``path_to_partition`` label the two classes without a flood fill:
+exhaustively on Omega for k <= 4 in tests/test_aztec.py), a third lets
+``path_to_partition`` label the two classes without a flood fill, and a
+fourth gives |Omega| as an exact count:
 
 * Boundary.  The interior of a 2-partition's boundary path never touches
   |x|+|y| = k.  A path that visits a boundary point b between its ends
@@ -44,6 +45,14 @@ exhaustively on Omega for k <= 4 in tests/test_aztec.py), and a third lets
   anchor's.  Each of the L cut edges joins the two classes and no other
   interior dual edge does, so a class's boundary is L plus its outer
   edges, and the two sizes sum to 8k + 2L.
+* Omega.  A walk of length L from s to t that visits a point twice holds
+  a cycle between its two nearest visits; cut out, it leaves a walk from
+  s to t of length L - c >= d(s, t), so the cycle's length c is at most
+  the excess L - d(s, t).  At girth l a walk has no cycle of length
+  <= 2l (``counting``).  So at l*, half the largest excess over the cells
+  of ``partition_family``, every walk of the family is self-avoiding, and
+  by the boundary and budget facts each is exactly one partition of
+  Omega: the family's total W(l*) is |Omega|.
 """
 from __future__ import annotations
 
@@ -52,7 +61,7 @@ from functools import cached_property
 from itertools import accumulate
 from math import floor, isfinite
 
-from .counting import DEFAULT_MEMORY_CAP, CountTable, check_memory_cap, fill_tables
+from .counting import DEFAULT_MEMORY_CAP, CountTable, check_automaton_cap, check_memory_cap, fill_tables
 from .lattice import DIRECTIONS, LatticeBox, Point, Region, Walk, manhattan, step, walk_through
 from .sampling import Family, RngStream, SampleReport, SamplingBudgetError, draw_family, make_family
 # Unused here: perfbench's tracer patches this name on aztec.  It goes, and
@@ -577,16 +586,20 @@ def partition_family(
     its lengths.  A target without cells, the smallest boundary point
     among them, gets no table.
 
-    Every table is sized first, and ``memory_cap`` bounds the family as a
-    whole: the sum of the tables' estimates with the stacked fill's
-    largest working set (``counting.check_memory_cap``), so a family over
-    the cap raises ResourceLimitError before any table is built.  One
-    ``fill_tables`` call then builds them all.
+    A girth whose window automaton would not be built within
+    ``memory_cap`` raises ResourceLimitError before it is built
+    (``counting.check_automaton_cap``).  Every table is then sized, and
+    ``memory_cap`` bounds the family as a whole: the sum of the tables'
+    estimates with the stacked fill's largest working set
+    (``counting.check_memory_cap``), so a family over the cap raises
+    ResourceLimitError before any table is built.  One ``fill_tables``
+    call then builds them all.
 
     ``cache_dir`` is ignored: nothing is cached on disk, as a cold family
     builds faster than the old cache loaded it.  The keyword stays only
     for perfbench's aztec-k8 workload, which still passes it.
     """
+    check_automaton_cap(girth, memory_cap)
     budget = params.budget(k)
     bpts = boundary_vertices(k)
     raw_entries = []

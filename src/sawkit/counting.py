@@ -6,7 +6,9 @@ which on the bipartite lattice forbids exactly the cycles of length <= 2l.
 Two windows that admit the same continuations (the same move sequences
 collide from both) give the same count from every point, so states are
 keyed by (point, class, remaining steps), the class being the window's
-Nerode class in the window automaton (see ``WindowAutomaton``).
+Nerode class in the window automaton (see ``WindowAutomaton``).  The
+automaton keeps its classes and their moves, not its windows: a window's
+class is the one its own moves step to from the empty window's class.
 
 A table is built for a set of sources and a set of lengths, and one rule
 sizes it: layer t (t steps left) holds a point iff the point can sit t
@@ -99,6 +101,16 @@ _SIZE_CHUNK = 1 << 15
 # and their temporaries, the Python ints of the ``Region.contains_array``
 # fallback included.
 _PASS_BYTES = 128
+# The window automaton's build (``_automaton_build_bytes``): a fixed part,
+# mostly the plan's numpy arrays, and a part per window of the bound of
+# 2 * 9**l - 1 windows.  Its tracemalloc peak read 9.2 KB, 54 KB, 0.45 MB,
+# 3.1 MB and 24 MB at girths 1-5 (CPython 3.11, numpy 2.4): 0.64, 0.81, 0.85,
+# 0.65 and 0.57 of the bound.
+_AUTOMATON_BYTES = 8 * 1024
+_WINDOW_BYTES = 360
+# Bytes per class of what the automaton keeps (``step``, ``trans``, ``sub``,
+# ``extra`` and ``levels``): 571, 354, 480, 409 and 467 at girths 1-5.
+_CLASS_BYTES = 640
 
 
 class ResourceLimitError(RuntimeError):
@@ -110,16 +122,25 @@ class TableDomainError(ValueError):
 
 
 class WindowAutomaton:
-    """The suffix windows of one girth value and their Nerode classes.
+    """The Nerode classes of the suffix windows of one girth value.
 
     Windows are tuples of move codes (U=0, R=1, D=2, L=3) of length 0..2l
     whose spanned points are pairwise distinct.  Transitions are relative,
     so collision checks are position-independent.  Moore partition
     refinement merges the windows that admit the same continuations into
-    one class.  ``class_of[wid]`` is a window's class, ``step[c][d]`` the
-    class after move d (``classes`` for a colliding move), ``trans[c]`` the
-    (d, next class) pairs of the non-colliding moves, in ascending d, and
-    ``empty_class`` the empty window's class.
+    one class.  ``step[c][d]`` is the class after move d (``classes`` for
+    a colliding move), ``trans[c]`` the (d, next class) pairs of the
+    non-colliding moves, in ascending d, and ``empty_class`` the empty
+    window's class.
+
+    The windows are the build's alone: an automaton keeps only what has a
+    size of O(classes), which the layer fill and the descent read and
+    ``_family_bytes`` counts.  Stepping finds a window's class.  A window
+    of j <= 2l moves is reached from the empty window by its own moves,
+    none of which drops a move off the window, and the Moore partition is
+    a right congruence (the windows of a class agree on the class each
+    move leads to), so stepping ``step`` from ``empty_class`` along a
+    window's moves reaches that window's class.
 
     Distinct classes have distinct successor sets ``trans[c]``: the
     refinement stops at the coarsest partition whose blocks agree on where
@@ -156,13 +177,11 @@ class WindowAutomaton:
             windows.extend(nxt)
             frontier = nxt
         windows.sort(key=lambda w: (len(w), w))
-        self.windows = windows
-        self.index = {w: i for i, w in enumerate(windows)}
-        self.offsets = [self._offsets(w) for w in windows]
+        index = {w: i for i, w in enumerate(windows)}
         # step_map[wid][d]: the window after move d, -1 for a colliding move
         step_map = [
-            [-1 if (_DX[d], _DY[d]) in offs else self.index[(w + (d,))[-self.max_moves :]] for d in range(4)]
-            for w, offs in zip(windows, map(set, self.offsets))
+            [-1 if (_DX[d], _DY[d]) in offs else index[(w + (d,))[-self.max_moves :]] for d in range(4)]
+            for w, offs in zip(windows, map(set, map(self._offsets, windows)))
         ]
         # split blocks by the blocks their moves lead to until no block splits
         block, count = [0] * len(windows), 1
@@ -194,11 +213,10 @@ class WindowAutomaton:
         order = sorted(range(count), key=lambda b: (not trans[b], depth[b], -len(extra[b])))
         new = {b: i for i, b in enumerate(order)}
         new[count] = count  # a colliding move
-        self.class_of = [new[b] for b in block]
         self.classes = count
         self.step = [tuple(new[x] for x in step[b]) for b in order]
         self.trans = [tuple((d, c) for d, c in enumerate(row) if c < count) for row in self.step]
-        self.empty_class = self.class_of[self.index[()]]
+        self.empty_class = new[block[index[()]]]
         self.sub = [None if sub[b] is None else new[sub[b]] for b in order]
         self.extra = [tuple((d, new[b2]) for d, b2 in extra[b]) for b in order]
         self._plan_levels([depth[b] for b in order])
@@ -245,6 +263,34 @@ def window_automaton(girth: int) -> WindowAutomaton:
     return auto
 
 
+def _automaton_build_bytes(girth: int) -> int:
+    """Upper bound on the heap bytes of building ``WindowAutomaton(girth)``.
+
+    A window of j >= 1 moves has 4 first moves and at most 3 for each later
+    one, none stepping straight back, so there are at most 1 + 2(3**(2l) - 1)
+    = 2 * 9**l - 1 windows, each counted at ``_WINDOW_BYTES`` on top of
+    ``_AUTOMATON_BYTES``.
+    """
+    return _AUTOMATON_BYTES + _WINDOW_BYTES * (2 * 9**girth - 1)
+
+
+def check_automaton_cap(girth: int, memory_cap: int) -> None:
+    """Raise ResourceLimitError when building the girth's window automaton would exceed the cap.
+
+    It runs before the build, from the girth alone.  An automaton already
+    built (``window_automaton`` keeps one per girth) is not built again, so
+    it passes, and so does a girth below 1, which the build refuses.
+    """
+    if girth < 1 or girth in _AUTOMATA:
+        return
+    est_bytes = _automaton_build_bytes(girth)
+    if est_bytes > memory_cap:
+        raise ResourceLimitError(
+            f"estimated window automaton build {est_bytes:,} bytes exceeds memory cap {memory_cap:,} bytes "
+            f"(girth l={girth})"
+        )
+
+
 def _count_bits(t: int) -> int:
     """Bits of 4 * 3**t, above any count at layer t (at most 4 * 3**(t-1) walks)."""
     return (4 * 3**t).bit_length()
@@ -286,9 +332,11 @@ class CountTable:
     ``CountTable(...)`` sizes the table, checks it against ``memory_cap``
     and fills it as a family of one.  A finished layer t is one flat
     sequence of ints, read by index: an ``array('q')`` when
-    ``_count_bits(t)`` is at most 63, a list otherwise.  A table whose
-    estimate exceeds ``memory_cap`` raises ResourceLimitError, before
-    anything per point is allocated.
+    ``_count_bits(t)`` is at most 63, a list otherwise.  A girth whose
+    window automaton would not be built within ``memory_cap`` raises
+    ResourceLimitError before it is built (``check_automaton_cap``), and
+    a table whose estimate exceeds the cap raises it before anything per
+    point is allocated.
     ``CountTable.sized`` only sizes it, so that a family can check its
     total estimate before building any.
     """
@@ -303,6 +351,7 @@ class CountTable:
         sources,
         memory_cap: int = DEFAULT_MEMORY_CAP,
     ):
+        check_automaton_cap(girth, memory_cap)
         self._size(region, target, girth, lengths, sources)
         check_memory_cap([self], memory_cap)
         fill_tables([self])
@@ -338,6 +387,7 @@ class CountTable:
         self.lengths = lengths
         self._length_set = frozenset(lengths)
         self.max_length = lengths[-1]
+        self._built_automaton = girth not in _AUTOMATA
         self.auto = window_automaton(girth)
         # every walk from a source s stays within (max_length - d(s, target)) // 2 of span(s, target)
         dists = [manhattan(s, target) for s in sources]
@@ -570,16 +620,20 @@ class CountTable:
         """Admissible t-step continuations from (point, window) to the target.
 
         The window is the move string of the most recent steps (newest
-        last); the count depends only on its class.  Raises ValueError for
-        an invalid window, a point outside the restricted region, a window
-        leaving it, or t out of range, and TableDomainError for a point
-        more than max_length - t steps from every source, the one state
-        layer t has no row for.
+        last); the count depends only on its class, reached by stepping
+        the automaton from ``empty_class`` along the moves.  The window is
+        checked from the moves alone: at most 2l of them, visiting no
+        point twice, and each of its points in the restricted region.
+        Raises ValueError for an invalid window, a point outside the
+        restricted region, t out of range, or a window leaving the region,
+        in that order, and TableDomainError for a point more than
+        max_length - t steps from every source, the one state layer t has
+        no row for.
         """
         point = Point(*point)
         codes = tuple(DIRECTIONS.index(c) for c in window_moves)
-        wid = self.auto.index.get(codes)
-        if wid is None:
+        offsets = WindowAutomaton._offsets(codes)
+        if len(codes) > self.auto.max_moves or len(set(offsets)) < len(offsets):
             raise ValueError(f"invalid window {window_moves!r} (self-intersecting or too long)")
         p = self._pid.get(point)
         if p is None:
@@ -587,7 +641,7 @@ class CountTable:
         if not 0 <= t <= self.max_length:
             raise ValueError(f"t={t} out of range 0..{self.max_length}")
         x, y = point
-        if not all((x + dx, y + dy) in self._pid for dx, dy in self.auto.offsets[wid]):
+        if not all((x + dx, y + dy) in self._pid for dx, dy in offsets):
             raise ValueError("window leaves the restricted region")
         if t == 0:
             return 1 if p == self._target_pid else 0
@@ -595,7 +649,10 @@ class CountTable:
             return 0
         if self._dist_source[p] > self.max_length - t:
             raise TableDomainError("state not reachable from a source within budget")
-        return self._cell(t, p, self.auto.class_of[wid])
+        c = self.auto.empty_class
+        for d in codes:
+            c = self.auto.step[c][d]
+        return self._cell(t, p, c)
 
     # -- unranking -------------------------------------------------------------
 
@@ -647,16 +704,20 @@ class CountTable:
 def _family_bytes(tables) -> int:
     """Upper bound on the heap bytes of building a family of sized tables together.
 
-    ``_BUILD_BYTES``, each table's retained bytes, and the largest working
-    set of one stacked layer update: ``_SLAB_BYTES`` per cell of every
-    block the update reads or writes, a block counting the larger of its
-    layers t and t - 1.
+    ``_BUILD_BYTES``, each table's retained bytes, ``_CLASS_BYTES`` per
+    class of a window automaton that sizing the tables built (one built
+    before is not part of this build), and the largest working set of one
+    stacked layer update: ``_SLAB_BYTES`` per cell of every block the
+    update reads or writes, a block counting the larger of its layers t
+    and t - 1.  Building the automaton comes before all of it, bounded on
+    its own by ``check_automaton_cap``.
     """
     work = 0
     for t in range(max((table.max_length for table in tables), default=-1) + 1):
         cells = sum(max(table._cells(t), table._cells(t - 1) if t else 0) for table in tables if table.max_length >= t)
         work = max(work, cells)
-    return _BUILD_BYTES + sum(table._retained_bytes() for table in tables) + work * _SLAB_BYTES
+    kept = sum(_CLASS_BYTES * table.auto.classes for table in tables if table._built_automaton)
+    return _BUILD_BYTES + kept + sum(table._retained_bytes() for table in tables) + work * _SLAB_BYTES
 
 
 def check_memory_cap(tables, memory_cap: int) -> None:

@@ -25,7 +25,7 @@ from sawkit.aztec import (
 from sawkit.cli import main
 from sawkit.counting import CountTable, ResourceLimitError, _family_bytes
 from sawkit.glauber import enumerate_omega
-from sawkit.lattice import LatticeBox, Point, Walk
+from sawkit.lattice import LatticeBox, Point, Walk, manhattan
 from sawkit.sampling import RngStream
 from helpers import box_points
 
@@ -214,6 +214,15 @@ def test_family_weight_is_omega_at_girth_2(k):
     # girth 2 and slack <= 4 leave no room for a cycle: every walk is accepted
     fam = partition_family(k, OmegaParams(2, 0.5), girth=2)
     assert sum(e.count for e in fam) == len(_omega(k, 2))
+
+
+@pytest.mark.parametrize("C, k, l_star, size", [(2, 3, 1, 238), (3, 3, 2, 526), (2, 4, 2, 6206), (3, 4, 3, 15438)])
+def test_family_weight_is_omega_at_l_star(C, k, l_star, size):
+    """The Omega fact: at l*, half the largest excess L - d(s, t) of the family's cells, W(l*) = |Omega|."""
+    params = OmegaParams(C, 0.5)
+    excess = [e.length + 1 - manhattan(*e.label[0]) for e in partition_family(k, params, girth=1)]
+    assert max(excess) == 2 * l_star
+    assert partition_family(k, params, l_star).cumulative[-1] == len(_omega(k, C)) == size
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from sawkit import __version__
+from sawkit import __version__, counting
 from sawkit.cli import main
-from sawkit.counting import CountTable
+from sawkit.counting import CountTable, WindowAutomaton, _automaton_build_bytes, window_automaton
 from sawkit.glauber import enumerate_omega
 from sawkit.oracle import DEFAULT_PARTITION_CAP
 
@@ -48,6 +48,17 @@ def test_memory_cap_exits_2(capsys):
     rc = main(["sample", "saw", "--n1", "150", "--n2", "150", "--k", "10", "--l", "5",
                "--seed", "1", "--count", "1"])
     assert rc == 2
+
+
+def test_memory_cap_exits_2_before_the_automaton(capsys, monkeypatch):
+    def no_build(self, girth):
+        raise AssertionError("window automaton built before the memory cap check")
+
+    monkeypatch.setattr(WindowAutomaton, "__init__", no_build)
+    rc = main(["sample", "saw", "--n1", "3", "--n2", "3", "--k", "1", "--l", "6", "--seed", "1",
+               "--memory-cap", "50000000"])
+    assert rc == 2
+    assert "window automaton" in capsys.readouterr().err
 
 
 def test_memory_cap_exits_2_before_geometry(capsys, monkeypatch):
@@ -415,12 +426,26 @@ def test_memory_cap_below_1_exits_1(capsys, monkeypatch, argv, cap):
 @_table_commands
 def test_memory_cap_message_tells_estimate_from_cap(capsys, argv):
     """A cap one byte under the estimate exits 2, and the message's two sizes read apart."""
+    window_automaton(2)  # built, so the tables' estimate is the only one; the next test has it unbuilt
     assert main(argv + ["--memory-cap", "1"]) == 2
     est = int(re.search(r"estimated .* ([\d,]+) bytes exceeds", capsys.readouterr().err)[1].replace(",", ""))
     assert main(argv + ["--memory-cap", str(est - 1)]) == 2
     err = capsys.readouterr().err
     assert f"{est:,} bytes exceeds memory cap {est - 1:,} bytes" in err
     assert main(argv + ["--memory-cap", str(est)]) == 0
+
+
+@_table_commands
+def test_memory_cap_message_tells_automaton_estimate_first(capsys, monkeypatch, argv):
+    """Before its girth's automaton is built, a cap under the build's bound is refused with that bound, exactly."""
+    monkeypatch.setattr(counting, "_AUTOMATA", {})
+    est = _automaton_build_bytes(2)
+    for cap in (1, est - 1):
+        assert main(argv + ["--memory-cap", str(cap)]) == 2
+        err = capsys.readouterr().err
+        assert f"estimated window automaton build {est:,} bytes exceeds memory cap {cap:,} bytes" in err
+    main(argv + ["--memory-cap", str(est)])
+    assert "window automaton" not in capsys.readouterr().err
 
 
 def test_aztec_sample_reads_no_cache_environment(capsys, tmp_path, monkeypatch):

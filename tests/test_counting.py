@@ -5,6 +5,7 @@ second route to the same counts (different traversal order from the
 layered build), exercised on small instances.
 """
 
+import gc
 import time
 import tracemalloc
 from array import array
@@ -15,11 +16,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sawkit import counting
 from sawkit.aztec import AztecRegion, OmegaParams, partition_family
 from sawkit.counting import (
+    _CLASS_BYTES,
     CountTable,
     ResourceLimitError,
     TableDomainError,
+    WindowAutomaton,
+    _automaton_build_bytes,
     _count_bits,
     _family_bytes,
     build_table,
@@ -33,27 +38,77 @@ from helpers import box_points
 Z = FullLattice()
 
 
+def _reference_windows(girth):
+    """Every window of the girth with its points and its class, by a depth-first search over lattice points.
+
+    The windows are the move sequences of 0..2l moves that visit no point
+    twice, in (length, moves) order.  Each maps to its points relative to
+    its end, newest (0, 0) first, and to the class reached by stepping
+    ``auto.step`` from ``auto.empty_class`` along its moves (the stepping
+    fact of the ``WindowAutomaton`` docstring).
+    """
+    auto = window_automaton(girth)
+    found = {}
+
+    def extend(moves, points, c):
+        ex, ey = points[-1]
+        found[moves] = (tuple((x - ex, y - ey) for x, y in reversed(points)), c)
+        if len(moves) == 2 * girth:
+            return
+        for d, (_, dx, dy) in enumerate(MOVES):
+            nxt = (ex + dx, ey + dy)
+            if nxt not in points:
+                extend(moves + (d,), points + [nxt], auto.step[c][d])
+
+    extend((), [(0, 0)], auto.empty_class)
+    return {w: found[w] for w in sorted(found, key=lambda w: (len(w), w))}
+
+
 def test_window_automaton_sizes():
     # girth: (windows, classes, classes holding a full window)
     sizes = {1: (1 + 4 + 12, 5, 4), 2: (1 + 4 + 12 + 36 + 100, 21, 20), 3: (1217, 89, 84)}
-    for girth, (windows, classes, full_classes) in sizes.items():
+    for girth, (n_windows, classes, full_classes) in sizes.items():
         auto = window_automaton(girth)
-        assert len(auto.windows) == windows
+        windows = _reference_windows(girth)
+        assert len(windows) == n_windows
         assert auto.classes == classes
-        assert len({auto.class_of[wid] for wid, w in enumerate(auto.windows) if len(w) == 2 * girth}) == full_classes
-        assert auto.empty_class == auto.class_of[auto.index[()]]
-        for wid, w in enumerate(auto.windows):
-            c = auto.class_of[wid]
+        assert len({c for w, (_, c) in windows.items() if len(w) == 2 * girth}) == full_classes
+        assert auto.empty_class == windows[()][1]
+        for w, (_, c) in windows.items():
             if w:  # stepping back onto the previous point is always forbidden
                 assert auto.step[c][w[-1] ^ 2] == auto.classes
             # a class's moves are those of each of its windows
             for d in range(4):
                 nxt = (w + (d,))[-2 * girth :]
-                if nxt in auto.index:
-                    assert auto.step[c][d] == auto.class_of[auto.index[nxt]]
+                if nxt in windows:
+                    assert auto.step[c][d] == windows[nxt][1]
                 else:
                     assert auto.step[c][d] == auto.classes
             assert auto.trans[c] == tuple((d, s) for d, s in enumerate(auto.step[c]) if s < auto.classes)
+
+
+@pytest.mark.parametrize("girth", [1, 2, 3, 4, 5])
+def test_stepping_agrees_with_step_on_full_windows(girth):
+    """A move from a full window drops its oldest move, and still leads to ``step[c][d]``.
+
+    Stepping from the empty class gives every window a class through the
+    automaton's own moves, and a move from a window shorter than 2l only
+    extends it, so the full windows are where a class could disagree.
+    """
+    auto = window_automaton(girth)
+    windows = _reference_windows(girth)
+    for w, (offsets, c) in windows.items():
+        if len(w) == 2 * girth:
+            for d, (_, dx, dy) in enumerate(MOVES):
+                want = auto.classes if (dx, dy) in offsets else windows[w[1:] + (d,)][1]
+                assert auto.step[c][d] == want, (w, d)
+
+
+def test_window_automaton_keeps_no_window():
+    """An automaton keeps what the fill and the descent read, all of size O(classes), and no per-window state."""
+    kept = {"girth", "max_moves", "classes", "step", "trans", "empty_class", "sub", "extra", "levels"}
+    for girth in (1, 2, 3):
+        assert set(vars(window_automaton(girth))) == kept
 
 
 def test_window_automaton_successor_counts():
@@ -72,7 +127,8 @@ def test_window_automaton_successor_counts():
     # the one class without a move at girth 4: every step from its windows' end lands on the window
     auto = window_automaton(4)
     (dead,) = [c for c, moves in enumerate(auto.trans) if not moves]
-    assert "".join(DIRECTIONS[d] for d in auto.windows[auto.class_of.index(dead)]) == "URRDDLU"
+    first = next(w for w, (_, c) in _reference_windows(4).items() if c == dead)
+    assert "".join(DIRECTIONS[d] for d in first) == "URRDDLU"
 
 
 def test_window_automaton_fill_plan():
@@ -187,6 +243,52 @@ def test_family_memory_estimate_bounds_tracemalloc_peak(c, k, girth):
     finally:
         tracemalloc.stop()
     assert peak <= _family_bytes(tables)
+
+
+@pytest.mark.parametrize("girth", [1, 2, 3, 4])
+def test_automaton_build_bounds_tracemalloc_peak(girth, monkeypatch):
+    """The automaton's build stays within its bound, and what it keeps within ``_CLASS_BYTES`` per class."""
+    monkeypatch.setattr(counting, "_AUTOMATA", {})
+    tracemalloc.start()
+    try:
+        auto = window_automaton(girth)
+        _, peak = tracemalloc.get_traced_memory()
+        gc.collect()  # and the interpreter's free lists, which hold what the build freed
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= _automaton_build_bytes(girth)
+    assert kept <= _CLASS_BYTES * auto.classes
+
+
+@pytest.mark.parametrize("girth", [1, 2, 3])
+def test_cold_table_build_bounds_tracemalloc_peak(girth, monkeypatch):
+    """A table whose sizing builds the automaton peaks within the automaton's bound or the estimate, which counts it."""
+    monkeypatch.setattr(counting, "_AUTOMATA", {})
+    tracemalloc.start()
+    try:
+        table = build_table(Z, (0, 0), (3, 2), girth, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table._built_automaton
+    assert peak <= max(_automaton_build_bytes(girth), _family_bytes([table]))
+
+
+def test_automaton_over_the_cap_is_refused_before_its_build(monkeypatch):
+    """Each capped caller refuses a girth whose automaton build would exceed the cap, and builds nothing."""
+    def no_build(self, girth):
+        raise AssertionError("window automaton built before the memory cap check")
+
+    monkeypatch.setattr(WindowAutomaton, "__init__", no_build)
+    cap = 50 * 10**6
+    assert cap < _automaton_build_bytes(6)
+    with pytest.raises(ResourceLimitError, match="window automaton"):
+        build_table(Z, (0, 0), (3, 3), 6, 1, memory_cap=cap)
+    with pytest.raises(ResourceLimitError, match="window automaton"):
+        CountTable(Z, (3, 3), 6, (6,), sources=[(0, 0)], memory_cap=cap)
+    with pytest.raises(ResourceLimitError, match="window automaton"):
+        partition_family(2, OmegaParams(2, 0.5), 6, memory_cap=cap)
 
 
 def test_memory_cap_refusal_allocates_little():
@@ -643,12 +745,12 @@ def test_dp_matches_oracle_on_small_regions(inst):
             else:  # a reachable start that is not a source
                 with pytest.raises(TableDomainError):
                     table.count_from(start, length)
-    auto = table.auto
+    windows = _reference_windows(girth)
     memo = {}
     answered = 0
     for x, y in pts:
-        for wid, w in enumerate(auto.windows):
-            history = [(x + dx, y + dy) for dx, dy in reversed(auto.offsets[wid])]
+        for w, (offsets, _) in windows.items():
+            history = [(x + dx, y + dy) for dx, dy in reversed(offsets)]
             if not all(p in region for p in history):
                 continue
             moves = "".join(DIRECTIONS[d] for d in w)
