@@ -143,9 +143,12 @@ class _Diamond:
     """Per-order bitmask geometry of the dual diamond.
 
     Bit i of a mask stands for ``verts[i]``, the dual vertices in sorted
-    order.  The dual edges (i, i + s) are grouped by their index offset s,
-    so one shift of a mask finds every cut edge of a group; each group maps
-    i to the primal edge crossing (i, i + s).
+    order, so the anchor vertex, their minimum, is bit 0 (``anchor_bit``).
+    The dual edges (i, i + s) are grouped by their index offset s, so one
+    shift of a mask finds every cut edge of a group: ``edge_groups`` holds
+    (s, low), low the bits i of the group.  ``primal_edges`` holds, per
+    group, the map from i to the primal edge crossing (i, i + s); only
+    ``cut_edges`` reads it, so it is built on first use.
 
     The vertices of fixed a form column c = (a + 2k - 1) / 2, a run of
     h = 2k + 1 - |a| bits from the bottom (b = 1 - h) up, so vertical
@@ -157,13 +160,16 @@ class _Diamond:
     dual edge from column x + k - 1 to column x + k.  ``prefix_steps`` holds,
     for s = 1, 2, 4, ... < 2k, the bits at least s above their column's
     bottom: the masks of a prefix XOR that stays inside each column.
+    ``outer_corners[i]`` is the frozenset of face i's two corners on
+    |x|+|y| = k when i is an outer face (|a|+|b| = 2k), else empty; each
+    boundary point is a corner of exactly two outer faces.
     ``corner_masks[i]`` holds one ``u|w|x`` mask per corner of face i whose
     three faces lie in the diamond: two adjacent side-neighbours u and w and
     x, their common neighbour other than i (built on first use).
-    ``flip_blocks[i]`` is ``(lo, win, verdicts)``: face i's 3x3 block (i, its
-    side-neighbours and their corners' diagonals) is ``win << lo``, and
-    ``verdicts`` is the Glauber chain's cache of i's flip verdict keyed by
-    ``mask >> lo & win`` (built empty on first use, filled by the chain).
+    ``flip_blocks[i]`` is face i's 3x3 block: i, its side-neighbours and
+    their corners' diagonals.  ``flip_caches[i]`` is the Glauber chain's
+    cache of i's flip verdict, keyed by ``mask & flip_blocks[i]``.  Both
+    lists are built on first use, the caches empty, filled by the chain.
     """
 
     _cache: dict[int, "_Diamond"] = {}
@@ -174,10 +180,11 @@ class _Diamond:
         self.index = {v: i for i, v in enumerate(self.verts)}
         self.n = len(self.verts)
         self.all_mask = (1 << self.n) - 1
-        self.anchor_bit = 1 << self.index[anchor_vertex(k)]
+        self.anchor_bit = 1  # verts is sorted, so its minimum, the anchor, is bit 0
         self.nbr_masks = []
         self.outside_deg = []
-        by_offset: dict[int, dict[int, tuple[Point, Point]]] = {}
+        self.outer_corners = []
+        by_offset: dict[int, int] = {}
         for i, v in enumerate(self.verts):
             mask = 0
             for u in _dual_neighbors(v):
@@ -186,10 +193,18 @@ class _Diamond:
                     continue
                 mask |= 1 << j
                 if i < j:
-                    by_offset.setdefault(j - i, {})[i] = _dual_edge_to_primal(v, u)
+                    by_offset[j - i] = by_offset.get(j - i, 0) | 1 << i
+            od = 4 - mask.bit_count()
             self.nbr_masks.append(mask)
-            self.outside_deg.append(4 - mask.bit_count())
-        self.edge_groups = [(s, sum(1 << i for i in edges), edges) for s, edges in sorted(by_offset.items())]
+            self.outside_deg.append(od)
+            corners = frozenset()
+            if od:
+                a, b = v
+                sa = 1 if a > 0 else -1
+                sb = 1 if b > 0 else -1
+                corners = frozenset({Point((a + sa) // 2, (b - sb) // 2), Point((a - sa) // 2, (b + sb) // 2)})
+            self.outer_corners.append(corners)
+        self.edge_groups = sorted(by_offset.items())
         # outer_masks[t]: the vertices with more than t edges leaving the diamond
         self.outer_masks = [
             sum(1 << i for i, od in enumerate(self.outside_deg) if od > t) for t in range(max(self.outside_deg))
@@ -202,6 +217,20 @@ class _Diamond:
             (s, sum(((1 << h) - (1 << min(s, h))) << b for h, b in zip(heights, starts)))
             for s in (1 << i for i in range((2 * k - 1).bit_length()))
         ]
+
+    @cached_property
+    def primal_edges(self) -> list[dict[int, tuple[Point, Point]]]:
+        verts = self.verts
+        out = []
+        for s, low in self.edge_groups:
+            edges = {}
+            while low:
+                b = low & -low
+                i = b.bit_length() - 1
+                edges[i] = _dual_edge_to_primal(verts[i], verts[i + s])
+                low ^= b
+            out.append(edges)
+        return out
 
     @cached_property
     def corner_masks(self) -> list[tuple[int, ...]]:
@@ -223,15 +252,18 @@ class _Diamond:
         return out
 
     @cached_property
-    def flip_blocks(self) -> list[tuple[int, int, dict[int, int | None]]]:
+    def flip_blocks(self) -> list[int]:
         out = []
         for i, corners in enumerate(self.corner_masks):
             block = 1 << i | self.nbr_masks[i]
             for corner in corners:
                 block |= corner
-            lo = (block & -block).bit_length() - 1
-            out.append((lo, block >> lo, {}))
+            out.append(block)
         return out
+
+    @cached_property
+    def flip_caches(self) -> list[dict[int, int | None]]:
+        return [{} for _ in range(self.n)]
 
     @classmethod
     def get(cls, k: int) -> "_Diamond":
@@ -260,7 +292,7 @@ class _Diamond:
 
     def boundary_size(self, mask: int) -> int:
         """Dual edges from the class to everything else, outer edges included."""
-        cut = sum(((mask ^ (mask >> s)) & low).bit_count() for s, low, _ in self.edge_groups)
+        cut = sum(((mask ^ (mask >> s)) & low).bit_count() for s, low in self.edge_groups)
         return cut + sum((mask & outer).bit_count() for outer in self.outer_masks)
 
     def mask_of(self, verts) -> int:
@@ -284,7 +316,7 @@ class _Diamond:
     def cut_edges(self, mask: int) -> list[tuple[Point, Point]]:
         """Primal edges crossing the dual edges between the class and the rest."""
         out = []
-        for s, low, edges in self.edge_groups:
+        for (s, low), edges in zip(self.edge_groups, self.primal_edges):
             x = (mask ^ (mask >> s)) & low
             while x:
                 b = x & -x
@@ -293,10 +325,18 @@ class _Diamond:
         return out
 
     def cut_endpoints(self, mask: int) -> tuple[Point, Point]:
-        """Endpoints of the boundary path: odd-degree points of the cut edges."""
+        """Endpoints of the boundary path: odd-degree points of the cut edges.
+
+        They are the XOR of the class's outer faces' ``outer_corners``: an
+        interior lattice point has even cut degree, and a boundary point
+        is odd exactly when its two outer faces lie in different classes.
+        """
         odd: set[Point] = set()
-        for edge in self.cut_edges(mask):
-            odd.symmetric_difference_update(edge)
+        x = mask & self.outer_masks[0]
+        while x:
+            b = x & -x
+            odd ^= self.outer_corners[b.bit_length() - 1]
+            x ^= b
         if len(odd) != 2:
             raise ValueError("cut does not have exactly two endpoints")
         a, b = sorted(odd)

@@ -225,9 +225,13 @@ def _cmd_glauber_run(args) -> int:
 
     params = OmegaParams(args.C, args.eps)
     rng = RngStream(args.seed)
+    record_every = args.record_every
+    if not args.trace and record_every >= 1:
+        # only a trace reads the records; run_chain still refuses a bad --record-every or --steps
+        record_every = max(args.steps, 1)
     # the trace file is opened before the chain runs, so a bad path costs no steps
     with open(args.trace, "w") if args.trace else nullcontext() as fh:
-        trace = run_chain(args.k, params, args.steps, rng, record_every=args.record_every)
+        trace = run_chain(args.k, params, args.steps, rng, record_every=record_every)
         if fh is not None:
             for step, endpoints, in_s, bounds in trace.records:
                 fh.write(json.dumps({

@@ -18,7 +18,11 @@ locality facts:
   odd-degree points) stay.  A face with |a|+|b| = 2k has its two outer
   sides outside, so only its two corners on |x|+|y| = k change parity:
   they swap into or out of the endpoint set.  No face has one or three
-  outer sides.
+  outer sides.  By the same parity, an interior lattice point always has
+  even cut degree, and a boundary point is odd exactly when its two outer
+  faces lie in different classes.  So a chain starts from the XOR of its
+  class's outer-face corners (``_Diamond.cut_endpoints``), with no pass
+  over the whole cut.
 * Connectivity.  Let v lie in class A with ``same`` >= 2 neighbours in A
   and at least one in the other class B.  A corner of v is joined when
   two adjacent side-neighbours u and w and their common neighbour x != v
@@ -43,9 +47,10 @@ locality facts:
   class and 4 - 2*other for the other, are local as well; only the budget
   test reads the sizes.  So before the budget test a verdict is a function
   of v and at most 2^9 block bits, and ``_verdict`` caches it per face
-  under those bits.  A step is one lookup and the budget test, which also
-  settles self-loops: at k=8 (C=2, eps=0.5) about 80% of proposals pick a
-  face with no neighbour in the other class, which holds.
+  under ``mask & block``, the block's bits left in place.  A step is one
+  AND, one lookup and the budget test, which also settles self-loops: at
+  k=8 (C=2, eps=0.5) about 80% of proposals pick a face with no
+  neighbour in the other class, which holds.
 
 Budgets of 8k + 4 or more (k >= 2) admit a class enclosed by the other:
 one interior face has boundary 4 and its complement 8k + 4.  Such a cut
@@ -103,12 +108,13 @@ def _verdict(d: _Diamond, mask: int, v: int) -> int | None:
     None when no budget admits the flip, else the changes (dm, dc) of the
     mask's and the complement's boundary sizes packed as
     ``(dm + 4) << 4 | (dc + 4)``; each change lies in -4..4.  It is cached
-    in ``d.flip_blocks[v]`` under v's block bits (the Read set fact).  A
+    in ``d.flip_caches[v]`` under ``mask & d.flip_blocks[v]``, v's block
+    bits in place (the Read set fact).  A
     miss is filled by ``_flip`` itself from sizes 0 under budget 4, which
     every change meets, so ``_flip`` stays the one flip rule.
     """
-    lo, win, verdicts = d.flip_blocks[v]
-    key = mask >> lo & win
+    verdicts = d.flip_caches[v]
+    key = mask & d.flip_blocks[v]
     if key not in verdicts:
         res = _flip(d, 4, mask, 0, 0, v)
         verdicts[key] = None if res is None else (res[0] + 4) << 4 | (res[1] + 4)
@@ -182,6 +188,8 @@ class ChainState:
             return 0  # leaves the verdict caches unbuilt
         d = self.diamond
         blocks = d.flip_blocks
+        caches = d.flip_caches
+        outer_corners = d.outer_corners
         budget = self.budget
         mask = self.mask
         b_mask = self.b_mask
@@ -192,9 +200,8 @@ class ChainState:
             block = _DRAW_BLOCK if left > _DRAW_BLOCK else left
             left -= block
             for v in self.rng.uniform_ints(d.n, block):
-                lo, win, verdicts = blocks[v]
                 try:
-                    r = verdicts[mask >> lo & win]
+                    r = caches[v][mask & blocks[v]]
                 except KeyError:
                     r = _verdict(d, mask, v)
                 if r is None:
@@ -206,12 +213,10 @@ class ChainState:
                 mask ^= 1 << v
                 b_mask, b_comp = new_b_mask, new_b_comp
                 moves += 1
-                if d.outside_deg[v]:
+                corners = outer_corners[v]
+                if corners:
                     # an outer face: its two corners on |x|+|y| = k change parity
-                    a, b = d.verts[v]
-                    sa = 1 if a > 0 else -1
-                    sb = 1 if b > 0 else -1
-                    self.odd = self.odd ^ {Point((a + sa) // 2, (b - sb) // 2), Point((a - sa) // 2, (b + sb) // 2)}
+                    self.odd = self.odd ^ corners
                     in_s = _ordered(self.endpoints())
                     if in_s != self.in_s:
                         self.crossings += 1

@@ -7,6 +7,7 @@ import pytest
 
 from sawkit.aztec import (
     AztecRegion,
+    _Diamond,
     OmegaParams,
     anchor_vertex,
     arc_gap,
@@ -44,6 +45,12 @@ def test_dual_vertex_counts():
     assert len(dual_vertices(4)) == 40
     for k in range(1, 13):
         assert len(dual_vertices(k)) == 2 * k * (k + 1)
+
+
+def test_anchor_is_bit_zero():
+    for k in range(1, 13):
+        d = _Diamond(k)
+        assert d.anchor_bit == 1 << d.index[anchor_vertex(k)] == 1
 
 
 def test_outer_boundary_edges():

@@ -126,6 +126,24 @@ def test_glauber_commands(tmp_path, capsys):
     assert "ratio=" in out and "t_mix_lower_bound=" in out
 
 
+def test_glauber_run_without_trace_keeps_no_step_records(capsys, monkeypatch):
+    from sawkit.glauber import run_chain as real_run_chain
+
+    traces = []
+
+    def run_chain(*args, **kwargs):
+        traces.append(real_run_chain(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr("sawkit.glauber.run_chain", run_chain)
+    argv = ["glauber", "run", "--k", "4", "--C", "2", "--eps", "0.5", "--steps", "5000", "--seed", "3"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert len(traces[-1].records) == 2  # step 0 and the last step, not one per step
+    assert main(argv + ["--record-every", "5000"]) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_glauber_run_bad_trace_path_fails_before_the_chain(capsys, tmp_path, monkeypatch):
     def no_chain(*args, **kwargs):
         raise AssertionError("the chain ran")

@@ -245,6 +245,44 @@ def test_corner_rule_needs_an_open_cut():
         make_chain(4, closed, d.partition(mask), RngStream(1))
 
 
+def _reference_endpoints(d, mask):
+    """The cut's endpoints from the whole cut: the odd-degree points of its primal edges."""
+    odd = set()
+    for edge in d.cut_edges(mask):
+        odd.symmetric_difference_update(edge)
+    if len(odd) != 2:
+        raise ValueError("cut does not have exactly two endpoints")
+    a, b = sorted(odd)
+    return a, b
+
+
+def _endpoints_or_error(f, d, mask):
+    try:
+        return f(d, mask)
+    except ValueError:
+        return ValueError
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("C", [2, 3])
+def test_cut_endpoints_match_whole_cut_on_omega(k, C):
+    d = _Diamond.get(k)
+    for p in enumerate_omega(k, OmegaParams(C, 0.5)):
+        assert d.cut_endpoints(p.mask) == _reference_endpoints(d, p.mask)
+
+
+@pytest.mark.parametrize("k", [8, 11])
+def test_cut_endpoints_match_whole_cut_on_any_mask(k):
+    # every prefix of the sorted faces (a staircase cut), then random masks, most of which have
+    # more than two odd points: both raise on those
+    d = _Diamond.get(k)
+    rng = RngStream(k)
+    masks = [(1 << j) - 1 for j in range(d.n + 1)] + [rng.getrandbits(d.n) for _ in range(2_000)]
+    got = [_endpoints_or_error(_Diamond.cut_endpoints, d, m) for m in masks]
+    assert got == [_endpoints_or_error(_reference_endpoints, d, m) for m in masks]
+    assert 0 < got.count(ValueError) < len(got)
+
+
 def _reference_run(k, params, steps, rng, record_every):
     """run_chain's trace, from whole-class flood fills and whole-cut endpoints."""
     d = _Diamond.get(k)
@@ -253,10 +291,10 @@ def _reference_run(k, params, steps, rng, record_every):
     mask, (b_mask, b_comp) = start.mask, start.boundary_sizes
 
     def snapshot(step):
-        a, b = d.cut_endpoints(mask)
+        a, b = _reference_endpoints(d, mask)
         return (step, (tuple(a), tuple(b)), in_s, (b_mask, b_comp))
 
-    in_s = _ordered(d.cut_endpoints(mask))
+    in_s = _ordered(_reference_endpoints(d, mask))
     records, moves, crossings = [snapshot(0)], 0, 0
     for i in range(1, steps + 1):
         v = rng.uniform_int(d.n)
@@ -265,7 +303,7 @@ def _reference_run(k, params, steps, rng, record_every):
             mask ^= 1 << v
             b_mask, b_comp = res
             moves += 1
-            new_in_s = _ordered(d.cut_endpoints(mask))
+            new_in_s = _ordered(_reference_endpoints(d, mask))
             crossings += new_in_s != in_s
             in_s = new_in_s
         if i % record_every == 0:
@@ -284,7 +322,7 @@ def test_chain_matches_whole_diamond_reference(k, C):
     for _ in range(steps):
         odd = state.odd
         if glauber_step(state):
-            assert state.endpoints() == d.cut_endpoints(state.mask)
+            assert state.endpoints() == _reference_endpoints(d, state.mask)
             endpoint_moves += state.odd != odd
     assert 0 < endpoint_moves < state.moves
     trace = run_chain(k, params, steps, RngStream(seed), record_every=97)
@@ -350,16 +388,18 @@ def test_cached_verdict_is_flip(k, C):
 def test_verdict_caches_are_lazy_and_bounded(monkeypatch):
     monkeypatch.setattr(_Diamond, "_cache", {})
     params = OmegaParams(2, 0.5)
+    lazy = {"flip_blocks", "flip_caches", "primal_edges"}
     trace = run_chain(8, params, 0, RngStream(1))
     d = _Diamond.get(8)
-    assert "flip_blocks" not in vars(d)  # a run of no steps builds no cache
+    assert not lazy & set(vars(d))  # a run of no steps builds no cache and no primal-edge map
     state = make_chain(8, params, trace.final, RngStream(1))
-    assert "flip_blocks" not in vars(d)
+    assert not lazy & set(vars(d))
     state.advance(200_000)
-    for lo, win, verdicts in d.flip_blocks:
-        assert win & 1 and win.bit_count() <= 9
-        assert all(key & ~win == 0 for key in verdicts) and len(verdicts) <= 512
-    assert sum(len(verdicts) for _, _, verdicts in d.flip_blocks) > d.n
+    assert "primal_edges" not in vars(d)
+    for v, (block, verdicts) in enumerate(zip(d.flip_blocks, d.flip_caches, strict=True)):
+        assert block >> v & 1 and block.bit_count() <= 9
+        assert all(key & ~block == 0 for key in verdicts) and len(verdicts) <= 512
+    assert sum(len(verdicts) for verdicts in d.flip_caches) > d.n
 
 
 def test_chain_past_256_faces_matches_reference():
