@@ -10,8 +10,9 @@ partition is stored as one bitmask over the sorted dual vertices
 
 Two facts let Algorithm 4 propose only walks it can accept (tested
 exhaustively on Omega for k <= 4 in tests/test_aztec.py), a third lets
-``path_to_partition`` label the two classes without a flood fill, and a
-fourth gives |Omega| as an exact count:
+``path_to_partition`` label the two classes without a flood fill, a fourth
+lets ``partition_to_path`` read the cut off the mask, and a fifth gives
+|Omega| as an exact count:
 
 * Boundary.  The interior of a 2-partition's boundary path never touches
   |x|+|y| = k.  A path that visits a boundary point b between its ends
@@ -45,6 +46,21 @@ fourth gives |Omega| as an exact count:
   anchor's.  Each of the L cut edges joins the two classes and no other
   interior dual edge does, so a class's boundary is L plus its outer
   edges, and the two sizes sum to 8k + 2L.
+* Trace.  Bit ``cross_bits[x + k] + y`` is the face right of and below
+  the lattice point (x, y) (``_Diamond``).  So from (x, y) the move R
+  crosses bits ``cross_bits[x + k] + y`` and ``+ y + 1``, L the same in
+  column x + k - 1, U ``cross_bits[x + k - 1] + y + 1`` against
+  ``cross_bits[x + k] + y + 1``, and D ``cross_bits[x + k - 1] + y``
+  against ``cross_bits[x + k] + y``; both faces lie in the diamond exactly
+  when the move's end lies in A_k', and the move is on the cut when the
+  mask tells them apart.  ``partition_to_path`` starts at one end of
+  ``cut_endpoints`` and takes, at each point, the one cut edge other than
+  the edge it came in by.  An interior point has even cut degree and a
+  boundary point at most two diamond edges, so the ends have cut degree 1
+  and every other cut point 2 or 4.  Through points of degree 2 the trace
+  runs along a simple path to the other end, a point of degree 4 offers
+  it three choices, and a closed part of the cut it does not meet shows
+  as a length shorter than the cut's size.
 * Omega.  A walk of length L from s to t that visits a point twice holds
   a cycle between its two nearest visits; cut out, it leaves a walk from
   s to t of length L - c >= d(s, t), so the cycle's length c is at most
@@ -62,7 +78,7 @@ from itertools import accumulate
 from math import floor, isfinite
 
 from .counting import DEFAULT_MEMORY_CAP, CountTable, check_automaton_cap, check_memory_cap, fill_tables
-from .lattice import DIRECTIONS, LatticeBox, Point, Region, Walk, manhattan, step, walk_through
+from .lattice import DIRECTIONS, MOVES, LatticeBox, Point, Region, Walk, manhattan, step
 from .sampling import Family, RngStream, SampleReport, SamplingBudgetError, draw_family, make_family
 # Unused here: perfbench's tracer patches this name on aztec.  It goes, and
 # sample_length_then_walk with it, when the tracer times draw_family instead.
@@ -122,23 +138,6 @@ def outer_boundary_edge_count(k: int) -> int:
     return sum(1 for v in verts for u in _dual_neighbors(v) if u not in verts)
 
 
-def anchor_vertex(k: int) -> tuple[int, int]:
-    """Designated dual vertex fixing class-label symmetry (lexicographic min)."""
-    return min(dual_vertices(k))
-
-
-def _dual_edge_to_primal(u: tuple[int, int], v: tuple[int, int]) -> tuple[Point, Point]:
-    """The primal edge crossing dual edge u-v, smaller endpoint first."""
-    if v < u:
-        u, v = v, u
-    a, b = u
-    if v == (a + 2, b):
-        return (Point((a + 1) // 2, (b - 1) // 2), Point((a + 1) // 2, (b + 1) // 2))
-    if v == (a, b + 2):
-        return (Point((a - 1) // 2, (b + 1) // 2), Point((a + 1) // 2, (b + 1) // 2))
-    raise ValueError(f"{u} and {v} are not dual neighbors")
-
-
 class _Diamond:
     """Per-order bitmask geometry of the dual diamond.
 
@@ -146,20 +145,17 @@ class _Diamond:
     order, so the anchor vertex, their minimum, is bit 0 (``anchor_bit``).
     The dual edges (i, i + s) are grouped by their index offset s, so one
     shift of a mask finds every cut edge of a group: ``edge_groups`` holds
-    (s, low), low the bits i of the group.  ``primal_edges`` holds, per
-    group, the map from i to the primal edge crossing (i, i + s); only
-    ``cut_edges`` reads it, so it is built on first use.
+    (s, low), low the bits i of the group.
 
     The vertices of fixed a form column c = (a + 2k - 1) / 2, a run of
     h = 2k + 1 - |a| bits from the bottom (b = 1 - h) up, so vertical
     neighbours are adjacent bits.  ``col_prefix[c]`` holds columns 0 to
     c - 1 (so column c is ``col_prefix[c + 1] ^ col_prefix[c]``), and
-    ``cross_bits[c]`` is the bit of (a, -1): the primal edge (x, y)-(x + 1, y),
-    x = c - k, crosses the vertical dual edge whose lower bit is
-    ``cross_bits[x + k] + y``, and the primal edge (x, 0)-(x, 1) the row-1
-    dual edge from column x + k - 1 to column x + k.  ``prefix_steps`` holds,
-    for s = 1, 2, 4, ... < 2k, the bits at least s above their column's
-    bottom: the masks of a prefix XOR that stays inside each column.
+    ``cross_bits[c]`` is the bit of (a, -1), so bit ``cross_bits[c] + t`` is
+    the face of column c between y = t - 1 and y = t (the ray and trace
+    facts of the module docstring).  ``prefix_steps`` holds, for s = 1, 2,
+    4, ... < 2k, the bits at least s above their column's bottom: the masks
+    of a prefix XOR that stays inside each column.
     ``outer_corners[i]`` is the frozenset of face i's two corners on
     |x|+|y| = k when i is an outer face (|a|+|b| = 2k), else empty; each
     boundary point is a corner of exactly two outer faces.
@@ -217,20 +213,6 @@ class _Diamond:
             (s, sum(((1 << h) - (1 << min(s, h))) << b for h, b in zip(heights, starts)))
             for s in (1 << i for i in range((2 * k - 1).bit_length()))
         ]
-
-    @cached_property
-    def primal_edges(self) -> list[dict[int, tuple[Point, Point]]]:
-        verts = self.verts
-        out = []
-        for s, low in self.edge_groups:
-            edges = {}
-            while low:
-                b = low & -low
-                i = b.bit_length() - 1
-                edges[i] = _dual_edge_to_primal(verts[i], verts[i + s])
-                low ^= b
-            out.append(edges)
-        return out
 
     @cached_property
     def corner_masks(self) -> list[tuple[int, ...]]:
@@ -312,17 +294,6 @@ class _Diamond:
     def partition(self, mask: int) -> "Partition":
         mask = self.canonical(mask)
         return Partition(self.k, mask, (self.boundary_size(mask), self.boundary_size(self.all_mask ^ mask)))
-
-    def cut_edges(self, mask: int) -> list[tuple[Point, Point]]:
-        """Primal edges crossing the dual edges between the class and the rest."""
-        out = []
-        for (s, low), edges in zip(self.edge_groups, self.primal_edges):
-            x = (mask ^ (mask >> s)) & low
-            while x:
-                b = x & -x
-                out.append(edges[b.bit_length() - 1])
-                x ^= b
-        return out
 
     def cut_endpoints(self, mask: int) -> tuple[Point, Point]:
         """Endpoints of the boundary path: odd-degree points of the cut edges.
@@ -442,35 +413,54 @@ def path_to_partition(k: int, walk: Walk) -> Partition:
     return Partition(k, mask, (size, 8 * k + 2 * len(moves) - size))
 
 
+# Per move of MOVES: its step, then the two faces it crosses as (column, row)
+# offsets from (x + k, y) into cross_bits (the trace fact).
+_TRACE_MOVES = tuple(
+    (m, dx, dy, min(dx, 0), 0, min(dx, 0), 1) if dx else (m, dx, dy, -1, max(dy, 0), 0, max(dy, 0))
+    for m, dx, dy in MOVES
+)
+_REVERSE = {m: r for m, dx, dy in MOVES for r, rx, ry in MOVES if (rx, ry) == (-dx, -dy)}
+
+
 def partition_to_path(p: Partition) -> Walk:
     """The boundary path of a partition, oriented from its smaller endpoint.
 
-    The between-class dual edges are mapped to the primal edges crossing
-    them; those edges must form a single simple path, else the partition is
-    not path-representable and a ValueError is raised.
+    The cut is traced on the mask (the trace fact of the module docstring)
+    from the smaller of ``cut_endpoints`` to the other; a partition whose
+    between-class edges are not one simple path raises a ValueError.
     """
-    edges = _Diamond.get(p.k).cut_edges(p.mask)
-    if not edges:
+    d = _Diamond.get(p.k)
+    k, mask, cross = p.k, p.mask, d.cross_bits
+    size = sum(((mask ^ (mask >> s)) & low).bit_count() for s, low in d.edge_groups)
+    if not size:
         raise ValueError("no between-class edges")
-    adj: dict[Point, list[Point]] = {}
-    for a, b in edges:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    ends = sorted(q for q, nb in adj.items() if len(nb) == 1)
-    if len(ends) != 2 or any(len(nb) > 2 for nb in adj.values()):
-        raise ValueError("between-class edges do not form a single path")
-    cur = ends[0]
-    prev = None
-    pts = [cur]
-    while cur != ends[1]:
-        nxt = [q for q in adj[cur] if q != prev]
-        if len(nxt) != 1:
-            raise ValueError("between-class edges do not form a single path")
-        prev, cur = cur, nxt[0]
-        pts.append(cur)
-    if len(pts) != len(edges) + 1:
-        raise ValueError("between-class edges do not form a single path")
-    return walk_through(pts)
+    not_a_path = "between-class edges do not form a single path"
+    try:
+        start, end = d.cut_endpoints(mask)
+    except ValueError:
+        raise ValueError(not_a_path) from None
+    x, y = start
+    back = None  # the reverse of the last move: the edge the trace came in by
+    moves = []
+    while (x, y) != end:
+        c = x + k
+        ahead = [
+            (m, dx, dy)
+            for m, dx, dy, ci, ri, cj, rj in _TRACE_MOVES
+            if m != back
+            and abs(x + dx) + abs(y + dy) <= k
+            and (mask >> (cross[c + ci] + y + ri) ^ mask >> (cross[c + cj] + y + rj)) & 1
+        ]
+        if len(ahead) != 1:
+            raise ValueError(not_a_path)
+        m, dx, dy = ahead[0]
+        moves.append(m)
+        back = _REVERSE[m]
+        x += dx
+        y += dy
+    if len(moves) != size:
+        raise ValueError(not_a_path)
+    return Walk(start, "".join(moves))
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import oracle
-from .aztec import OmegaParams, Partition, _Diamond
+from .aztec import OmegaParams, Partition, _Diamond, staircase_partition
 from .lattice import Point
 from .sampling import RngStream
 
@@ -352,8 +352,6 @@ def run_chain(
     record_every steps (plus step 0); crossings of the ordered-endpoints
     cut are counted at every step regardless.
     """
-    from .aztec import staircase_partition
-
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if record_every < 1:

@@ -104,27 +104,6 @@ class Walk:
         return cls(Point(int(m.group(1)), int(m.group(2))), m.group(3))
 
 
-def moves_between(points: list[Point]) -> str:
-    """Reconstruct the move string of a point sequence (unit steps required)."""
-    out = []
-    for a, b in zip(points, points[1:]):
-        delta = (b[0] - a[0], b[1] - a[1])
-        for m, d in _DISPLACEMENT.items():
-            if d == delta:
-                out.append(m)
-                break
-        else:
-            raise ValueError(f"points {a} -> {b} are not one lattice step apart")
-    return "".join(out)
-
-
-def walk_through(points: list[Point]) -> Walk:
-    """Walk visiting exactly the given unit-step point sequence."""
-    if not points:
-        raise ValueError("need at least one point")
-    return Walk(Point(*points[0]), moves_between([Point(*p) for p in points]))
-
-
 class Region:
     """Membership predicate over lattice points; membership is pure and deterministic.
 

@@ -9,7 +9,6 @@ from sawkit.aztec import (
     AztecRegion,
     _Diamond,
     OmegaParams,
-    anchor_vertex,
     arc_gap,
     boundary_vertices,
     dual_vertices,
@@ -50,7 +49,7 @@ def test_dual_vertex_counts():
 def test_anchor_is_bit_zero():
     for k in range(1, 13):
         d = _Diamond(k)
-        assert d.anchor_bit == 1 << d.index[anchor_vertex(k)] == 1
+        assert d.anchor_bit == 1 << d.index[min(dual_vertices(k))] == 1
 
 
 def test_outer_boundary_edges():
@@ -63,7 +62,7 @@ def test_k1_bijection_by_hand():
     p = path_to_partition(1, w)
     assert p.boundary_sizes == (6, 6)
     assert {p.class1, p.class2} == {frozenset({(-1, 1), (1, 1)}), frozenset({(-1, -1), (1, -1)})}
-    assert anchor_vertex(1) in p.class1
+    assert min(dual_vertices(1)) in p.class1
     assert partition_to_path(p).to_text() == w.to_text()
 
 

@@ -11,19 +11,20 @@ from sawkit.aztec import (
     OmegaParams,
     Partition,
     _Diamond,
-    _dual_edge_to_primal,
     boundary_vertices,
     dual_vertices,
     make_partition,
+    partition_family,
     partition_to_path,
     path_to_partition,
+    sample_partition,
     staircase_partition,
 )
 from sawkit.glauber import _flip, enumerate_omega, glauber_step, make_chain
-from sawkit.lattice import LatticeBox, Point, Walk
+from sawkit.lattice import MOVES, LatticeBox, Point, Walk
 from sawkit.oracle import _self_avoiding, _walk_dfs
 from sawkit.sampling import RngStream
-from helpers import box_points
+from helpers import box_points, cut_edges, primal_edges
 
 OFFSETS = ((2, 0), (-2, 0), (0, 2), (0, -2))
 
@@ -57,14 +58,7 @@ def _diamond_points(k) -> list[Point]:
 @cache
 def _primal_to_dual(k):
     """Every primal edge of A_k', smaller end first, -> the (i, j) bits of the dual edge it crosses."""
-    d = _Diamond.get(k)
-    out = {}
-    for i, v in enumerate(d.verts):
-        for u in ((v[0] + 2, v[1]), (v[0], v[1] + 2)):
-            j = d.index.get(u)
-            if j is not None:
-                out[_dual_edge_to_primal(v, u)] = (i, j)
-    return out
+    return {edge: (i, j) for i, j, edge in primal_edges(k)}
 
 
 def test_every_primal_edge_crosses_one_dual_edge():
@@ -87,9 +81,9 @@ def test_every_primal_edge_crosses_one_dual_edge():
             if q.y == p.y:  # crosses a vertical dual edge, bits i and i + 1 of one column
                 assert (i, j) == (d.cross_bits[p.x + k] + p.y, d.cross_bits[p.x + k] + p.y + 1)
                 assert any((m >> i & 1) and (m >> j & 1) for m in cols)
-            elif p.y == 0:  # the row-1 dual edge between columns p.x + k - 1 and p.x + k
-                assert (i, j) == (d.cross_bits[p.x + k - 1] + 1, d.cross_bits[p.x + k] + 1)
-                assert d.verts[i][1] == d.verts[j][1] == 1
+            else:  # the dual edge of row p.y + 1 between columns p.x + k - 1 and p.x + k
+                assert (i, j) == (d.cross_bits[p.x + k - 1] + p.y + 1, d.cross_bits[p.x + k] + p.y + 1)
+                assert d.verts[i][1] == d.verts[j][1] == 2 * p.y + 1
         for s, keep in d.prefix_steps:
             for m in cols:
                 low = m & -m
@@ -135,9 +129,9 @@ def _reference_path_to_partition(k: int, walk: Walk) -> Partition:
     return Partition(k, c1, (d.boundary_size(c1), d.boundary_size(rest)))
 
 
-def _outcome(f, k, walk):
+def _outcome(f, *args):
     try:
-        return f(k, walk)
+        return f(*args)
     except ValueError as exc:
         return str(exc)
 
@@ -183,6 +177,69 @@ def test_path_to_partition_inverts_partition_to_path_both_ways():
             assert path_to_partition(k, back) == p
             lower_ends += (walk.start.y <= 0) + (walk.end.y <= 0)
         assert 0 < lower_ends < 2 * len(omega)
+
+
+def _reference_partition_to_path(p: Partition) -> Walk:
+    """The point-graph partition_to_path: the cut's primal edges as an adjacency dict, walked end to end."""
+    edges = cut_edges(_Diamond.get(p.k), p.mask)
+    if not edges:
+        raise ValueError("no between-class edges")
+    adj = {}
+    for a, b in edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    ends = sorted(q for q, nb in adj.items() if len(nb) == 1)
+    if len(ends) != 2 or any(len(nb) > 2 for nb in adj.values()):
+        raise ValueError("between-class edges do not form a single path")
+    cur, prev, pts = ends[0], None, [ends[0]]
+    while cur != ends[1]:
+        nxt = [q for q in adj[cur] if q != prev]
+        if len(nxt) != 1:
+            raise ValueError("between-class edges do not form a single path")
+        prev, cur = cur, nxt[0]
+        pts.append(cur)
+    if len(pts) != len(edges) + 1:
+        raise ValueError("between-class edges do not form a single path")
+    move_of = {(dx, dy): m for m, dx, dy in MOVES}
+    return Walk(pts[0], "".join(move_of[b.x - a.x, b.y - a.y] for a, b in zip(pts, pts[1:])))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("C", [2, 3])
+def test_partition_to_path_matches_point_graph_walk_on_omega(k, C):
+    for p in enumerate_omega(k, OmegaParams(C, 0.5)):
+        assert partition_to_path(p) == _reference_partition_to_path(p)
+
+
+def test_partition_to_path_matches_point_graph_walk_on_samples():
+    k, params, girth = 8, OmegaParams(2, 0.5), 2
+    family = partition_family(k, params, girth)
+    rng = RngStream(8)
+    for _ in range(2_000):
+        p, _ = sample_partition(k, params, girth, rng, family=family)
+        assert partition_to_path(p) == _reference_partition_to_path(p)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_partition_to_path_matches_point_graph_walk_on_any_mask(k):
+    """Masks of a cut from (-k, 0) to (k, 0), and one in four uniform, each then with up to three bits
+    flipped: open cuts, cuts touching the boundary between their ends, closed loops and points of degree 4."""
+    d = _Diamond.get(k)
+    rng = RngStream(k)
+    cols = [hi ^ lo for lo, hi in zip(d.col_prefix, d.col_prefix[1:])]
+    masks = [0, d.all_mask]
+    while len(masks) < 10_000:
+        if rng.uniform_int(4) == 0:
+            mask = rng.getrandbits(d.n)
+        else:  # class 1 is the lowest 1 to h - 1 faces of each column of h faces
+            mask = sum(((1 << rng.uniform_int(col.bit_count() - 1) + 1) - 1) * (col & -col) for col in cols)
+        for _ in range(rng.uniform_int(4)):
+            mask ^= 1 << rng.uniform_int(d.n)
+        masks.append(mask)
+    got = [_outcome(partition_to_path, Partition(k, m, (0, 0))) for m in masks]
+    assert got == [_outcome(_reference_partition_to_path, Partition(k, m, (0, 0))) for m in masks]
+    walks = sum(isinstance(g, Walk) for g in got)
+    assert got.count("no between-class edges") >= 2 and 0 < walks < len(got)
 
 
 _STEPS = st.lists(st.tuples(st.integers(0, 99), st.booleans()), min_size=1, max_size=60)

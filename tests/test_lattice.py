@@ -12,7 +12,6 @@ from sawkit.lattice import (
     PointSetRegion,
     Region,
     Walk,
-    moves_between,
     step,
 )
 
@@ -27,11 +26,6 @@ def test_points_of():
     assert Walk(Point(0, 0), "RU").points() == [(0, 0), (1, 0), (1, 1)]
     assert Walk(Point(0, 0), "").points() == [(0, 0)]
     assert Walk(Point(0, 0), "RL").points() == [(0, 0), (1, 0), (0, 0)]
-
-
-def test_points_round_trip_moves():
-    w = Walk(Point(2, -1), "URRDLU")
-    assert moves_between(w.points()) == w.moves
 
 
 def test_self_avoidance():
