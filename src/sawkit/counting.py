@@ -58,6 +58,7 @@ before the build, and a list of ints after.
 
 from __future__ import annotations
 
+import operator
 import sys
 from array import array
 from itertools import combinations
@@ -631,6 +632,8 @@ class CountTable:
         no row for.
         """
         point = Point(*point)
+        if not set(window_moves) <= set(DIRECTIONS):
+            raise ValueError(f"invalid window {window_moves!r} (a move other than {', '.join(DIRECTIONS)})")
         codes = tuple(DIRECTIONS.index(c) for c in window_moves)
         offsets = WindowAutomaton._offsets(codes)
         if len(codes) > self.auto.max_moves or len(set(offsets)) < len(offsets):
@@ -666,8 +669,10 @@ class CountTable:
         and subtracts the counts of the successors before it.
         The index is never used up by the successors, as every state's
         count is the sum of theirs; a table that breaks this raises
-        AssertionError.  An index outside [0, count) raises ValueError.
+        AssertionError.  An index outside [0, count) raises ValueError, and
+        one that is not an integer (a float, a Fraction) TypeError.
         """
+        index = operator.index(index)
         start = Point(*start)
         count = self.count_from(start, length)
         if not 0 <= index < count:

@@ -39,18 +39,19 @@ locality facts:
   class 2 = {(1,1), (1,3), (3,1)} and v = (3,3), the rule refuses the
   flip, yet class 1 stays connected the long way round.  No flip runs a
   flood fill.
-* Read set.  ``_flip`` reads only v's 3x3 block of the mask: v, its
-  side-neighbours, and the diagonals in its corner masks.  Its one test
-  of the whole class, that v is not alone in it, is local in a chain
-  state: v's class is connected, so it is {v} exactly when v has no
-  neighbour in it (same == 0).  The boundary changes, 2*same - 4 for v's
-  class and 4 - 2*other for the other, are local as well; only the budget
-  test reads the sizes.  So before the budget test a verdict is a function
-  of v and at most 2^9 block bits, and ``_verdict`` caches it per face
-  under ``mask & block``, the block's bits left in place.  A step is one
-  AND, one lookup and the budget test, which also settles self-loops: at
-  k=8 (C=2, eps=0.5) about 80% of proposals pick a face with no
-  neighbour in the other class, which holds.
+* Read set.  ``_verdict``, the one flip rule, reads only v's 3x3 block
+  of the mask: v, its side-neighbours, and the diagonals in its corner
+  masks.  Its one test of the whole class, that v is not alone in it, is
+  local in a chain state: v's class is connected, so it is {v} exactly
+  when v has no neighbour in it (same == 0).  The boundary changes,
+  2*same - 4 for v's class and 4 - 2*other for the other, are local as
+  well; only the budget test, which its callers make, reads the sizes.
+  So a verdict is a function of v and at most 2^9 block bits, and
+  ``_verdict`` caches it per face under ``mask & block``, the block's bits
+  left in place.  A step is one AND, one lookup and the budget test,
+  which also settles self-loops: at k=8 (C=2, eps=0.5) about 80% of
+  proposals pick a face with no neighbour in the other class, which
+  holds.
 
 Budgets of 8k + 4 or more (k >= 2) admit a class enclosed by the other:
 one interior face has boundary 4 and its complement 8k + 4.  Such a cut
@@ -68,57 +69,33 @@ from .lattice import Point
 from .sampling import RngStream
 
 
-def _flip(d: _Diamond, budget: int, mask: int, b_mask: int, b_comp: int, v: int) -> tuple[int, int] | None:
-    """New (b_mask, b_comp) after flipping vertex v of mask, or None when invalid.
-
-    b_mask is the boundary of the class ``mask``, b_comp of its complement.
-    Connectivity is the corner rule of the module's Connectivity fact, so
-    mask must be a chain state: both classes connected, the cut open.
-    """
-    bit = 1 << v
-    if mask & bit:
-        leaving, b_leave, b_join = mask, b_mask, b_comp
-    else:
-        leaving, b_leave, b_join = d.all_mask ^ mask, b_comp, b_mask
-    if leaving == bit:
-        return None  # class would become empty
-    near = d.nbr_masks[v]
-    same = (near & leaving).bit_count()
-    other = near.bit_count() - same
-    if other == 0:
-        return None  # not adjacent to the class it joins
-    od = d.outside_deg[v]
-    new_b_leave = b_leave - (od + other) + same
-    new_b_join = b_join - other + od + same
-    if new_b_leave > budget or new_b_join > budget:
-        return None
-    if same > 1:
-        joined = 0
-        for corner in d.corner_masks[v]:
-            if leaving & corner == corner:
-                joined += 1
-        if joined != same - 1:
-            return None
-    return (new_b_leave, new_b_join) if mask & bit else (new_b_join, new_b_leave)
-
-
 def _verdict(d: _Diamond, mask: int, v: int) -> int | None:
-    """``_flip``'s verdict on face v of chain state mask, before the budget test.
+    """The flip rule: the verdict on flipping face v of chain state mask, before the budget test.
 
-    None when no budget admits the flip, else the changes (dm, dc) of the
-    mask's and the complement's boundary sizes packed as
-    ``(dm + 4) << 4 | (dc + 4)``; each change lies in -4..4.  It is cached
-    in ``d.flip_caches[v]`` under ``mask & d.flip_blocks[v]``, v's block
-    bits in place (the Read set fact).  A
-    miss is filled by ``_flip`` itself from sizes 0 under budget 4, which
-    every change meets, so ``_flip`` stays the one flip rule.
+    None when v is alone in its class, has no neighbour in the other class,
+    or the corner rule of the Connectivity fact refuses, so mask must be a
+    chain state.  Else the changes (dm, dc) of the mask's and the
+    complement's boundary sizes, 2*same - 4 for v's class and 4 - 2*other
+    for the other, packed as ``(dm + 4) << 4 | (dc + 4)``; the caller tests
+    its budget against the new sizes.  The verdict is cached in
+    ``d.flip_caches[v]`` under ``mask & d.flip_blocks[v]``, v's block bits
+    in place (the Read set fact).
     """
     verdicts = d.flip_caches[v]
     key = mask & d.flip_blocks[v]
-    if key not in verdicts:
-        res = _flip(d, 4, mask, 0, 0, v)
-        verdicts[key] = None if res is None else (res[0] + 4) << 4 | (res[1] + 4)
-    return verdicts[key]
+    if key in verdicts:
+        return verdicts[key]
+    inside = mask >> v & 1
+    leaving = mask if inside else d.all_mask ^ mask
+    near = d.nbr_masks[v]
+    same = (near & leaving).bit_count()
+    other = near.bit_count() - same
+    r = None
+    if same and other and (same == 1 or sum(leaving & c == c for c in d.corner_masks[v]) == same - 1):
+        dv, do = 2 * same, 8 - 2 * other  # v's class's change and the other's, each plus 4
+        r = dv << 4 | do if inside else do << 4 | dv
+    verdicts[key] = r
+    return r
 
 
 def _flips(d: _Diamond, budget: int, p: Partition):
@@ -399,25 +376,11 @@ def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def _mat_pow(m: list[list[int]], e: int) -> list[list[int]]:
-    """M^e for e >= 1 by repeated squaring."""
-    if e == 1:
-        return m
-    half = _mat_pow(m, e // 2)
-    sq = _mat_mul(half, half)
-    return _mat_mul(sq, m) if e & 1 else sq
-
-
 def _tv_ok(mt: list[list[int]]) -> bool:
     """max-over-starts TV(P^t(s,.), uniform) <= 1/4 for P^t = M^t/|V|^t, in integers."""
     n = len(mt)
     d_tot = sum(mt[0])  # every row of M^t sums to |V|^t
     return all(2 * sum(abs(n * x - d_tot) for x in row) <= n * d_tot for row in mt)
-
-
-def _tv_ok_exact(mat: list[list[int]], t: int) -> bool:
-    """The worst-start TV test at step t >= 1 by one matrix power: the reference for the search."""
-    return _tv_ok(_mat_pow(mat, t))
 
 
 def exact_mixing_time(omega: list[Partition], params: OmegaParams) -> int:

@@ -35,6 +35,7 @@ identical seed and stream id reproduce identical output bit for bit.
 from __future__ import annotations
 
 import hashlib
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -243,8 +244,10 @@ def unrank_family(family: Family, index: int) -> tuple[FamilyEntry, str]:
     ``CountTable.unrank``'s descent.  So this is a bijection from
     [0, total) to the (cell, walk) pairs, and a uniform index picks cell i
     with probability count_i / total and, given i, a uniform index below
-    count_i: the joint law of a cell draw followed by a walk draw.
+    count_i: the joint law of a cell draw followed by a walk draw.  An
+    index that is not an integer (a float, a Fraction) raises TypeError.
     """
+    index = operator.index(index)
     cumulative = family.cumulative
     i = bisect_right(cumulative, index)
     if index < 0 or i == len(cumulative):

@@ -2,7 +2,8 @@
 
 from functools import cache
 
-from sawkit.aztec import _Diamond
+from sawkit.aztec import OmegaParams, Partition, _Diamond
+from sawkit.glauber import _verdict, enumerate_omega
 from sawkit.lattice import LatticeBox, Point
 
 
@@ -39,3 +40,21 @@ def primal_edges(k: int) -> list[tuple[int, int, tuple[Point, Point]]]:
 def cut_edges(d, mask: int) -> list[tuple[Point, Point]]:
     """Primal edges crossing the dual edges between a ``_Diamond`` mask's class and the rest."""
     return [edge for i, j, edge in primal_edges(d.k) if (mask >> i ^ mask >> j) & 1]
+
+
+@cache
+def omega(k: int, C: float) -> tuple[Partition, ...]:
+    """Omega at order k and ``OmegaParams(C, 0.5)``, enumerated once per test run."""
+    return tuple(enumerate_omega(k, OmegaParams(C, 0.5)))
+
+
+def flip(d, budget: int, mask: int, b_mask: int, b_comp: int, v: int) -> tuple[int, int] | None:
+    """New (b_mask, b_comp) after flipping face v of chain state mask, or None: ``_verdict`` under the budget.
+
+    b_mask is the boundary size of the class ``mask``, b_comp of its complement.
+    """
+    r = _verdict(d, mask, v)
+    if r is None:
+        return None
+    sizes = (b_mask + (r >> 4) - 4, b_comp + (r & 15) - 4)
+    return None if max(sizes) > budget else sizes

@@ -1,6 +1,5 @@
 import math
 from collections import Counter
-from functools import cache
 from statistics import NormalDist
 
 import pytest
@@ -27,7 +26,7 @@ from sawkit.counting import CountTable, ResourceLimitError, _family_bytes
 from sawkit.glauber import enumerate_omega
 from sawkit.lattice import LatticeBox, Point, Walk, manhattan
 from sawkit.sampling import RngStream
-from helpers import box_points
+from helpers import box_points, omega
 
 
 def test_region_counts():
@@ -97,9 +96,8 @@ def test_partition_validation():
 
 def test_edge_boundary_identity():
     # sum of class boundaries = 8k + 2 * cut size
-    params = OmegaParams(2, 0.5)
     for k in (1, 2):
-        for p in enumerate_omega(k, params):
+        for p in omega(k, 2):
             cut = len(partition_to_path(p))
             assert sum(p.boundary_sizes) == 8 * k + 2 * cut
 
@@ -199,16 +197,11 @@ def _tables(fam):
     return list({id(e.table): e.table for e in fam}.values())
 
 
-@cache
-def _omega(k, C):
-    return enumerate_omega(k, OmegaParams(C, 0.5))
-
-
 @pytest.mark.parametrize("k, C", [(1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3)])
 def test_boundary_path_facts_hold_on_omega(k, C):
     # the two facts the family prunes by, on every partition of Omega
     boundary = set(boundary_vertices(k))
-    for p in _omega(k, C):
+    for p in omega(k, C):
         pts = partition_to_path(p).points()
         assert boundary.isdisjoint(pts[1:-1])
         L, m = len(pts) - 1, arc_gap(k, pts[0], pts[-1])
@@ -219,7 +212,7 @@ def test_boundary_path_facts_hold_on_omega(k, C):
 def test_family_weight_is_omega_at_girth_2(k):
     # girth 2 and slack <= 4 leave no room for a cycle: every walk is accepted
     fam = partition_family(k, OmegaParams(2, 0.5), girth=2)
-    assert sum(e.count for e in fam) == len(_omega(k, 2))
+    assert sum(e.count for e in fam) == len(omega(k, 2))
 
 
 @pytest.mark.parametrize("C, k, l_star, size", [(2, 3, 1, 238), (3, 3, 2, 526), (2, 4, 2, 6206), (3, 4, 3, 15438)])
@@ -228,7 +221,7 @@ def test_family_weight_is_omega_at_l_star(C, k, l_star, size):
     params = OmegaParams(C, 0.5)
     excess = [e.length + 1 - manhattan(*e.label[0]) for e in partition_family(k, params, girth=1)]
     assert max(excess) == 2 * l_star
-    assert partition_family(k, params, l_star).cumulative[-1] == len(_omega(k, C)) == size
+    assert partition_family(k, params, l_star).cumulative[-1] == len(omega(k, C)) == size
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -244,7 +237,7 @@ def test_family_unranks_onto_omega(k):
             parts.append(path_to_partition(k, walk))
             assert in_omega(parts[-1], params)
     assert len(set(parts)) == len(parts)
-    assert set(parts) == set(_omega(k, 2))
+    assert set(parts) == set(omega(k, 2))
 
 
 def _wilson(successes, n, confidence):
@@ -261,7 +254,7 @@ def test_acceptance_is_omega_over_family_weight(k, C, girth, weight, size):
     params = OmegaParams(C, 0.5)
     fam = partition_family(k, params, girth)
     assert sum(e.count for e in fam) == weight
-    assert len(_omega(k, C)) == size
+    assert len(omega(k, C)) == size
     rng = RngStream(7001)
     accepted = 5000
     proposals = sum(sample_partition(k, params, girth, rng, family=fam)[1].attempts for _ in range(accepted))

@@ -183,6 +183,8 @@ def test_completion_count_validation():
     table = build_table(Z, (0, 0), (2, 2), 2, 1)
     with pytest.raises(ValueError):
         table.completion_count((0, 0), "UD", 2)  # self-intersecting window
+    with pytest.raises(ValueError, match="invalid window 'UX'"):
+        table.completion_count((0, 0), "UX", 2)  # a letter that is not a move
     with pytest.raises(ValueError):
         table.completion_count((50, 50), "", 2)  # outside restriction box
     with pytest.raises(ValueError):

@@ -20,11 +20,11 @@ from sawkit.aztec import (
     sample_partition,
     staircase_partition,
 )
-from sawkit.glauber import _flip, enumerate_omega, glauber_step, make_chain
+from sawkit.glauber import glauber_step, make_chain
 from sawkit.lattice import MOVES, LatticeBox, Point, Walk
 from sawkit.oracle import _self_avoiding, _walk_dfs
 from sawkit.sampling import RngStream
-from helpers import box_points, cut_edges, primal_edges
+from helpers import box_points, cut_edges, flip, omega, primal_edges
 
 OFFSETS = ((2, 0), (-2, 0), (0, 2), (0, -2))
 
@@ -165,18 +165,17 @@ def test_path_to_partition_matches_flood_fill_on_every_one_and_two_move_walk():
 
 def test_path_to_partition_inverts_partition_to_path_both_ways():
     # the closing arc differs with the walk's direction and with the halves its ends lie on
-    params = OmegaParams(3, 0.5)
     for k in (1, 2, 3, 4):
-        omega = enumerate_omega(k, params)
+        space = omega(k, 3)
         lower_ends = 0
-        for p in omega:
+        for p in space:
             walk = partition_to_path(p)
             back = Walk(walk.end, walk.moves[::-1].translate(str.maketrans("URDL", "DLUR")))
             assert back.points() == walk.points()[::-1]
             assert path_to_partition(k, walk) == p
             assert path_to_partition(k, back) == p
             lower_ends += (walk.start.y <= 0) + (walk.end.y <= 0)
-        assert 0 < lower_ends < 2 * len(omega)
+        assert 0 < lower_ends < 2 * len(space)
 
 
 def _reference_partition_to_path(p: Partition) -> Walk:
@@ -207,7 +206,7 @@ def _reference_partition_to_path(p: Partition) -> Walk:
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("C", [2, 3])
 def test_partition_to_path_matches_point_graph_walk_on_omega(k, C):
-    for p in enumerate_omega(k, OmegaParams(C, 0.5)):
+    for p in omega(k, C):
         assert partition_to_path(p) == _reference_partition_to_path(p)
 
 
@@ -268,13 +267,12 @@ def test_path_to_partition_matches_flood_fill_on_random_walks(k, start, on_bound
 
 
 def test_boundary_sizes_and_round_trip_exhaustive():
-    params = OmegaParams(3, 0.5)
     for k in (1, 2, 3):
         verts = dual_vertices(k)
         d = _Diamond.get(k)
-        omega = enumerate_omega(k, params)
-        assert omega
-        for p in omega:
+        space = omega(k, 3)
+        assert space
+        for p in space:
             c1 = p.class1
             c2 = verts - c1
             assert p.class2 == c2
@@ -297,7 +295,7 @@ def test_flip_valid_matches_recount(k, seed, steps):
     assert (state.b_mask, state.b_comp) == (_boundary(d.verts_of(m)), _boundary(d.verts_of(d.all_mask ^ m)))
     for v in range(d.n):
         inside = m >> v & 1
-        res = _flip(d, budget, m, state.b_mask, state.b_comp, v)
+        res = flip(d, budget, m, state.b_mask, state.b_comp, v)
         leaving = set(d.verts_of(m if inside else d.all_mask ^ m)) - {d.verts[v]}
         joining = set(d.verts) - leaving
         sizes = (_boundary(leaving), _boundary(joining))

@@ -9,9 +9,9 @@ from sawkit import oracle
 from sawkit.aztec import OmegaParams, staircase_partition
 from sawkit.glauber import (
     _Diamond,
-    _flip,
+    _mat_mul,
     _ordered,
-    _verdict,
+    _tv_ok,
     check_open_cuts,
     conductance_of_cut,
     enumerate_omega,
@@ -23,7 +23,7 @@ from sawkit.glauber import (
     transition_counts,
 )
 from sawkit.sampling import RngStream
-from helpers import cut_edges
+from helpers import cut_edges, flip, omega
 
 PARAMS = OmegaParams(3, 0.5)
 
@@ -41,8 +41,8 @@ def test_k1_chain_is_all_self_loops():
 
 def test_transition_matrix_symmetric_doubly_stochastic():
     for k in (1, 2, 3):
-        omega = enumerate_omega(k, PARAMS)
-        mat, vdeg = transition_counts(omega, PARAMS)
+        space = omega(k, 3)
+        mat, vdeg = transition_counts(space, PARAMS)
         n = len(mat)
         assert all(mat[i][j] == mat[j][i] for i in range(n) for j in range(n))
         assert all(sum(row) == vdeg for row in mat)
@@ -57,7 +57,7 @@ def test_disconnecting_flip_is_rejected():
         m = d.mask_of(p.class1)
         b1, b2 = p.boundary_sizes
         for v in range(d.n):
-            res = _flip(d, params.budget(2), m, b1, b2, v)
+            res = flip(d, params.budget(2), m, b1, b2, v)
             if res is None:
                 continue
             # accepted flips must keep both classes connected
@@ -67,7 +67,7 @@ def test_disconnecting_flip_is_rejected():
 
 
 def test_chain_stays_in_omega_and_mixes_small():
-    omega = enumerate_omega(2, PARAMS)
+    space = omega(2, 3)
     budget = PARAMS.budget(2)
     state = make_chain(2, PARAMS, staircase_partition(2), RngStream(7))
     seen = set()
@@ -75,12 +75,12 @@ def test_chain_stays_in_omega_and_mixes_small():
         glauber_step(state)
         assert max(state.b_mask, state.b_comp) <= budget
         seen.add(state.partition.class1)
-    assert seen == {p.class1 for p in omega}
+    assert seen == {p.class1 for p in space}
 
 
 def test_chain_empirical_uniformity_thinned():
     # thin to near-independent samples (t_mix = 87 at these parameters)
-    omega = enumerate_omega(2, PARAMS)
+    space = omega(2, 3)
     d = _Diamond.get(2)
     state = make_chain(2, PARAMS, staircase_partition(2), RngStream(11))
     counts = Counter()
@@ -89,10 +89,10 @@ def test_chain_empirical_uniformity_thinned():
         state.advance(250)
         m = state.mask if state.mask & d.anchor_bit else d.all_mask ^ state.mask
         counts[m] += 1
-    p = 1 / len(omega)
+    p = 1 / len(space)
     sigma = math.sqrt(p * (1 - p) / kept)
     canon = []
-    for part in omega:
+    for part in space:
         m = d.mask_of(part.class1)
         if not m & d.anchor_bit:
             m = d.all_mask ^ m
@@ -102,23 +102,37 @@ def test_chain_empirical_uniformity_thinned():
 
 
 def test_conductance_report_k2():
-    omega = enumerate_omega(2, PARAMS)
-    rep = conductance_of_cut(omega, PARAMS, ordered_endpoints)
+    space = omega(2, 3)
+    rep = conductance_of_cut(space, PARAMS, ordered_endpoints)
     assert rep.ratio > 0
     assert rep.mixing_lower_bound == Fraction(1, 4) / rep.ratio
     assert rep.mass <= Fraction(1, 2)
 
 
 def test_conductance_cut_of_everything_errors():
-    omega = enumerate_omega(2, PARAMS)
+    space = omega(2, 3)
     with pytest.raises(ValueError):
-        conductance_of_cut(omega, PARAMS, lambda p: True)
+        conductance_of_cut(space, PARAMS, lambda p: True)
 
 
 def test_conductance_decreasing_k2_k3():
-    r2 = conductance_of_cut(enumerate_omega(2, PARAMS), PARAMS, ordered_endpoints).ratio
-    r3 = conductance_of_cut(enumerate_omega(3, PARAMS), PARAMS, ordered_endpoints).ratio
+    r2 = conductance_of_cut(omega(2, 3), PARAMS, ordered_endpoints).ratio
+    r3 = conductance_of_cut(omega(3, 3), PARAMS, ordered_endpoints).ratio
     assert r2 > r3
+
+
+def _mat_pow(m, e):
+    """M^e for e >= 1 by repeated squaring."""
+    if e == 1:
+        return m
+    half = _mat_pow(m, e // 2)
+    sq = _mat_mul(half, half)
+    return _mat_mul(sq, m) if e & 1 else sq
+
+
+def _tv_ok_exact(mat, t):
+    """The worst-start TV test at step t >= 1 by one matrix power: the reference for the bisection."""
+    return _tv_ok(_mat_pow(mat, t))
 
 
 @pytest.mark.parametrize(
@@ -126,15 +140,13 @@ def test_conductance_decreasing_k2_k3():
 )
 def test_exact_mixing_time_bounds(k, C, expected):
     params = OmegaParams(C, 0.5)
-    omega = enumerate_omega(k, params)
-    tmix = exact_mixing_time(omega, params)
+    space = omega(k, C)
+    tmix = exact_mixing_time(space, params)
     assert tmix == expected
-    rep = conductance_of_cut(omega, params, ordered_endpoints)
+    rep = conductance_of_cut(space, params, ordered_endpoints)
     assert Fraction(tmix) >= rep.mixing_lower_bound
     # mixed at t, not yet at t-1 (minimality), each by one direct matrix power
-    from sawkit.glauber import _tv_ok_exact
-
-    mat, _ = transition_counts(omega, params)
+    mat, _ = transition_counts(space, params)
     assert _tv_ok_exact(mat, tmix)
     assert not _tv_ok_exact(mat, tmix - 1)
 
@@ -142,12 +154,12 @@ def test_exact_mixing_time_bounds(k, C, expected):
 def test_reducible_space_at_tight_budget():
     # with C=2 the k=2 space contains four corner cuts no flip can leave
     params = OmegaParams(2, 0.5)
-    omega = enumerate_omega(2, params)
-    mat, _ = transition_counts(omega, params)
+    space = omega(2, 2)
+    mat, _ = transition_counts(space, params)
     isolated = [i for i, row in enumerate(mat) if all(mat[i][j] == 0 for j in range(len(mat)) if j != i)]
     assert len(isolated) == 4
     with pytest.raises(ValueError, match="reducible"):
-        exact_mixing_time(omega, params)
+        exact_mixing_time(space, params)
 
 
 def test_periodic_chain_refused(monkeypatch):
@@ -159,8 +171,8 @@ def test_periodic_chain_refused(monkeypatch):
 
 def test_ordered_endpoints_floor():
     for k in (2, 3):
-        omega = enumerate_omega(k, PARAMS)
-        assert sum(1 for p in omega if ordered_endpoints(p)) >= comb(2 * k, k)
+        space = omega(k, 3)
+        assert sum(1 for p in space if ordered_endpoints(p)) >= comb(2 * k, k)
 
 
 def test_run_chain_zero_steps():
@@ -198,7 +210,7 @@ def _reference_flip_valid(d, budget, mask, b_in, b_out, v):
 
 
 def _reference_flip(d, budget, mask, b_mask, b_comp, v):
-    """_reference_flip_valid in _flip's argument order: (mask, complement)."""
+    """_reference_flip_valid in ``helpers.flip``'s argument order: (mask, complement)."""
     if mask >> v & 1:
         return _reference_flip_valid(d, budget, mask, b_mask, b_comp, v)
     res = _reference_flip_valid(d, budget, mask, b_comp, b_mask, v)
@@ -215,14 +227,14 @@ def test_flip_valid_matches_whole_class_flood(monkeypatch):
     cases = [(1, PARAMS.budget(1)), (2, PARAMS.budget(2)), (3, PARAMS.budget(3)), (2, 24),
              (4, OmegaParams(2, 0.5).budget(4))]
     for k, budget in cases:
-        d = _Diamond.get(k)
+        d = _Diamond(k)  # a fresh diamond, so each verdict is computed under the patch
         flips = [(p.mask, *p.boundary_sizes, v)
                  for p in oracle.enumerate_partitions(k, PARAMS, budget=budget).items for v in range(d.n)]
         want = [_reference_flip(d, budget, *f) for f in flips]
         with monkeypatch.context() as m:
             m.setattr(_Diamond, "component", _no_flood_fill)
             m.setattr(_Diamond, "connected", _no_flood_fill)
-            assert [_flip(d, budget, *f) for f in flips] == want
+            assert [flip(d, budget, *f) for f in flips] == want
     assert len(flips) == 6_206 * 40
 
 
@@ -237,7 +249,7 @@ def test_corner_rule_needs_an_open_cut():
     assert sizes == (40, 8)
     assert _reference_flip_valid(d, 40, mask, *sizes, v) == (40, 8)
     assert d.connected(mask ^ (1 << v)) and d.connected(inner | 1 << v)
-    assert _flip(d, 40, mask, *sizes, v) is None
+    assert flip(d, 40, mask, *sizes, v) is None
     closed = OmegaParams(8, 0.5)
     assert closed.budget(4) == 40
     with pytest.raises(ValueError, match="admits a class enclosed"):
@@ -266,7 +278,7 @@ def _endpoints_or_error(f, d, mask):
 @pytest.mark.parametrize("C", [2, 3])
 def test_cut_endpoints_match_whole_cut_on_omega(k, C):
     d = _Diamond.get(k)
-    for p in enumerate_omega(k, OmegaParams(C, 0.5)):
+    for p in omega(k, C):
         assert d.cut_endpoints(p.mask) == _reference_endpoints(d, p.mask)
 
 
@@ -368,20 +380,15 @@ def test_advance_is_that_many_glauber_steps():
 
 @pytest.mark.parametrize("k,C", [(2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3)])
 def test_cached_verdict_is_flip(k, C):
-    # a fresh diamond, so the states below fill its caches and then read them back
-    params = OmegaParams(C, 0.5)
-    budget = params.budget(k)
+    # a fresh diamond: the first pass computes every verdict, the second reads it back from the cache
+    budget = OmegaParams(C, 0.5).budget(k)
     d = _Diamond(k)
-    for p in enumerate_omega(k, params):
-        b_mask, b_comp = p.boundary_sizes
-        for v in range(d.n):
-            r = _verdict(d, p.mask, v)
-            got = None
-            if r is not None:
-                got = (b_mask + (r >> 4) - 4, b_comp + (r & 15) - 4)
-                if max(got) > budget:
-                    got = None
-            assert got == _flip(d, budget, p.mask, b_mask, b_comp, v)
+    flips = [(p.mask, *p.boundary_sizes, v) for p in omega(k, C) for v in range(d.n)]
+    want = [_reference_flip(d, budget, *f) for f in flips]
+    assert not any(d.flip_caches)
+    assert [flip(d, budget, *f) for f in flips] == want
+    d.nbr_masks = d.corner_masks = None  # a cache miss would now raise
+    assert [flip(d, budget, *f) for f in flips] == want
 
 
 def test_verdict_caches_are_lazy_and_bounded(monkeypatch):

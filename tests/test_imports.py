@@ -1,6 +1,6 @@
 """Tooling guards: no module of the package can load a serialized Python object or import scipy,
-``counting`` and ``aztec`` touch no files, the package ships and reads no data files, and only
-``lattice`` spells out the move order."""
+``counting`` and ``aztec`` touch no files, the package ships and reads no data files, only
+``lattice`` spells out the move order, and every hypothesis test draws the same examples on every run."""
 
 import ast
 from pathlib import Path
@@ -69,3 +69,27 @@ def _move_order_literals(package_dir: Path) -> list[str]:
 
 def test_move_order_is_spelled_only_in_lattice():
     assert _move_order_literals(Path(sawkit.__file__).parent) == []
+
+
+def _hypothesis_settings(tests_dir: Path) -> dict[str, bool]:
+    """Each ``settings(...)`` call under tests_dir: whether it sets derandomize=True and database=None."""
+    found = {}
+    for path in sorted(tests_dir.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != "settings":
+                continue
+            kw = {k.arg: k.value for k in node.keywords}
+            found[f"{path.name}:{node.lineno}"] = all(
+                isinstance(kw.get(arg), ast.Constant) and kw[arg].value is want
+                for arg, want in (("derandomize", True), ("database", None))
+            )
+    return found
+
+
+def test_hypothesis_examples_are_the_same_every_run():
+    # a random or database-replayed example can fail one run and pass the next on the same code
+    found = _hypothesis_settings(Path(__file__).parent)
+    assert found and [where for where, seeded in found.items() if not seeded] == []

@@ -2,7 +2,9 @@ import copy
 import hashlib
 import math
 from collections import Counter
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,7 +124,7 @@ def test_stream_format_known_answer():
 PAST_THE_CAP = 131_008 + 100
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
     st.lists(
         st.tuples(st.sampled_from(["bits", "bytes"]), st.one_of(st.integers(0, 100), st.integers(0, 40_000)),
@@ -358,6 +360,23 @@ def test_unrank_index_out_of_range_raises_value_error():
         for index in (-1, count):
             with pytest.raises(ValueError, match="outside"):
                 table.unrank(table.origin, length, index)
+
+
+def test_unrank_takes_only_integer_indices():
+    # a float index loses its low bits as the descent subtracts counts from it: 2**60 as a float
+    # gave another walk than 2**60, and 7.5 a walk at all, so both are refused
+    table = build_table(Z, (0, 0), (40, 40), 2, 3)
+    start, length = table.origin, 86
+    assert table.count_from(start, length) > 2**60
+    for index in (float(2**60), 7.5, Fraction(15, 2)):
+        with pytest.raises(TypeError):
+            table.unrank(start, length, index)
+    assert table.unrank(start, length, np.int64(2**60)) == table.unrank(start, length, 2**60)
+    family = partition_family(3, OmegaParams(2, 0.5), girth=2)
+    for index in (5.0, 7.5, Fraction(15, 2)):
+        with pytest.raises(TypeError):
+            unrank_family(family, index)
+    assert unrank_family(family, np.int64(7)) == unrank_family(family, 7)
 
 
 def test_zero_count_raises_value_error():
